@@ -6,6 +6,12 @@ x.beta plus N(0, sigma^2) noise. The fit is the minimum-norm least-squares
 solution, which below p rows is the min-norm interpolator this package's risk
 formulas describe, and at or above p rows is ordinary least squares.
 
+The fit solves through the smaller Gram matrix G (X X^T below p rows, X^T X
+otherwise) when a shifted Cholesky factorization certifies
+trace(G) / lambda_min(G) <= GRAM_COND_LIMIT, rounding included. Every other
+input falls back to the SVD solver `np.linalg.lstsq`. Which route ran is
+recorded in `EstimatorOutput.route`.
+
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
 order-independent and every artifact is reproducible bit for bit.
@@ -24,6 +30,14 @@ STAGE_SURROGATE = 1
 STAGE_TARGET = 2
 
 _MASK64 = (1 << 64) - 1
+
+# The Gram route runs only where trace(G) / lambda_min(G) is certified at most
+# this, so cond(X) <= 1e4: far from lstsq's rank cutoff
+# (sigma_min / sigma_max <= max(rows, p) * eps), so the rank is min(rows, p).
+# The Gram solve loses about cond(G) * eps where lstsq loses cond(X) * eps; at
+# this limit the excess risk stays within about 1e-9 relative of lstsq's.
+GRAM_COND_LIMIT = 1e8
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
 def _splitmix64(state: int) -> int:
@@ -61,6 +75,7 @@ class EstimatorOutput:
     regime: str
     rank: int
     rank_deficient: bool
+    route: str  # "gram" or "lstsq"
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +144,46 @@ def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Da
     return Dataset(design=design, labels=labels, seed=int(seed))
 
 
+def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
+    """Min-norm solution through the smaller Gram matrix, or None if not certified.
+
+    With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it is
+    G^-1 X^T y. The certificate (Rump, "Verification of positive
+    definiteness", BIT 2006): forming G and factoring G - shift*I in floating
+    point move eigenvalues by at most `slack`, so a Cholesky factorization of
+    G - (floor + slack)*I that completes proves lambda_min(G) >= floor.
+    """
+    rows, p = design.shape
+    wide = rows < p
+    gram = design @ design.T if wide else design.T @ design
+    trace = float(np.trace(gram))
+    if not (np.isfinite(trace) and trace > 0.0):
+        return None
+    floor = trace / GRAM_COND_LIMIT
+    slack = 2.0 * (rows + p + 2) * _UNIT_ROUNDOFF * trace
+    diagonal = gram.diagonal().copy()
+    np.fill_diagonal(gram, diagonal - (floor + slack))
+    try:
+        np.linalg.cholesky(gram)  # only success matters; the factor is dropped
+    except np.linalg.LinAlgError:
+        return None
+    np.fill_diagonal(gram, diagonal)
+    if wide:
+        return design.T @ np.linalg.solve(gram, labels)
+    return np.linalg.solve(gram, design.T @ labels)
+
+
 def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     """Minimum-norm least-squares fit of labels on design.
 
-    Uses the SVD-based solver with singular values below
-    sigma_max * max(rows, p) * eps treated as zero. Below p rows the result is
-    the minimum-norm interpolator; at or above p rows it is ordinary least
-    squares. Rank deficiency is reported, not fatal.
+    Below p rows the result is the minimum-norm interpolator; at or above p
+    rows it is ordinary least squares. The solve goes through the smaller
+    Gram matrix when its conditioning is certified well inside
+    GRAM_COND_LIMIT (route "gram": full rank by construction). Otherwise it
+    falls back to the SVD-based solver with singular values below
+    sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
+    deficiency is reported, not fatal; a non-finite design raises
+    `np.linalg.LinAlgError` from the SVD.
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -144,13 +192,19 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
             f"design must be 2-D with one label per row, got {design.shape} and {labels.shape}"
         )
     rows, p = design.shape
-    fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
     regime = "min-norm-interpolator" if rows < p else "ordinary-least-squares"
+    fitted = _gram_solve(design, labels)
+    if fitted is not None:
+        return EstimatorOutput(
+            fitted=fitted, regime=regime, rank=min(rows, p), rank_deficient=False, route="gram"
+        )
+    fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
     return EstimatorOutput(
         fitted=fitted,
         regime=regime,
         rank=int(rank),
         rank_deficient=bool(rank < min(rows, p)),
+        route="lstsq",
     )
 
 
@@ -187,6 +241,7 @@ def two_stage_fit(
     seed_t = derive_seed(seed, STAGE_TARGET, trial)
     stage1 = sample_dataset(inst.spectrum_s, inst.beta_star, inst.sigma_s_sq, inst.m, seed_s)
     beta_s = fit(stage1.design, stage1.labels).fitted
+    del stage1  # free the stage-one design before stage two allocates its own
     sigma_t = 0.0 if distill_noiseless else inst.sigma_t_sq
     stage2 = surrogate_to_target_fit(inst.spectrum_t, beta_s, sigma_t, inst.n, seed_t)
     return beta_s, stage2.fitted

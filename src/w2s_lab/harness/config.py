@@ -169,8 +169,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
     if cfg.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
+    if not 0 <= cfg.seed < 2**64:
+        # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
+        raise ConfigError(f"seed: must be in [0, 2**64), got {cfg.seed}")
     if cfg.sigma_t_sq < 0.0:
         raise ConfigError(f"sigma_t_sq: must be >= 0, got {cfg.sigma_t_sq}")
     if cfg.sigma_s_sq < 0.0:

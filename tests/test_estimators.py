@@ -15,7 +15,7 @@ from w2s_lab import (
     surrogate_to_target_fit,
     two_stage_fit,
 )
-from w2s_lab.estimators import STAGE_ROOT, STAGE_SURROGATE, STAGE_TARGET
+from w2s_lab.estimators import GRAM_COND_LIMIT, STAGE_ROOT, STAGE_SURROGATE, STAGE_TARGET
 
 
 class TestDeriveSeed:
@@ -120,6 +120,91 @@ class TestFit:
         out = fit(design, np.array([1.0, 2.0, 0.5]))
         assert out.rank == 2
         assert out.rank_deficient
+
+
+def _lstsq_risk_gap(design, labels, beta, lam):
+    """Fit output and its excess risk relative to np.linalg.lstsq's on the same data."""
+    out = fit(design, labels)
+    ref = np.linalg.lstsq(design, labels, rcond=None)[0]
+    risk = empirical_excess_risk(out.fitted, beta, lam)
+    ref_risk = empirical_excess_risk(ref, beta, lam)
+    return out, abs(risk - ref_risk) / ref_risk
+
+
+class TestFitRoute:
+    """The Gram-matrix route must agree with lstsq wherever it is taken."""
+
+    @pytest.mark.parametrize(
+        "p,n", [(500, 100), (500, 300), (300, 90), (300, 240), (300, 285), (300, 600)]
+    )
+    def test_matches_lstsq_on_benchmark_shapes(self, p, n):
+        lam = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        for trial in range(3):
+            ds = sample_dataset(lam, beta, 0.05, n, derive_seed(20260822, STAGE_TARGET, trial))
+            out, gap = _lstsq_risk_gap(ds.design, ds.labels, beta, lam)
+            assert gap <= 1e-9
+            assert out.rank == min(n, p)
+            assert not out.rank_deficient
+            if n <= 0.8 * p or n >= 2 * p:
+                assert out.route == "gram"
+
+    def test_near_square_falls_back_or_agrees(self):
+        p = 300
+        lam = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        for trial in range(3):
+            ds = sample_dataset(lam, beta, 0.05, p - 1, derive_seed(7, STAGE_TARGET, trial))
+            out, gap = _lstsq_risk_gap(ds.design, ds.labels, beta, lam)
+            if out.route == "lstsq":
+                ref = np.linalg.lstsq(ds.design, ds.labels, rcond=None)[0]
+                assert np.array_equal(out.fitted, ref)
+            else:
+                assert gap <= 1e-6
+
+    def test_duplicated_column_takes_lstsq(self):
+        rng = np.random.default_rng(3)
+        design = rng.normal(size=(40, 10))
+        design[:, 7] = design[:, 3]
+        labels = rng.normal(size=40)
+        out = fit(design, labels)
+        _, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
+        assert out.route == "lstsq"
+        assert out.rank == rank == 9
+        assert out.rank_deficient == bool(rank < 10)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_guard_threshold_is_trace_over_smallest_eigenvalue(self, wide):
+        """Gram route iff trace(G) / lambda_min(G) <= GRAM_COND_LIMIT."""
+        rng = np.random.default_rng(11)
+        k, other = 5, 12
+        u, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(other, k)))
+        for factor, route in ((0.5, "gram"), (2.0, "lstsq")):
+            # singular values 1 (x4) and s: trace / lambda_min = 4 / s^2 + 1
+            s = np.sqrt(4.0 / (factor * GRAM_COND_LIMIT - 1.0))
+            design = (u * np.array([1.0, 1.0, 1.0, 1.0, s])) @ v.T
+            if not wide:
+                design = design.T.copy()
+            out = fit(design, rng.normal(size=design.shape[0]))
+            assert out.route == route
+            assert out.rank == k
+            assert not out.rank_deficient
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(5, 12), (12, 5)])
+    def test_non_finite_design_raises_from_lstsq(self, bad, shape):
+        design = np.random.default_rng(0).normal(size=shape)
+        design[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            fit(design, np.ones(shape[0]))
+
+    def test_zero_design_takes_lstsq(self):
+        out = fit(np.zeros((3, 4)), np.ones(3))
+        assert out.route == "lstsq"
+        assert out.rank == 0
+        assert out.rank_deficient
+        assert np.array_equal(out.fitted, np.zeros(4))
 
 
 class TestPipelines:

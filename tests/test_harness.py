@@ -181,6 +181,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_config("risk-vs-n", {"p": 40, "n": (5,), "beta_exp": 1.0})
 
+    def test_seed_must_fit_in_64_bits(self):
+        """Seeds are mixed as 64-bit words, so 2**64 + k would alias seed k."""
+        with pytest.raises(ConfigError, match="seed"):
+            build_config("risk-vs-n", {"p": 40, "n": (5,), "seed": 2**64})
+        cfg = build_config("risk-vs-n", {"p": 40, "n": (5,), "seed": 2**64 - 1})
+        assert cfg.seed == 2**64 - 1
+
 
 def _tiny_cfg(**extra):
     base = {"p": 30, "n": (6, 10), "trials": 25, "seed": 99}
