@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SpectralStats, as_spectrum, solve_tau
-from .theory import one_stage_risk
+from .spectrum import SpectralStats, as_spectrum
+from .theory import _stats_for, one_stage_risk
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +40,6 @@ class GainProfile:
 
     gains: np.ndarray
     threshold_amplify: float
-
-
-def _stats_for(lam: np.ndarray, n: int, stats: SpectralStats | None) -> SpectralStats:
-    if stats is None:
-        return solve_tau(lam, n)
-    if stats.n != int(n) or not np.array_equal(stats.eigenvalues, lam):
-        raise ValueError("stats were solved for a different spectrum or sample count")
-    return stats
 
 
 def _gains(stats: SpectralStats) -> np.ndarray:
@@ -93,7 +85,7 @@ def optimal_mask(spectrum, n: int, stats: SpectralStats | None = None) -> frozen
     lam = as_spectrum(spectrum)
     st = _stats_for(lam, n, stats)
     keep = np.flatnonzero(st.zeta**2 < 1.0 - st.omega)
-    return frozenset(int(i) for i in keep)
+    return frozenset(keep.tolist())
 
 
 def masked_surrogate(beta_star, support) -> SurrogateParam:

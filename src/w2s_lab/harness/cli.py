@@ -126,7 +126,7 @@ def _run_verify_command(cfg) -> int:
         print(
             f"{status} {prop['name']} (margin {prop['margin']:+.3e})", file=sys.stderr
         )
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if cfg.out is not None:
         if os.path.exists(cfg.out) and not cfg.force:
             raise ConfigError(f"out: {cfg.out} exists; pass --force to overwrite")

@@ -193,6 +193,13 @@ def _prop_omega_lower_bound(rng) -> PropertyResult:
         bound = omega_lower_bound(alpha, p, n)
         omega = solve_tau(power_law_spectrum(p, alpha), n).omega
         min_slack = min(min_slack, omega - bound)
+    if min_slack == math.inf:  # every draw missed its window: nothing was checked
+        return PropertyResult(
+            name="omega-lower-bound",
+            passed=False,
+            margin=-1.0,
+            detail="vacuous: no draw had a non-empty hypothesis window",
+        )
     return PropertyResult(
         name="omega-lower-bound",
         passed=bool(min_slack >= 0.0),

@@ -80,6 +80,10 @@ class TestMasks:
     def test_isotropic_mask_keeps_everything(self):
         assert optimal_mask(np.full(6, 2.0), 2) == frozenset(range(6))
 
+    def test_mask_holds_python_ints(self):
+        mask = optimal_mask(power_law_spectrum(200, 2.0), 50)
+        assert mask and all(type(i) is int for i in mask)
+
     def test_brute_force_agrees_with_threshold_rule(self):
         rng = np.random.default_rng(77)
         for _ in range(25):

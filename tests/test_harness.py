@@ -1,6 +1,7 @@
 """Tests for config handling, experiment tables, CSV/JSON output, and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from w2s_lab import (
     solve_tau,
     two_stage_risk,
 )
+from w2s_lab.harness import cli, verify
 from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
     EXPERIMENTS,
@@ -515,6 +517,34 @@ class TestCli:
         assert report["all_passed"] is True
         assert "properties passed" in captured.err
         assert "PASS fixed-point-residual" in captured.err
+
+    def test_verify_report_is_strict_json(self, monkeypatch, capsys):
+        """A non-finite margin makes the command fail instead of writing Infinity."""
+        report = {
+            "properties": [{"name": "x", "passed": True, "margin": float("inf"), "detail": ""}],
+            "property_count": 1,
+            "all_passed": True,
+        }
+        monkeypatch.setattr(cli, "run_verify", lambda cfg: report)
+        rc = main(["verify", "--seed", "123"])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert "Infinity" not in captured.out
+
+    def test_vacuous_omega_lower_bound_fails(self):
+        """Draws whose hypothesis window is empty (alpha < 3.3) check nothing."""
+
+        class EmptyWindowDraws:
+            def uniform(self, low, high):
+                return 2.0
+
+            def integers(self, low, high):
+                return 1000
+
+        result = verify._prop_omega_lower_bound(EmptyWindowDraws())
+        assert result.passed is False
+        assert math.isfinite(result.margin) and result.margin < 0.0
+        assert "vacuous" in result.detail
 
     def test_verify_refuses_existing_out(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

@@ -74,6 +74,21 @@ class TestSolveTau:
             solve_tau(np.array([0.5, 1.0]), 1)  # not non-increasing
 
 
+class TestSolverObservability:
+    """The solver reports its pass count and the residual it certified."""
+
+    @pytest.fixture(scope="class", params=[1.5, 3.0])
+    def large_spectrum(self, request):
+        return power_law_spectrum(1_000_000, request.param)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    def test_few_passes_at_large_p(self, large_spectrum, n):
+        stats = solve_tau(large_spectrum, n)
+        assert stats.iterations <= 12
+        assert stats.residual == fixed_point_residual(large_spectrum, stats.tau, n)
+        assert abs(stats.residual) <= TAU_ATOL + TAU_RTOL * n
+
+
 class TestSpectralStats:
     def test_shrinkage_complement(self):
         lam = power_law_spectrum(30, 1.5)
