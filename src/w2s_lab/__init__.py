@@ -22,12 +22,10 @@ from .estimators import (
     Dataset,
     EstimatorOutput,
     ProblemInstance,
-    apply_mask,
     derive_seed,
     empirical_excess_risk,
     fit,
     sample_dataset,
-    surrogate_to_target_fit,
     two_stage_fit,
 )
 from .spectrum import (
@@ -67,7 +65,6 @@ __all__ = [
     "RiskReport",
     "SpectralStats",
     "SurrogateParam",
-    "apply_mask",
     "as_spectrum",
     "benign_region_check",
     "brute_force_mask",
@@ -92,7 +89,6 @@ __all__ = [
     "sample_dataset",
     "scaling_exponent",
     "solve_tau",
-    "surrogate_to_target_fit",
     "tau_asymptotic",
     "tau_bounds_nonasymptotic",
     "to_spectral_coordinates",

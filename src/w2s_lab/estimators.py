@@ -208,19 +208,6 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     )
 
 
-def surrogate_to_target_fit(
-    spectrum, beta_s, sigma_sq: float, count: int, seed: int
-) -> EstimatorOutput:
-    """Second-stage fit against labels generated by a fixed surrogate vector.
-
-    Samples a fresh dataset whose labels are design @ beta_s plus
-    N(0, sigma_sq) noise, then fits it. This is the entry point for pipelines
-    where the surrogate is designed (not itself estimated).
-    """
-    ds = sample_dataset(spectrum, beta_s, sigma_sq, count, seed)
-    return fit(ds.design, ds.labels)
-
-
 def two_stage_fit(
     inst: ProblemInstance,
     seed: int,
@@ -243,8 +230,8 @@ def two_stage_fit(
     beta_s = fit(stage1.design, stage1.labels).fitted
     del stage1  # free the stage-one design before stage two allocates its own
     sigma_t = 0.0 if distill_noiseless else inst.sigma_t_sq
-    stage2 = surrogate_to_target_fit(inst.spectrum_t, beta_s, sigma_t, inst.n, seed_t)
-    return beta_s, stage2.fitted
+    stage2 = sample_dataset(inst.spectrum_t, beta_s, sigma_t, inst.n, seed_t)
+    return beta_s, fit(stage2.design, stage2.labels).fitted
 
 
 def empirical_excess_risk(beta_hat, beta_star, spectrum) -> float:
@@ -256,16 +243,3 @@ def empirical_excess_risk(beta_hat, beta_star, spectrum) -> float:
         raise ValueError("beta_hat, beta_star and spectrum must share one length")
     diff = beta_hat - beta_star
     return float(np.sum((lam * diff**2)[::-1]))
-
-
-def apply_mask(beta, support) -> np.ndarray:
-    """Zero out every coordinate of beta outside `support` (0-based indices)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    idx = sorted(int(i) for i in support)
-    for i in idx:
-        if i < 0 or i >= beta.size:
-            raise IndexError(f"mask index {i} out of range for length {beta.size}")
-    masked = np.zeros_like(beta)
-    if idx:
-        masked[idx] = beta[idx]
-    return masked

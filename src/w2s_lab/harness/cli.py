@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -27,14 +26,8 @@ from .config import (
     build_config,
     parse_config_file,
 )
-from .experiments import (
-    run_gain_profile,
-    run_mask_count,
-    run_risk_vs_n,
-    run_two_stage_grid,
-    scaling_slope_table,
-)
-from .output import render_csv, write_outputs
+from .experiments import RUNNERS, SLOPE_COLUMNS
+from .output import render_csv, write_files, write_outputs
 from .verify import run_verify
 
 
@@ -119,6 +112,15 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _emit(cfg, render, write) -> None:
+    """Print render() to stdout, or call write() (which returns the paths) for --out."""
+    if cfg.out is None:
+        sys.stdout.write(render())
+    else:
+        for path in write():
+            print(f"wrote {path}", file=sys.stderr)
+
+
 def _run_verify_command(cfg) -> int:
     report = run_verify(cfg)
     for prop in report["properties"]:
@@ -126,18 +128,11 @@ def _run_verify_command(cfg) -> int:
         print(
             f"{status} {prop['name']} (margin {prop['margin']:+.3e})", file=sys.stderr
         )
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if cfg.out is not None:
-        if os.path.exists(cfg.out) and not cfg.force:
-            raise ConfigError(f"out: {cfg.out} exists; pass --force to overwrite")
-        parent = os.path.dirname(cfg.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {cfg.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a non-finite margin is a fault, not a bad config
+        raise FloatingPointError(f"verify report: {exc}") from exc
+    _emit(cfg, lambda: text, lambda: write_files({cfg.out: lambda: text}, cfg.force))
     count = report["property_count"]
     passed = sum(1 for prop in report["properties"] if prop["passed"])
     print(f"{passed}/{count} properties passed", file=sys.stderr)
@@ -157,31 +152,21 @@ def main(argv=None) -> int:
     try:
         if cfg.experiment == "verify":
             return _run_verify_command(cfg)
-        if cfg.experiment == "risk-vs-n":
-            columns, rows = run_risk_vs_n(cfg)
-        elif cfg.experiment == "two-stage-grid":
-            columns, rows = run_two_stage_grid(cfg)
-        elif cfg.experiment == "gain-profile":
-            columns, rows = run_gain_profile(cfg)
-        elif cfg.experiment == "mask-count":
-            columns, rows = run_mask_count(cfg)
-        else:  # scaling-slope; the experiment enum is validated by the config
-            columns, rows, summary = scaling_slope_table(cfg)
+        columns, rows = RUNNERS[cfg.experiment](cfg)
+        if columns == SLOPE_COLUMNS:
+            first = dict(zip(columns, rows[0]))
             print(
                 "slopes: target={slope_target} optimal={slope_optimal} "
-                "predicted={predicted}".format(**summary),
+                "predicted={predicted_slope}".format(**first),
                 file=sys.stderr,
             )
-        if cfg.out is not None:
-            for path in write_outputs(cfg, columns, rows):
-                print(f"wrote {path}", file=sys.stderr)
-        else:
-            sys.stdout.write(render_csv(cfg, columns, rows))
+        _emit(
+            cfg,
+            lambda: render_csv(cfg, columns, rows),
+            lambda: write_outputs(cfg, columns, rows),
+        )
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NonConvergenceError, np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:

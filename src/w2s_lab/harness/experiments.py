@@ -148,6 +148,28 @@ def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:
     return mean, float(np.std(risks, ddof=1) / math.sqrt(risks.size))
 
 
+def _point_rows(cfg: ExperimentConfig, alpha, kind: str, n, m, report, risks) -> list:
+    """The theory row and the Monte Carlo row of one sweep point (RESULT_COLUMNS)."""
+    base = (
+        cfg.experiment,
+        cfg.p,
+        alpha,
+        cfg.beta_exp,
+        cfg.sigma_t_sq,
+        cfg.sigma_s_sq,
+        cfg.trials,
+        cfg.seed,
+        kind,
+        n,
+        m,
+    )
+    theory = (report.bias, report.variance, report.total)
+    return [
+        base + ("theory",) + theory + (None, None),
+        base + ("monte-carlo",) + theory + mean_and_se(risks),
+    ]
+
+
 def surrogate_values_for_kind(kind: str, spectrum, beta_star, n, stats) -> np.ndarray:
     if kind == "ground-truth":
         return np.asarray(beta_star, dtype=np.float64)
@@ -171,23 +193,6 @@ def run_risk_vs_n(cfg: ExperimentConfig):
             report = one_stage_risk(
                 spectrum, beta_star, values, n, cfg.sigma_t_sq, stats=stats
             )
-            base = (
-                cfg.experiment,
-                cfg.p,
-                alpha,
-                cfg.beta_exp,
-                cfg.sigma_t_sq,
-                cfg.sigma_s_sq,
-                cfg.trials,
-                cfg.seed,
-                kind,
-                n,
-                None,
-            )
-            rows.append(
-                base
-                + ("theory", report.bias, report.variance, report.total, None, None)
-            )
             risks = mc_one_stage_risks(
                 spectrum,
                 beta_star,
@@ -198,18 +203,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
                 cfg.seed,
                 cfg.workers,
             )
-            mc_mean, mc_se = mean_and_se(risks)
-            rows.append(
-                base
-                + (
-                    "monte-carlo",
-                    report.bias,
-                    report.variance,
-                    report.total,
-                    mc_mean,
-                    mc_se,
-                )
-            )
+            rows += _point_rows(cfg, alpha, kind, n, None, report, risks)
     return RESULT_COLUMNS, rows
 
 
@@ -247,36 +241,8 @@ def run_two_stage_grid(cfg: ExperimentConfig, beta_star=None):
                 m=m,
             )
             report = two_stage_risk(inst)
-            base = (
-                cfg.experiment,
-                cfg.p,
-                alpha,
-                cfg.beta_exp,
-                cfg.sigma_t_sq,
-                cfg.sigma_s_sq,
-                cfg.trials,
-                cfg.seed,
-                "two-stage",
-                n,
-                m,
-            )
-            rows.append(
-                base
-                + ("theory", report.bias, report.variance, report.total, None, None)
-            )
             risks = mc_two_stage_risks(inst, cfg.trials, cfg.seed, cfg.workers)
-            mc_mean, mc_se = mean_and_se(risks)
-            rows.append(
-                base
-                + (
-                    "monte-carlo",
-                    report.bias,
-                    report.variance,
-                    report.total,
-                    mc_mean,
-                    mc_se,
-                )
-            )
+            rows += _point_rows(cfg, alpha, "two-stage", n, m, report, risks)
     return RESULT_COLUMNS, rows
 
 
@@ -361,12 +327,11 @@ def run_mask_count(cfg: ExperimentConfig):
     return MASK_COLUMNS, rows
 
 
-def scaling_slope_table(cfg: ExperimentConfig):
-    """Theory-only risk decay series plus fitted log-log slopes.
+def run_scaling_slope(cfg: ExperimentConfig):
+    """Theory-only risk decay series plus fitted and predicted log-log slopes.
 
-    Returns (columns, rows, summary) where summary maps
-    {"slope_target", "slope_optimal", "predicted"} to floats (None for a
-    series not requested via kinds).
+    Every row repeats the three slopes; a series not requested via kinds has
+    None in its total and slope columns.
     """
     alpha = cfg.alpha_scalar()
     spectrum = power_law_spectrum(cfg.p, alpha)
@@ -417,15 +382,15 @@ def scaling_slope_table(cfg: ExperimentConfig):
                 predicted,
             )
         )
-    summary = {
-        "slope_target": slope_target,
-        "slope_optimal": slope_optimal,
-        "predicted": predicted,
-    }
-    return SLOPE_COLUMNS, rows, summary
+    return SLOPE_COLUMNS, rows
 
 
-def run_scaling_slope(cfg: ExperimentConfig):
-    """Fitted log-log slopes (target, optimal) and the predicted slope."""
-    _, _, summary = scaling_slope_table(cfg)
-    return summary["slope_target"], summary["slope_optimal"], summary["predicted"]
+# The table runners by experiment name; `verify` is the one experiment that
+# writes a report instead of a table.
+RUNNERS = {
+    "risk-vs-n": run_risk_vs_n,
+    "two-stage-grid": run_two_stage_grid,
+    "gain-profile": run_gain_profile,
+    "mask-count": run_mask_count,
+    "scaling-slope": run_scaling_slope,
+}

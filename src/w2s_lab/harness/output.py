@@ -99,9 +99,23 @@ def render_json(cfg: ExperimentConfig, columns, rows) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _refuse_existing(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise ConfigError(f"out: {path} exists; pass --force to overwrite")
+def write_files(renders: dict, force: bool) -> list:
+    """Write each {path: render} with the text render() returns; returns the paths.
+
+    Every path is checked before any is written: an existing file is refused
+    unless force is set. Parent directories are created. Each text is
+    rendered just before its file is written, so only one is held at a time.
+    """
+    for path in renders:
+        if os.path.exists(path) and not force:
+            raise ConfigError(f"out: {path} exists; pass --force to overwrite")
+    for path, render in renders.items():
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(render())
+    return list(renders)
 
 
 def write_outputs(cfg: ExperimentConfig, columns, rows) -> list:
@@ -112,18 +126,9 @@ def write_outputs(cfg: ExperimentConfig, columns, rows) -> list:
     """
     if cfg.out is None:
         raise ConfigError("out: no output path configured")
-    paths = [cfg.out]
+    renders = {cfg.out: lambda: render_csv(cfg, columns, rows)}
     if cfg.json_mirror:
         root, ext = os.path.splitext(cfg.out)
-        paths.append(root + ".json" if ext.lower() == ".csv" else cfg.out + ".json")
-    for path in paths:
-        _refuse_existing(path, cfg.force)
-    parent = os.path.dirname(cfg.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(paths[0], "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(cfg, columns, rows))
-    if cfg.json_mirror:
-        with open(paths[1], "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_json(cfg, columns, rows))
-    return paths
+        mirror = root + ".json" if ext.lower() == ".csv" else cfg.out + ".json"
+        renders[mirror] = lambda: render_json(cfg, columns, rows)
+    return write_files(renders, cfg.force)

@@ -27,6 +27,7 @@ from ..design import (
 from ..estimators import (
     ProblemInstance,
     derive_seed,
+    empirical_excess_risk,
     fit,
     sample_dataset,
 )
@@ -541,8 +542,7 @@ def _source_design_risks(
     for t in range(trials):
         ds = sample_dataset(lam_s, beta_star, sigma_sq, n, derive_seed(seed, 2, t))
         design = ds.design * scale[None, :] if transport else ds.design
-        diff = fit(design, ds.labels).fitted - beta_star
-        out[t] = float(np.sum((lam_t * diff**2)[::-1]))
+        out[t] = empirical_excess_risk(fit(design, ds.labels).fitted, beta_star, lam_t)
     return out
 
 

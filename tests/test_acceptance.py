@@ -13,16 +13,12 @@ import numpy as np
 from w2s_lab import (
     brute_force_mask,
     covariance_shift_map,
-    derive_seed,
-    empirical_excess_risk,
-    fit,
     omega_lower_bound,
     one_stage_risk,
     optimal_mask,
     optimal_surrogate,
     power_law_signal,
     power_law_spectrum,
-    sample_dataset,
     solve_tau,
     tau_bounds_nonasymptotic,
 )
@@ -35,7 +31,7 @@ from w2s_lab.harness.experiments import (
     run_two_stage_grid,
     surrogate_values_for_kind,
 )
-from w2s_lab.harness.verify import run_verify
+from w2s_lab.harness.verify import _source_design_risks, run_verify
 
 MASTER_SEED = 20260822
 
@@ -264,6 +260,13 @@ def test_criterion_07_mask_count_prediction():
     assert ok, line
 
 
+def _slopes(cfg):
+    """(target, optimal, predicted) slopes, repeated in every scaling-slope row."""
+    columns, rows = run_scaling_slope(cfg)
+    first = dict(zip(columns, rows[0]))
+    return first["slope_target"], first["slope_optimal"], first["predicted_slope"]
+
+
 def test_criterion_08_scaling_law_slopes():
     """Log-log risk slopes match the predicted decay exponents, p=8000."""
     shared = {
@@ -274,14 +277,14 @@ def test_criterion_08_scaling_law_slopes():
         "seed": MASTER_SEED,
     }
     cfg = build_config("scaling-slope", dict(shared, alpha=(2.0,), beta_exp=1.5))
-    target_1, optimal_1, predicted_1 = run_scaling_slope(cfg)
+    target_1, optimal_1, predicted_1 = _slopes(cfg)
     regime_1_ok = (
         abs(target_1 - predicted_1) <= 0.1
         and abs(optimal_1 - predicted_1) <= 0.1
         and abs(target_1 - optimal_1) <= 0.05
     )
     cfg = build_config("scaling-slope", dict(shared, alpha=(1.2,), beta_exp=4.0))
-    target_2, optimal_2, predicted_2 = run_scaling_slope(cfg)
+    target_2, optimal_2, predicted_2 = _slopes(cfg)
     regime_2_ok = (
         abs(target_2 - predicted_2) <= 0.15 and abs(optimal_2 - predicted_2) <= 0.15
     )
@@ -308,14 +311,9 @@ def test_criterion_09_shift_pipeline_equivalence():
     )
     # independent seed stream: draw from the source covariance, move each
     # column into the target frame, and refit on the transported design
-    scale = np.sqrt(lam_t / lam_s)
-    transported = np.empty(trials)
-    for t in range(trials):
-        ds = sample_dataset(
-            lam_s, beta_star, sigma_sq, n, derive_seed(MASTER_SEED + 1, 2, t)
-        )
-        fitted = fit(ds.design * scale[None, :], ds.labels).fitted
-        transported[t] = empirical_excess_risk(fitted, beta_star, lam_t)
+    transported = _source_design_risks(
+        lam_s, lam_t, beta_star, sigma_sq, n, trials, MASTER_SEED + 1, transport=True
+    )
     gap = abs(model_shift.mean() - transported.mean())
     band = 3.0 * math.hypot(
         model_shift.std(ddof=1) / math.sqrt(trials),

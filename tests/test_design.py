@@ -105,10 +105,14 @@ class TestMasks:
         assert param.kind == "masked"
         assert param.values == pytest.approx([3.0, 0.0, 5.0])
         assert param.support == frozenset({0, 2})
+        empty = masked_surrogate(np.array([3.0, -2.0, 5.0]), frozenset())
+        assert empty.values == pytest.approx([0.0, 0.0, 0.0])
+        assert empty.support == frozenset()
 
     def test_masked_surrogate_rejects_bad_support(self):
-        with pytest.raises(IndexError):
-            masked_surrogate(np.ones(3), {5})
+        for bad in (3, 5, -1):
+            with pytest.raises(IndexError):
+                masked_surrogate(np.ones(3), {bad})
 
 
 class TestCutoffs:

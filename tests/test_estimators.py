@@ -5,14 +5,12 @@ import pytest
 
 from w2s_lab import (
     ProblemInstance,
-    apply_mask,
     derive_seed,
     empirical_excess_risk,
     fit,
     power_law_signal,
     power_law_spectrum,
     sample_dataset,
-    surrogate_to_target_fit,
     two_stage_fit,
 )
 from w2s_lab.estimators import GRAM_COND_LIMIT, STAGE_ROOT, STAGE_SURROGATE, STAGE_TARGET
@@ -208,13 +206,6 @@ class TestFitRoute:
 
 
 class TestPipelines:
-    def test_surrogate_fit_is_sample_then_fit(self):
-        lam = power_law_spectrum(20, 1.8)
-        beta_s = power_law_signal(20, 1.8, 2.2)
-        direct = surrogate_to_target_fit(lam, beta_s, 0.1, 7, 404)
-        ds = sample_dataset(lam, beta_s, 0.1, 7, 404)
-        assert np.array_equal(direct.fitted, fit(ds.design, ds.labels).fitted)
-
     def _instance(self):
         p = 16
         return ProblemInstance(
@@ -247,20 +238,20 @@ class TestPipelines:
         )
         expected_s = fit(stage1.design, stage1.labels).fitted
         assert np.array_equal(beta_s, expected_s)
-        stage2 = surrogate_to_target_fit(
+        stage2 = sample_dataset(
             inst.spectrum_t, expected_s, inst.sigma_t_sq, inst.n,
             derive_seed(seed, STAGE_TARGET, trial),
         )
-        assert np.array_equal(beta_s2t, stage2.fitted)
+        assert np.array_equal(beta_s2t, fit(stage2.design, stage2.labels).fitted)
 
     def test_distillation_flag_drops_stage_two_noise(self):
         inst = self._instance()
         _, noiseless = two_stage_fit(inst, 55, distill_noiseless=True)
         beta_s, _ = two_stage_fit(inst, 55)
-        stage2 = surrogate_to_target_fit(
+        stage2 = sample_dataset(
             inst.spectrum_t, beta_s, 0.0, inst.n, derive_seed(55, STAGE_TARGET, 0)
         )
-        assert np.array_equal(noiseless, stage2.fitted)
+        assert np.array_equal(noiseless, fit(stage2.design, stage2.labels).fitted)
 
     def test_instance_validation(self):
         lam = power_law_spectrum(4, 2.0)
@@ -281,15 +272,3 @@ class TestHelpers:
     def test_empirical_excess_risk_shape_guard(self):
         with pytest.raises(ValueError):
             empirical_excess_risk(np.ones(3), np.ones(2), np.array([1.0, 0.5]))
-
-    def test_apply_mask_semantics(self):
-        beta = np.array([1.0, 2.0, 3.0, 4.0])
-        masked = apply_mask(beta, {0, 2})
-        assert masked == pytest.approx([1.0, 0.0, 3.0, 0.0])
-        assert apply_mask(beta, frozenset()) == pytest.approx([0.0, 0.0, 0.0, 0.0])
-
-    def test_apply_mask_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_mask(np.ones(3), {3})
-        with pytest.raises(IndexError):
-            apply_mask(np.ones(3), {-1})

@@ -33,6 +33,8 @@ from w2s_lab.harness.experiments import (
     GAIN_COLUMNS,
     MASK_COLUMNS,
     RESULT_COLUMNS,
+    RUNNERS,
+    SLOPE_COLUMNS,
     mc_one_stage_risks,
     mean_and_se,
     run_gain_profile,
@@ -336,7 +338,12 @@ class TestScalingSlope:
                 "seed": 1,
             },
         )
-        slope_target, slope_optimal, predicted = run_scaling_slope(cfg)
+        columns, rows = run_scaling_slope(cfg)
+        assert columns == SLOPE_COLUMNS
+        first = dict(zip(columns, rows[0]))
+        slope_target = first["slope_target"]
+        slope_optimal = first["slope_optimal"]
+        predicted = first["predicted_slope"]
         assert predicted == pytest.approx(-0.5)
         assert slope_target == pytest.approx(-0.5, abs=0.25)
         assert slope_optimal == pytest.approx(-0.5, abs=0.25)
@@ -492,7 +499,7 @@ class TestCli:
         def boom(cfg):
             raise NonConvergenceError("bracket certification failed")
 
-        monkeypatch.setattr("w2s_lab.harness.cli.run_risk_vs_n", boom)
+        monkeypatch.setitem(RUNNERS, "risk-vs-n", boom)
         rc = main(["risk-vs-n", "--p", "20", "--n", "5", "--trials", "2"])
         captured = capsys.readouterr()
         assert rc == 3
@@ -507,7 +514,15 @@ class TestCli:
         )
         captured = capsys.readouterr()
         assert rc == 0
-        assert "slopes: target=" in captured.err
+        lines = [line for line in captured.out.splitlines() if not line.startswith("#")]
+        first = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (
+            f"slopes: target={first['slope_target']} optimal={first['slope_optimal']} "
+            f"predicted={first['predicted_slope']}"
+        ) in captured.err.splitlines()
+
+    def test_registry_covers_every_experiment(self):
+        assert sorted([*RUNNERS, "verify"]) == sorted(EXPERIMENTS)
 
     def test_verify_command_reports_and_passes(self, capsys):
         rc = main(["verify", "--seed", "123"])
@@ -528,7 +543,8 @@ class TestCli:
         monkeypatch.setattr(cli, "run_verify", lambda cfg: report)
         rc = main(["verify", "--seed", "123"])
         captured = capsys.readouterr()
-        assert rc != 0
+        assert rc == 3
+        assert "numerical failure" in captured.err
         assert "Infinity" not in captured.out
 
     def test_vacuous_omega_lower_bound_fails(self):
