@@ -6,19 +6,23 @@ surrogate to {0, beta_star_i}; its optimal support also separates, into a
 threshold rule on the shrinkage factors. A brute-force oracle over all
 supports is kept for small p so the threshold rule can be checked against
 exhaustive search, and power-law asymptotics predict where the thresholds
-land and how fast the optimal risks decay.
+land and how fast the optimal risks decay. The brute-force oracle scores
+blocks of candidate supports with the array kernel behind one_stage_risk, so
+its memory stays bounded up to its limit p = 20.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectrum import SpectralStats, as_spectrum
-from .theory import _stats_for, one_stage_risk
+from .theory import _check_omega, _one_stage_terms, _stats_for
+
+# Candidate supports scored per kernel call in brute_force_mask.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +106,17 @@ def masked_surrogate(beta_star, support) -> SurrogateParam:
     return SurrogateParam(values=values, kind="masked", support=sup)
 
 
+def _support_blocks(p: int):
+    """Yield (r, keep) blocks of _CHUNK_ROWS candidates, all r in range(2^p) in order.
+
+    keep[j, i] is bit p-1-i of r[j]: whether candidate r[j] keeps coordinate i.
+    """
+    shifts = np.arange(p - 1, -1, -1)
+    for first in range(0, 2**p, _CHUNK_ROWS):
+        ranks = np.arange(first, min(first + _CHUNK_ROWS, 2**p))
+        yield ranks, ((ranks[:, None] >> shifts) & 1).astype(bool)
+
+
 def brute_force_mask(
     spectrum, beta_star, n: int, sigma_sq: float, stats: SpectralStats | None = None
 ) -> frozenset:
@@ -110,6 +125,15 @@ def brute_force_mask(
     Only for p <= 20. Ties are broken toward the smaller support, then
     lexicographically on the sorted index tuple, which makes the result
     deterministic and comparable with optimal_mask.
+
+    Candidate r in range(2^p) keeps coordinate i when bit p-1-i of r is set,
+    so among supports of one size the larger r is the smaller sorted tuple.
+    Candidates are scored _CHUNK_ROWS at a time by one call of the one-stage
+    kernel, which bounds memory at a few (_CHUNK_ROWS, p) arrays for any p.
+    Each block's winner by (total, size, -r) is compared with the best so far
+    on the full key (total, size, sorted tuple). Every support is scored with
+    the full risk formula, so the search does not rely on the separable
+    structure that optimal_mask exploits.
     """
     lam = as_spectrum(spectrum)
     beta_star = np.asarray(beta_star, dtype=np.float64)
@@ -118,22 +142,21 @@ def brute_force_mask(
         raise ValueError(f"brute force is limited to p <= 20, got p={p}")
     if beta_star.shape != lam.shape:
         raise ValueError("beta_star must match the spectrum length")
+    if sigma_sq < 0.0:
+        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     st = _stats_for(lam, n, stats)
+    _check_omega(st.omega)
 
     best_key = None
-    best_support = None
-    indices = range(p)
-    for size in range(p + 1):
-        for combo in itertools.combinations(indices, size):
-            values = np.zeros(p)
-            if combo:
-                values[list(combo)] = beta_star[list(combo)]
-            risk = one_stage_risk(lam, beta_star, values, n, sigma_sq, stats=st).total
-            key = (risk, size, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_support = combo
-    return frozenset(best_support)
+    for ranks, keep in _support_blocks(p):
+        bias, variance = _one_stage_terms(st, beta_star, np.where(keep, beta_star, 0.0), sigma_sq)
+        total = bias + variance
+        size = keep.sum(axis=1)
+        j = np.lexsort((-ranks, size, total))[0]
+        key = (float(total[j]), int(size[j]), tuple(np.flatnonzero(keep[j]).tolist()))
+        if best_key is None or key < best_key:
+            best_key = key
+    return frozenset(best_key[2])
 
 
 def cutoff_indices(alpha: float, n: int) -> tuple[float, float]:

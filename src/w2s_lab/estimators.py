@@ -182,8 +182,10 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     GRAM_COND_LIMIT (route "gram": full rank by construction). Otherwise it
     falls back to the SVD-based solver with singular values below
     sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
-    deficiency is reported, not fatal; a non-finite design raises
-    `np.linalg.LinAlgError` from the SVD.
+    deficiency is reported, not fatal. A non-finite design never passes the
+    Gram certificate; before the SVD, a non-finite design or label vector
+    raises ValueError naming it. Non-finite labels on a certified design are
+    not checked and give a non-finite fit.
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -198,6 +200,9 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
         return EstimatorOutput(
             fitted=fitted, regime=regime, rank=min(rows, p), rank_deficient=False, route="gram"
         )
+    for name, values in (("design", design), ("labels", labels)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got a NaN or inf entry")
     fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
     return EstimatorOutput(
         fitted=fitted,

@@ -1,8 +1,11 @@
 """Tests for surrogate designers, mask selection, and the asymptotic predictors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from w2s_lab import design, theory
 from w2s_lab import (
     SurrogateParam,
     benign_region_check,
@@ -113,6 +116,120 @@ class TestMasks:
         for bad in (3, 5, -1):
             with pytest.raises(IndexError):
                 masked_surrogate(np.ones(3), {bad})
+
+
+def _criterion_04_instances():
+    """The 50 instances of acceptance criterion 04, drawn the same way."""
+    rng = np.random.default_rng(20260822)
+    for _ in range(50):
+        p = 12
+        n = int(rng.integers(3, 10))
+        lam = np.sort(rng.uniform(0.05, 3.0, size=p))[::-1]
+        beta_star = rng.normal(size=p)
+        sigma_sq = float(rng.choice([0.0, 1.0]))
+        yield lam, beta_star, n, sigma_sq
+
+
+def _power_law_instances():
+    """The p = 14 power-law instances of the mask search benchmark."""
+    lam = power_law_spectrum(14, 2.0)
+    beta_star = power_law_signal(14, 2.0, 1.5)
+    return [(lam, beta_star, n, 0.05) for n in (3, 5, 7)]
+
+
+def _python_min_support(lam, beta_star, n, sigma_sq):
+    """Brute-force winner by a Python min over (total, size, tuple) keys.
+
+    The totals come from one kernel call over every support; the tie-break is
+    Python's tuple order, independent of the search's lexsort and blocks.
+    """
+    p = lam.size
+    st = solve_tau(lam, n)
+    combos = [c for size in range(p + 1) for c in itertools.combinations(range(p), size)]
+    keep = np.zeros((len(combos), p), dtype=bool)
+    for row, combo in enumerate(combos):
+        keep[row, list(combo)] = True
+    bias, variance = design._one_stage_terms(
+        st, beta_star, np.where(keep, beta_star, 0.0), sigma_sq
+    )
+    total = bias + variance
+    key = min((float(total[r]), len(c), c) for r, c in enumerate(combos))
+    return frozenset(key[2])
+
+
+def _rank(support, p):
+    return sum(2 ** (p - 1 - i) for i in support)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize(
+        "instances",
+        [_criterion_04_instances, _power_law_instances],
+        ids=["criterion-04", "power-law-p14"],
+    )
+    def test_kernel_rows_bit_identical_to_one_stage_risk(self, instances):
+        """Every support, every row: stacked bias, variance, total == the scalar oracle."""
+        for lam, beta_star, n, sigma_sq in instances():
+            st = solve_tau(lam, n)
+            for _, keep in design._support_blocks(lam.size):
+                stack = np.where(keep, beta_star, 0.0)
+                bias, variance = theory._one_stage_terms(st, beta_star, stack, sigma_sq)
+                total = bias + variance
+                for row, values in enumerate(stack):
+                    ref = one_stage_risk(lam, beta_star, values, n, sigma_sq, stats=st)
+                    assert ref.bias == bias[row]
+                    assert ref.variance == variance[row]
+                    assert ref.total == total[row]
+
+    def test_zero_signal_ties_pick_the_smaller_support(self):
+        # a zero entry of beta_star gives the same surrogate kept or dropped,
+        # so the two totals tie exactly and the coordinate must be dropped
+        lam = power_law_spectrum(10, 2.0)
+        beta_star = power_law_signal(10, 2.0, 1.5)
+        beta_star[[0, 2]] = 0.0
+        mask = brute_force_mask(lam, beta_star, 4, 0.1)
+        assert mask == optimal_mask(lam, 4) - {0, 2}
+        assert mask == _python_min_support(lam, beta_star, 4, 0.1)
+
+    def test_zero_signal_picks_the_empty_support(self):
+        lam = power_law_spectrum(12, 2.0)
+        assert brute_force_mask(lam, np.zeros(12), 5, 0.1) == frozenset()
+
+    @pytest.mark.parametrize("score", ["size-three", "rounded"])
+    def test_equal_size_ties_pick_the_smallest_tuple(self, monkeypatch, score):
+        """Planted ties among equal-size supports, in blocks after the first."""
+        real = theory._one_stage_terms
+
+        def planted(stats, beta_star, surrogates, sigma_sq):
+            bias, variance = real(stats, beta_star, surrogates, sigma_sq)
+            if score == "size-three":  # every 3-support ties at 0
+                tied = (np.count_nonzero(surrogates, axis=1) - 3.0) ** 2
+            else:  # one decimal of the true total: ties of many sizes
+                tied = np.round(bias + variance, 1)
+            return tied, np.zeros_like(tied)
+
+        monkeypatch.setattr(design, "_one_stage_terms", planted)
+        lam = power_law_spectrum(12, 2.0)
+        beta_star = power_law_signal(12, 2.0, 1.5)
+        mask = brute_force_mask(lam, beta_star, 5, 0.05)
+        assert mask == _python_min_support(lam, beta_star, 5, 0.05)
+        if score == "size-three":
+            assert mask == frozenset({0, 1, 2})
+            assert _rank(mask, 12) >= 3 * design._CHUNK_ROWS
+
+    def test_winner_outside_the_first_block(self):
+        lam = power_law_spectrum(12, 2.0)
+        beta_star = power_law_signal(12, 2.0, 1.5)
+        assert 2**12 >= 4 * design._CHUNK_ROWS
+        mask = brute_force_mask(lam, beta_star, 5, 0.05)
+        assert _rank(mask, 12) >= design._CHUNK_ROWS
+        assert mask == optimal_mask(lam, 5)
+        assert mask == _python_min_support(lam, beta_star, 5, 0.05)
+
+    def test_largest_allowed_p_matches_threshold_rule(self):
+        lam = power_law_spectrum(20, 2.0)
+        beta_star = power_law_signal(20, 2.0, 1.5)
+        assert brute_force_mask(lam, beta_star, 8, 0.05) == optimal_mask(lam, 8)
 
 
 class TestCutoffs:

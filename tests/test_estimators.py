@@ -191,11 +191,21 @@ class TestFitRoute:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(5, 12), (12, 5)])
-    def test_non_finite_design_raises_from_lstsq(self, bad, shape):
+    def test_non_finite_design_raises_value_error(self, bad, shape):
         design = np.random.default_rng(0).normal(size=shape)
         design[1, 2] = bad
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        with pytest.raises(ValueError, match="design must be finite"):
             fit(design, np.ones(shape[0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labels_raise_on_lstsq_route(self, bad):
+        # a duplicated column fails the Gram certificate, so the fit reaches lstsq
+        design = np.random.default_rng(0).normal(size=(12, 5))
+        design[:, 1] = design[:, 0]
+        labels = np.ones(12)
+        labels[3] = bad
+        with pytest.raises(ValueError, match="labels must be finite"):
+            fit(design, labels)
 
     def test_zero_design_takes_lstsq(self):
         out = fit(np.zeros((3, 4)), np.ones(3))
