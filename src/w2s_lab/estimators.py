@@ -10,7 +10,10 @@ The fit solves through the smaller Gram matrix G (X X^T below p rows, X^T X
 otherwise) when a shifted Cholesky factorization certifies
 trace(G) / lambda_min(G) <= GRAM_COND_LIMIT, rounding included. Every other
 input falls back to the SVD solver `np.linalg.lstsq`. Which route ran is
-recorded in `EstimatorOutput.route`.
+recorded in `EstimatorOutput.route`. Label vectors that share a design (a
+(k, p) stack of coefficient vectors in `sample_dataset`, (rows, k) labels in
+`fit`) share its draw and its certified Gram matrix; each column's result is
+bit-identical to the one-column call.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
@@ -128,24 +131,35 @@ def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Da
     Labels are design @ beta + N(0, sigma_sq). With sigma_sq = 0 the noise draw
     still consumes the generator (scaled by exactly 0.0), so labels are exact
     and seed alignment across noise levels is preserved.
+
+    beta may be one (p,) vector or a (k, p) stack. A stack shares one design
+    and one noise draw, and labels is then (count, k) with column j computed
+    exactly as the call with beta[j] alone computes its labels, bit for bit.
     """
     lam = as_spectrum(spectrum)
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != lam.shape:
+    if beta.ndim not in (1, 2) or beta.shape[-1:] != lam.shape or beta.size == 0:
         raise ValueError(f"beta has shape {beta.shape}, spectrum has {lam.shape}")
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(int(seed) & _MASK64)
-    design = rng.standard_normal((count, lam.size)) * np.sqrt(lam)[None, :]
+    design = rng.standard_normal((count, lam.size))
+    design *= np.sqrt(lam)
     noise = rng.standard_normal(count) * np.sqrt(sigma_sq)
-    labels = design @ beta + noise
+    if beta.ndim == 1:
+        labels = design @ beta + noise
+    else:
+        labels = np.stack([design @ column + noise for column in beta], axis=1)
     return Dataset(design=design, labels=labels, seed=int(seed))
 
 
-def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    """Min-norm solution through the smaller Gram matrix, or None if not certified.
+def _gram_solve(design: np.ndarray, columns: list) -> list | None:
+    """Min-norm solutions through the smaller Gram matrix, or None if not certified.
+
+    G is formed and certified once, then solved for each label vector in
+    columns on its own: a multi-column solve rounds differently.
 
     With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it is
     G^-1 X^T y. The certificate (Rump, "Verification of positive
@@ -169,8 +183,8 @@ def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
         return None
     np.fill_diagonal(gram, diagonal)
     if wide:
-        return design.T @ np.linalg.solve(gram, labels)
-    return np.linalg.solve(gram, design.T @ labels)
+        return [design.T @ np.linalg.solve(gram, y) for y in columns]
+    return [np.linalg.solve(gram, design.T @ y) for y in columns]
 
 
 def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
@@ -182,34 +196,50 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     GRAM_COND_LIMIT (route "gram": full rank by construction). Otherwise it
     falls back to the SVD-based solver with singular values below
     sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
-    deficiency is reported, not fatal. A non-finite design never passes the
-    Gram certificate; before the SVD, a non-finite design or label vector
-    raises ValueError naming it. Non-finite labels on a certified design are
-    not checked and give a non-finite fit.
+    deficiency is reported, not fatal.
+
+    labels is (rows,) or (rows, k), as `b` in np.linalg.solve, and fitted is
+    then (p,) or (p, k). The route, rank and rank_deficient depend on the
+    design alone, so k columns share one Gram product and one certificate;
+    each column is then solved on its own and its fitted vector is bit for
+    bit the fit of that column alone. Non-finite labels raise ValueError on
+    every route. A non-finite design never passes the Gram certificate and
+    raises ValueError before the SVD.
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if design.ndim != 2 or labels.ndim != 1 or labels.size != design.shape[0]:
+    if (
+        design.ndim != 2
+        or labels.ndim not in (1, 2)
+        or labels.shape[0] != design.shape[0]
+        or labels.shape[1:] == (0,)
+    ):
         raise ValueError(
             f"design must be 2-D with one label per row, got {design.shape} and {labels.shape}"
         )
+    if not np.isfinite(labels).all():
+        raise ValueError("labels must be finite, got a NaN or inf entry")
     rows, p = design.shape
     regime = "min-norm-interpolator" if rows < p else "ordinary-least-squares"
-    fitted = _gram_solve(design, labels)
-    if fitted is not None:
-        return EstimatorOutput(
-            fitted=fitted, regime=regime, rank=min(rows, p), rank_deficient=False, route="gram"
-        )
-    for name, values in (("design", design), ("labels", labels)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite, got a NaN or inf entry")
-    fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
+    # BLAS products on a strided vector round differently from a contiguous copy
+    columns = [labels] if labels.ndim == 1 else list(labels.T.copy())
+    solutions = _gram_solve(design, columns)
+    if solutions is not None:
+        route, rank = "gram", min(rows, p)
+    else:
+        if not np.isfinite(design).all():
+            raise ValueError("design must be finite, got a NaN or inf entry")
+        solutions = []
+        for y in columns:
+            solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+            solutions.append(solution)
+        route = "lstsq"
     return EstimatorOutput(
-        fitted=fitted,
+        fitted=solutions[0] if labels.ndim == 1 else np.stack(solutions, axis=1),
         regime=regime,
         rank=int(rank),
         rank_deficient=bool(rank < min(rows, p)),
-        route="lstsq",
+        route=route,
     )
 
 

@@ -26,6 +26,16 @@ DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
 
 
+# Where an experiment's own rules refuse a shared default, its entry here
+# replaces it; file values and flags still win. A gain profile is taken at one
+# n, and a scaling slope needs p >= 10*max(n) and a predicted exponent for
+# every series it fits.
+EXPERIMENT_DEFAULTS = {
+    "gain-profile": {"n": (100,)},
+    "scaling-slope": {"p": 3000, "kinds": ("ground-truth", "optimal")},
+}
+
+
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
 
@@ -144,7 +154,8 @@ def parse_config_file(path) -> dict:
 
 def build_config(experiment: str, file_values: dict | None = None, **overrides) -> ExperimentConfig:
     """Assemble a validated ExperimentConfig; explicit overrides beat file values."""
-    merged = dict(file_values or {})
+    merged = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
+    merged.update(file_values or {})
     merged.pop("experiment", None)  # the positional argument decides
     for key, value in overrides.items():
         if value is not None:

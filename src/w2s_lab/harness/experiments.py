@@ -118,15 +118,24 @@ def mc_one_stage_risks(
     The trial seed depends only on (seed, trial), not on the surrogate, so
     runs with different surrogate kinds at the same seed share their design
     matrices and noise draws trial for trial (paired comparisons).
+
+    surrogate_values is one (p,) surrogate, giving (trials,) risks, or a
+    (k, p) stack, giving (trials, k) risks. A stack draws each trial's design
+    once and fits all k label columns against one certified Gram matrix;
+    column j equals the call with surrogate_values[j] alone, bit for bit.
     """
     lam = as_spectrum(spectrum)
+    surrogates = np.asarray(surrogate_values, dtype=np.float64)
 
-    def one_trial(t: int) -> float:
-        ds = sample_dataset(
-            lam, surrogate_values, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t)
-        )
+    def one_trial(t: int):
+        ds = sample_dataset(lam, surrogates, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t))
         fitted = fit(ds.design, ds.labels).fitted
-        return empirical_excess_risk(fitted, beta_star, lam)
+        if surrogates.ndim == 1:
+            return empirical_excess_risk(fitted, beta_star, lam)
+        return [
+            empirical_excess_risk(fitted[:, j], beta_star, lam)
+            for j in range(fitted.shape[1])
+        ]
 
     return _fan_out(one_trial, trials, workers)
 
@@ -181,29 +190,36 @@ def surrogate_values_for_kind(kind: str, spectrum, beta_star, n, stats) -> np.nd
 
 
 def run_risk_vs_n(cfg: ExperimentConfig):
-    """Theory and Monte Carlo excess risk per (n, surrogate kind)."""
+    """Theory and Monte Carlo excess risk per (n, surrogate kind).
+
+    All kinds at one n run as one Monte Carlo call on shared trial designs.
+    """
     alpha = cfg.alpha_scalar()
     spectrum = power_law_spectrum(cfg.p, alpha)
     beta_star = power_law_signal(cfg.p, alpha, cfg.beta_exp)
     rows = []
     for n in cfg.n:
         stats = solve_tau(spectrum, n)
-        for kind in cfg.kinds:
-            values = surrogate_values_for_kind(kind, spectrum, beta_star, n, stats)
+        values = [
+            surrogate_values_for_kind(kind, spectrum, beta_star, n, stats)
+            for kind in cfg.kinds
+        ]
+        risks = mc_one_stage_risks(
+            spectrum,
+            beta_star,
+            np.stack(values),
+            cfg.sigma_t_sq,
+            n,
+            cfg.trials,
+            cfg.seed,
+            cfg.workers,
+        )
+        # one contiguous trial-ordered vector per kind, as a one-kind call returns
+        for kind, kind_values, kind_risks in zip(cfg.kinds, values, risks.T.copy()):
             report = one_stage_risk(
-                spectrum, beta_star, values, n, cfg.sigma_t_sq, stats=stats
+                spectrum, beta_star, kind_values, n, cfg.sigma_t_sq, stats=stats
             )
-            risks = mc_one_stage_risks(
-                spectrum,
-                beta_star,
-                values,
-                cfg.sigma_t_sq,
-                n,
-                cfg.trials,
-                cfg.seed,
-                cfg.workers,
-            )
-            rows += _point_rows(cfg, alpha, kind, n, None, report, risks)
+            rows += _point_rows(cfg, alpha, kind, n, None, report, kind_risks)
     return RESULT_COLUMNS, rows
 
 

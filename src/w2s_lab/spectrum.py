@@ -54,9 +54,9 @@ def as_spectrum(eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(lam)) or not np.all(lam > 0.0):
+    if not np.isfinite(lam).all() or not (lam > 0.0).all():
         raise ValueError("spectrum entries must be finite and > 0")
-    if np.any(np.diff(lam) > 0.0):
+    if (lam[1:] > lam[:-1]).any():
         raise ValueError("spectrum must be sorted non-increasing")
     return lam
 

@@ -81,17 +81,17 @@ def test_criterion_02_risk_ordering():
     spectrum = power_law_spectrum(p, 2.0)
     beta_star = power_law_signal(p, 2.0, 1.5)
     stats = solve_tau(spectrum, n)
-    theory = {}
-    mc = {}
-    for kind in ("ground-truth", "optimal", "masked"):
-        values = surrogate_values_for_kind(kind, spectrum, beta_star, n, stats)
-        theory[kind] = one_stage_risk(
-            spectrum, beta_star, values, n, sigma_sq, stats=stats
-        ).total
-        # one shared seed per kind keeps the trial draws paired across kinds
-        mc[kind] = mc_one_stage_risks(
-            spectrum, beta_star, values, sigma_sq, n, trials, MASTER_SEED
-        )
+    kinds = ("ground-truth", "optimal", "masked")
+    values = [surrogate_values_for_kind(kind, spectrum, beta_star, n, stats) for kind in kinds]
+    theory = {
+        kind: one_stage_risk(spectrum, beta_star, v, n, sigma_sq, stats=stats).total
+        for kind, v in zip(kinds, values)
+    }
+    # one stacked call: every kind is fit on the same trial draws (paired)
+    risks = mc_one_stage_risks(
+        spectrum, beta_star, np.stack(values), sigma_sq, n, trials, MASTER_SEED
+    )
+    mc = {kind: risks[:, j] for j, kind in enumerate(kinds)}
     theory_ok = theory["optimal"] < theory["masked"] < theory["ground-truth"]
     ratios = []
     for low, high in (("optimal", "masked"), ("masked", "ground-truth")):

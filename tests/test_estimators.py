@@ -65,10 +65,26 @@ class TestSampleDataset:
         assert var[0] == pytest.approx(lam[0], rel=0.1)
         assert var[-1] == pytest.approx(lam[-1], rel=0.1)
 
+    @pytest.mark.parametrize("p,count", [(12, 5), (37, 9)])
+    def test_stacked_beta_shares_one_draw(self, p, count):
+        """A (k, p) stack gives the 1-D call's design and, per column, its labels."""
+        lam = power_law_spectrum(p, 2.0)
+        stack = np.random.default_rng(4).normal(size=(3, p))
+        shared = sample_dataset(lam, stack, 0.3, count, 2718)
+        assert shared.labels.shape == (count, 3)
+        for j, beta in enumerate(stack):
+            alone = sample_dataset(lam, beta.copy(), 0.3, count, 2718)
+            assert np.array_equal(shared.design, alone.design)
+            assert np.array_equal(shared.labels[:, j], alone.labels)
+
     def test_validation(self):
         lam = power_law_spectrum(5, 2.0)
         with pytest.raises(ValueError):
             sample_dataset(lam, np.ones(4), 0.1, 3, 1)
+        with pytest.raises(ValueError):
+            sample_dataset(lam, np.ones((2, 4)), 0.1, 3, 1)
+        with pytest.raises(ValueError):
+            sample_dataset(lam, np.ones((0, 5)), 0.1, 3, 1)
         with pytest.raises(ValueError):
             sample_dataset(lam, np.ones(5), -0.1, 3, 1)
         with pytest.raises(ValueError):
@@ -207,12 +223,55 @@ class TestFitRoute:
         with pytest.raises(ValueError, match="labels must be finite"):
             fit(design, labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_non_finite_labels_raise_on_gram_route(self, bad, columns):
+        design = np.random.default_rng(0).normal(size=(5, 12))
+        assert fit(design, np.ones(5)).route == "gram"
+        labels = np.ones(5) if columns is None else np.ones((5, columns))
+        labels[3] = bad
+        with pytest.raises(ValueError, match="labels must be finite"):
+            fit(design, labels)
+
     def test_zero_design_takes_lstsq(self):
         out = fit(np.zeros((3, 4)), np.ones(3))
         assert out.route == "lstsq"
         assert out.rank == 0
         assert out.rank_deficient
         assert np.array_equal(out.fitted, np.zeros(4))
+
+
+class TestSharedDesignFit:
+    """(rows, k) labels fit column for column exactly as k one-column fits."""
+
+    @pytest.mark.parametrize(
+        "shape,duplicate,route",
+        [((30, 70), False, "gram"), ((90, 30), False, "gram"), ((40, 10), True, "lstsq")],
+        ids=["gram-wide", "gram-tall", "lstsq-duplicated-column"],
+    )
+    def test_columns_match_one_column_fits(self, shape, duplicate, route):
+        rng = np.random.default_rng(17)
+        design = rng.normal(size=shape)
+        if duplicate:
+            design[:, 7] = design[:, 3]  # fails the Gram certificate
+        labels = rng.normal(size=(design.shape[0], 4))
+        shared = fit(design, labels)
+        assert shared.route == route
+        assert shared.fitted.shape == (design.shape[1], 4)
+        for j in range(4):
+            alone = fit(design, labels[:, j].copy())
+            assert np.array_equal(shared.fitted[:, j], alone.fitted)
+            assert (alone.route, alone.rank, alone.rank_deficient) == (
+                shared.route,
+                shared.rank,
+                shared.rank_deficient,
+            )
+
+    def test_shape_validation(self):
+        design = np.ones((4, 6))
+        for labels in (np.ones((3, 2)), np.ones((4, 0)), np.ones((4, 2, 1))):
+            with pytest.raises(ValueError, match="one label per row"):
+                fit(design, labels)
 
 
 class TestPipelines:

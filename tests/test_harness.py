@@ -378,6 +378,21 @@ class TestSmallHelpers:
         b = mc_one_stage_risks(spectrum, beta, beta, 0.1, 6, 8, 123, workers=3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stacked_mc_risks_match_per_kind_calls(self, workers):
+        """One stacked call gives each kind's one-kind risks, bit for bit."""
+        spectrum = power_law_spectrum(37, 2.0)
+        beta = power_law_signal(37, 2.0, 1.5)
+        stats = solve_tau(spectrum, 11)
+        values = [
+            surrogate_values_for_kind(kind, spectrum, beta, 11, stats) for kind in KINDS
+        ]
+        stacked = mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
+        assert stacked.shape == (9, len(KINDS))
+        for j, kind_values in enumerate(values):
+            alone = mc_one_stage_risks(spectrum, beta, kind_values, 0.1, 11, 9, 5, workers)
+            assert np.array_equal(stacked[:, j], alone)
+
 
 class TestOutputFormat:
     def test_format_value(self):
@@ -523,6 +538,14 @@ class TestCli:
 
     def test_registry_covers_every_experiment(self):
         assert sorted([*RUNNERS, "verify"]) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", sorted(RUNNERS))
+    def test_every_experiment_runs_with_its_defaults(self, experiment, capsys):
+        small = ["--trials", "2"] if experiment in ("risk-vs-n", "two-stage-grid") else []
+        rc = main([experiment, *small])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out.startswith(f"# schema=w2s-lab/{experiment}/v1")
 
     def test_verify_command_reports_and_passes(self, capsys):
         rc = main(["verify", "--seed", "123"])
