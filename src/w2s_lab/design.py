@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SpectralStats, as_spectrum
+from .spectrum import SpectralStats, _omega_window, as_spectrum
 from .theory import _check_omega, _one_stage_terms, _stats_for
 
 # Candidate supports scored per kernel call in brute_force_mask.
@@ -206,27 +206,26 @@ def benign_region_check(alpha: float, p: int, n: int) -> bool:
 
     True when alpha > 4 and n falls strictly inside the window
 
-        max(2a, p*a/(a-1)^2 + a^2/(a-1)^2)
-          < n <
-        min((p+1)(a-2)/a,
-            p*(3 + 2^-a)/(4 + 2^-(a-2)),
-            p*pi*(sqrt(2a/5) - 1)^(1/a)/(a sin(pi/a)) - (p+1)/(a-1)) - 1
+        max(2a, low) < n < min((p+1)(a-2)/a, high,
+                              p*pi*(sqrt(2a/5) - 1)^(1/a)/(a sin(pi/a)) - (p+1)/(a-1)) - 1
 
-    with a = alpha. Inside the window, dropping every coordinate with
-    zeta_i^2 > 1 - Omega strictly improves on the standard target-only fit for
-    any signal that has mass on a dropped coordinate. Total in (alpha, p, n);
-    returns False instead of raising when the hypotheses fail.
+    with a = alpha and low < n < high the hypothesis window of
+    spectrum.omega_lower_bound. Inside the window, dropping every coordinate
+    with zeta_i^2 > 1 - Omega strictly improves on the standard target-only
+    fit for any signal that has mass on a dropped coordinate. Total in
+    (alpha, p, n); returns False instead of raising when the hypotheses fail.
     """
     if p < 1 or n < 1:
         return False
     if not alpha > 4.0:
         return False
     a = alpha
-    lower = max(2.0 * a, p * a / (a - 1.0) ** 2 + a**2 / (a - 1.0) ** 2)
+    low_edge, high_edge = _omega_window(a, p)
+    lower = max(2.0 * a, low_edge)
     upper = (
         min(
             (p + 1.0) * (a - 2.0) / a,
-            p * (3.0 + 2.0 ** (-a)) / (4.0 + 2.0 ** (-(a - 2.0))),
+            high_edge,
             p * math.pi * (math.sqrt(2.0 * a / 5.0) - 1.0) ** (1.0 / a)
             / (a * math.sin(math.pi / a))
             - (p + 1.0) / (a - 1.0),

@@ -67,10 +67,6 @@ class Dataset:
     labels: np.ndarray
     seed: int
 
-    @property
-    def rows(self) -> int:
-        return int(self.design.shape[0])
-
 
 @dataclass(frozen=True, eq=False)
 class EstimatorOutput:
@@ -244,17 +240,14 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
 
 
 def two_stage_fit(
-    inst: ProblemInstance,
-    seed: int,
-    trial: int = 0,
-    distill_noiseless: bool = False,
+    inst: ProblemInstance, seed: int, trial: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full surrogate-then-target pipeline for one trial.
 
     Stage one fits beta_s on m rows drawn from spectrum_s with ground-truth
     labels (noise sigma_s_sq). Stage two fits on n fresh rows drawn from
-    spectrum_t with labels produced by beta_s plus fresh noise sigma_t_sq,
-    or exactly zero noise when distill_noiseless is set.
+    spectrum_t with labels produced by beta_s plus fresh noise sigma_t_sq
+    (an instance with sigma_t_sq = 0 distills without noise).
 
     Returns:
         (beta_s, beta_s_to_t), the stage-one and stage-two fitted vectors.
@@ -264,8 +257,7 @@ def two_stage_fit(
     stage1 = sample_dataset(inst.spectrum_s, inst.beta_star, inst.sigma_s_sq, inst.m, seed_s)
     beta_s = fit(stage1.design, stage1.labels).fitted
     del stage1  # free the stage-one design before stage two allocates its own
-    sigma_t = 0.0 if distill_noiseless else inst.sigma_t_sq
-    stage2 = sample_dataset(inst.spectrum_t, beta_s, sigma_t, inst.n, seed_t)
+    stage2 = sample_dataset(inst.spectrum_t, beta_s, inst.sigma_t_sq, inst.n, seed_t)
     return beta_s, fit(stage2.design, stage2.labels).fitted
 
 

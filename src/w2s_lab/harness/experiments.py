@@ -9,7 +9,7 @@ count therefore never changes any output byte.
 from __future__ import annotations
 
 import math
-import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -223,28 +223,22 @@ def run_risk_vs_n(cfg: ExperimentConfig):
     return RESULT_COLUMNS, rows
 
 
-def run_two_stage_grid(cfg: ExperimentConfig, beta_star=None):
+def run_two_stage_grid(cfg: ExperimentConfig):
     """Theory (two-stage oracle) vs Monte Carlo (two_stage_fit) over an (alpha, n, m) grid.
 
     Grid points with n >= p or m >= p are outside the fixed-point regime and
-    are skipped with a warning rather than failing the sweep. Pass beta_star
-    to replace the power-law signal (the spectrum stays power-law).
+    are skipped with a warning rather than failing the sweep.
     """
     rows = []
     m_grid = two_stage_m_grid(cfg)
     for alpha in cfg.alpha:
         spectrum = power_law_spectrum(cfg.p, alpha)
-        signal = (
-            power_law_signal(cfg.p, alpha, cfg.beta_exp)
-            if beta_star is None
-            else np.asarray(beta_star, dtype=np.float64)
-        )
+        signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
         for n, m in zip(cfg.n, m_grid):
             if n >= cfg.p or m >= cfg.p:
-                print(
-                    f"warning: skipping grid point n={n}, m={m}: "
-                    f"two-stage theory needs n < p and m < p (p={cfg.p})",
-                    file=sys.stderr,
+                warnings.warn(
+                    f"skipping grid point n={n}, m={m}: "
+                    f"two-stage theory needs n < p and m < p (p={cfg.p})"
                 )
                 continue
             inst = ProblemInstance(
@@ -262,31 +256,12 @@ def run_two_stage_grid(cfg: ExperimentConfig, beta_star=None):
     return RESULT_COLUMNS, rows
 
 
-def run_gain_profile(cfg: ExperimentConfig, spectrum=None, beta_star=None):
-    """Per-coordinate profile: eigenvalue, shrinkage, optimal surrogate, mask bit.
-
-    The spectrum and signal default to the power-law family named by the
-    config; explicit overrides let other families (isotropic, custom) reuse
-    the same table machinery, at the price of blank alpha/beta_exp columns.
-    """
+def run_gain_profile(cfg: ExperimentConfig):
+    """Per-coordinate profile: eigenvalue, shrinkage, optimal surrogate, mask bit."""
     n = cfg.n_scalar()
-    if spectrum is None:
-        alpha = cfg.alpha_scalar()
-        lam = power_law_spectrum(cfg.p, alpha)
-    else:
-        alpha = None
-        lam = as_spectrum(spectrum)
-    if beta_star is None:
-        beta_exp = cfg.beta_exp if alpha is not None else None
-        signal = (
-            power_law_signal(cfg.p, alpha, cfg.beta_exp)
-            if alpha is not None
-            else np.ones_like(lam)
-        )
-    else:
-        beta_exp = None
-        signal = np.asarray(beta_star, dtype=np.float64)
-    p = lam.size
+    alpha = cfg.alpha_scalar()
+    lam = power_law_spectrum(cfg.p, alpha)
+    signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
 
     stats = solve_tau(lam, n)
     profile = gain_profile(lam, n, stats=stats)
@@ -295,13 +270,13 @@ def run_gain_profile(cfg: ExperimentConfig, spectrum=None, beta_star=None):
     threshold_amplify = profile.threshold_amplify
     threshold_mask = math.sqrt(threshold_amplify)
     rows = []
-    for i in range(p):
+    for i in range(cfg.p):
         rows.append(
             (
                 cfg.experiment,
-                p,
+                cfg.p,
                 alpha,
-                beta_exp,
+                cfg.beta_exp,
                 n,
                 i + 1,
                 float(lam[i]),

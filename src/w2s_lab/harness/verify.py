@@ -8,12 +8,17 @@ use +1/-1). A property that raises is reported as failed, not crashed, so
 the report is always complete. The suite includes a negative control that
 injects a known fault (a relatively perturbed tau) and passes only if the
 fixed-point residual check rejects it.
+
+The battery is the registry _PROPERTIES of (report name, check) pairs. A
+check takes its generator and returns a Verdict; run_property runs one entry
+and names it, run_verify runs them all, and pytest runs each entry as its own
+test under its report name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from ..reference import one_stage_risk_dense, random_orthogonal, two_stage_risk_
 from ..spectrum import (
     TAU_ATOL,
     TAU_RTOL,
+    _omega_window,
+    _tau_hypothesis_k,
     fixed_point_residual,
     omega_lower_bound,
     power_law_signal,
@@ -55,9 +62,9 @@ from .experiments import mc_one_stage_risks, run_risk_vs_n
 from .output import build_id, config_echo, render_csv, schema_tag
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
+class Verdict(NamedTuple):
+    """What a property check returns; run_property adds the registry name."""
+
     passed: bool
     margin: float
     detail: str
@@ -67,22 +74,32 @@ def _random_spectrum(rng, p: int) -> np.ndarray:
     return np.sort(10.0 ** rng.uniform(-3.0, 0.0, p))[::-1]
 
 
-def _tol_result(name: str, worst: float, tol: float, detail: str) -> PropertyResult:
-    return PropertyResult(
-        name=name,
+def _tol_result(worst: float, tol: float, detail: str) -> Verdict:
+    return Verdict(
         passed=bool(worst <= tol),
         margin=float(1.0 - worst / tol),
         detail=f"{detail}; worst={worst:.3e}, tol={tol:.3e}",
     )
 
 
-def _bool_result(name: str, passed: bool, detail: str) -> PropertyResult:
-    return PropertyResult(
-        name=name, passed=bool(passed), margin=1.0 if passed else -1.0, detail=detail
+def _bool_result(passed: bool, detail: str) -> Verdict:
+    return Verdict(passed=bool(passed), margin=1.0 if passed else -1.0, detail=detail)
+
+
+def _slack_result(slack: float, detail: str) -> Verdict:
+    return Verdict(passed=bool(slack >= 0.0), margin=float(slack), detail=detail)
+
+
+def _relative_gap(fast, dense) -> float:
+    """Largest bias, variance or total gap of two risk reports, relative to dense total."""
+    return max(
+        abs(fast.total - dense.total) / dense.total,
+        abs(fast.bias - dense.bias) / dense.total,
+        abs(fast.variance - dense.variance) / dense.total,
     )
 
 
-def _prop_fixed_point_residual(rng) -> PropertyResult:
+def _prop_fixed_point_residual(rng) -> Verdict:
     cases = [
         (power_law_spectrum(400, 1.5), 40),
         (power_law_spectrum(400, 2.0), 133),
@@ -95,22 +112,18 @@ def _prop_fixed_point_residual(rng) -> PropertyResult:
         st = solve_tau(lam, n)
         tol = TAU_ATOL + TAU_RTOL * n
         worst = max(worst, abs(fixed_point_residual(lam, st.tau, n)) / tol)
-    return _tol_result(
-        "fixed-point-residual", worst, 1.0, f"{len(cases)} instances, ratio to solver tol"
-    )
+    return _tol_result(worst, 1.0, f"{len(cases)} instances, ratio to solver tol")
 
 
-def _prop_fixed_point_determinism(rng) -> PropertyResult:
+def _prop_fixed_point_determinism(rng) -> Verdict:
     lam = _random_spectrum(rng, 300)
     a = solve_tau(lam, 80)
     b = solve_tau(lam.copy(), 80)
     same = a.tau == b.tau and np.array_equal(a.zeta, b.zeta) and a.omega == b.omega
-    return _bool_result(
-        "fixed-point-determinism", same, "identical inputs give bit-identical stats"
-    )
+    return _bool_result(same, "identical inputs give bit-identical stats")
 
 
-def _prop_shrinkage_ordering(rng) -> PropertyResult:
+def _prop_shrinkage_ordering(rng) -> Verdict:
     ok = True
     min_diff = math.inf
     for lam, n in [(power_law_spectrum(500, 2.0), 100), (_random_spectrum(rng, 250), 30)]:
@@ -121,13 +134,11 @@ def _prop_shrinkage_ordering(rng) -> PropertyResult:
             np.all((st.zeta > 0.0) & (st.zeta < 1.0))
         )
     return _bool_result(
-        "shrinkage-ordering",
-        ok,
-        f"zeta non-decreasing and in (0,1); min successive diff {min_diff:.3e}",
+        ok, f"zeta non-decreasing and in (0,1); min successive diff {min_diff:.3e}"
     )
 
 
-def _prop_omega_identity(rng) -> PropertyResult:
+def _prop_omega_identity(rng) -> Verdict:
     worst = 0.0
     for lam, n in [(power_law_spectrum(400, 2.0), 120), (_random_spectrum(rng, 300), 90)]:
         st = solve_tau(lam, n)
@@ -136,14 +147,13 @@ def _prop_omega_identity(rng) -> PropertyResult:
         alt_omega = float(np.sum((one_minus**2)[::-1])) / mass
         worst = max(worst, abs(mass - n) / n, abs(st.omega - alt_omega) / st.omega)
     return _tol_result(
-        "omega-identity",
         worst,
         1e-10,
         "sum(1-zeta)=n at the fixed point and Omega matches its mass-normalized form",
     )
 
 
-def _prop_scale_covariance(rng) -> PropertyResult:
+def _prop_scale_covariance(rng) -> Verdict:
     lam = _random_spectrum(rng, 220)
     n = 70
     base = solve_tau(lam, n)
@@ -156,38 +166,30 @@ def _prop_scale_covariance(rng) -> PropertyResult:
             float(np.max(np.abs(scaled.zeta - base.zeta))),
             abs(scaled.omega - base.omega) / base.omega,
         )
-    return _tol_result(
-        "scale-covariance", worst, 1e-10, "tau scales linearly, zeta and Omega invariant"
-    )
+    return _tol_result(worst, 1e-10, "tau scales linearly, zeta and Omega invariant")
 
 
-def _prop_tau_bounds_sandwich(rng) -> PropertyResult:
+def _prop_tau_bounds_sandwich(rng) -> Verdict:
     min_slack = math.inf
     for _ in range(12):
         alpha = float(rng.uniform(1.5, 6.0))
         p = int(rng.integers(300, 1500))
-        k = (3.0 + 2.0 ** (-alpha)) / (4.0 + 2.0 ** (-(alpha - 2.0)))
+        k = _tau_hypothesis_k(alpha)
         n = int(rng.integers(max(2, int(0.2 * p * k)), max(3, int(0.95 * p * k))))
         lower, upper = tau_bounds_nonasymptotic(alpha, p, n)
         tau = solve_tau(power_law_spectrum(p, alpha), n).tau
         min_slack = min(min_slack, (tau - lower) / tau, (upper - tau) / tau)
-    return PropertyResult(
-        name="tau-bounds-sandwich",
-        passed=bool(min_slack >= 0.0),
-        margin=float(min_slack),
-        detail=f"12 random hypothesis-satisfying draws; min relative slack {min_slack:.3e}",
+    return _slack_result(
+        min_slack, f"12 random hypothesis-satisfying draws; min relative slack {min_slack:.3e}"
     )
 
 
-def _prop_omega_lower_bound(rng) -> PropertyResult:
+def _prop_omega_lower_bound(rng) -> Verdict:
     min_slack = math.inf
     for _ in range(8):
         alpha = float(rng.uniform(3.4, 6.0))
         p = int(rng.integers(500, 3000))
-        k1 = alpha / (alpha - 1.0) ** 2
-        k2 = (3.0 + 2.0 ** (-alpha)) / (4.0 + 2.0 ** (-(alpha - 2.0)))
-        low = p * k1 + alpha**2 / (alpha - 1.0) ** 2
-        high = p * k2
+        low, high = _omega_window(alpha, p)
         if not low + 2.0 < high:
             continue
         n = int(0.5 * (low + high))
@@ -195,35 +197,22 @@ def _prop_omega_lower_bound(rng) -> PropertyResult:
         omega = solve_tau(power_law_spectrum(p, alpha), n).omega
         min_slack = min(min_slack, omega - bound)
     if min_slack == math.inf:  # every draw missed its window: nothing was checked
-        return PropertyResult(
-            name="omega-lower-bound",
-            passed=False,
-            margin=-1.0,
-            detail="vacuous: no draw had a non-empty hypothesis window",
-        )
-    return PropertyResult(
-        name="omega-lower-bound",
-        passed=bool(min_slack >= 0.0),
-        margin=float(min_slack),
-        detail=f"window midpoints; min slack Omega-bound {min_slack:.3e}",
-    )
+        return _bool_result(False, "vacuous: no draw had a non-empty hypothesis window")
+    return _slack_result(min_slack, f"window midpoints; min slack Omega-bound {min_slack:.3e}")
 
 
-def _prop_power_law_asymptotics(rng) -> PropertyResult:
+def _prop_power_law_asymptotics(rng) -> Verdict:
     p, n, alpha = 100_000, 100, 2.0
     st = solve_tau(power_law_spectrum(p, alpha), n)
     rel_tau = abs(st.tau - tau_asymptotic(alpha, n)) / st.tau
     dev_omega = abs(st.omega - 0.5)
     worst = max(rel_tau, dev_omega)
     return _tol_result(
-        "power-law-asymptotics",
-        worst,
-        10.0 / n,
-        f"alpha=2, p={p}, n={n}: tau vs (pi/2)^2 n^-2 and Omega vs 1/2",
+        worst, 10.0 / n, f"alpha=2, p={p}, n={n}: tau vs (pi/2)^2 n^-2 and Omega vs 1/2"
     )
 
 
-def _prop_interpolation(rng) -> PropertyResult:
+def _prop_interpolation(rng) -> Verdict:
     lam = _random_spectrum(rng, 60)
     beta = rng.standard_normal(60)
     ds = sample_dataset(lam, beta, 0.3, 25, int(rng.integers(2**32)))
@@ -231,12 +220,10 @@ def _prop_interpolation(rng) -> PropertyResult:
     rel = float(
         np.linalg.norm(ds.design @ out.fitted - ds.labels) / np.linalg.norm(ds.labels)
     )
-    return _tol_result(
-        "interpolation", rel, 1e-8, f"n=25 < p=60 fit ({out.regime}) reproduces labels"
-    )
+    return _tol_result(rel, 1e-8, f"n=25 < p=60 fit ({out.regime}) reproduces labels")
 
 
-def _prop_min_norm_minimality(rng) -> PropertyResult:
+def _prop_min_norm_minimality(rng) -> Verdict:
     lam = _random_spectrum(rng, 60)
     beta = rng.standard_normal(60)
     ds = sample_dataset(lam, beta, 0.1, 25, int(rng.integers(2**32)))
@@ -253,31 +240,26 @@ def _prop_min_norm_minimality(rng) -> PropertyResult:
         worst_norm = max(worst_norm, -float(grow))
     worst = max(ortho, worst_norm / np.linalg.norm(out.fitted))
     return _tol_result(
-        "min-norm-minimality",
         worst,
         1e-8,
         "fit orthogonal to null(X); adding null-space vectors never shrinks the norm",
     )
 
 
-def _prop_ols_normal_equations(rng) -> PropertyResult:
+def _prop_ols_normal_equations(rng) -> Verdict:
     lam = _random_spectrum(rng, 40)
     beta = rng.standard_normal(40)
     ds = sample_dataset(lam, beta, 0.5, 90, int(rng.integers(2**32)))
     out = fit(ds.design, ds.labels)
+    if out.regime != "ordinary-least-squares":
+        return _bool_result(False, "wrong regime label")
     grad = ds.design.T @ (ds.design @ out.fitted - ds.labels)
     scale = float(np.linalg.norm(ds.design, ord=2) * np.linalg.norm(ds.labels))
     rel = float(np.linalg.norm(grad)) / scale
-    ok_regime = out.regime == "ordinary-least-squares"
-    result = _tol_result(
-        "ols-normal-equations", rel, 1e-8, f"n=90 >= p=40 fit ({out.regime})"
-    )
-    if not ok_regime:
-        return _bool_result("ols-normal-equations", False, "wrong regime label")
-    return result
+    return _tol_result(rel, 1e-8, f"n=90 >= p=40 fit ({out.regime})")
 
 
-def _prop_sampling_determinism(rng) -> PropertyResult:
+def _prop_sampling_determinism(rng) -> Verdict:
     lam = power_law_spectrum(50, 2.0)
     beta = power_law_signal(50, 2.0, 1.5)
     seed = derive_seed(1234, 2, 7)
@@ -287,13 +269,11 @@ def _prop_sampling_determinism(rng) -> PropertyResult:
     same = np.array_equal(a.design, b.design) and np.array_equal(a.labels, b.labels)
     different = not np.array_equal(a.design, c.design)
     return _bool_result(
-        "sampling-determinism",
-        same and different,
-        "same derived seed reproduces bytes, next trial seed differs",
+        same and different, "same derived seed reproduces bytes, next trial seed differs"
     )
 
 
-def _prop_one_stage_dense_agreement(rng) -> PropertyResult:
+def _prop_one_stage_dense_agreement(rng) -> Verdict:
     worst = 0.0
     for rotated in (False, True, True):
         p = 40
@@ -305,21 +285,15 @@ def _prop_one_stage_dense_agreement(rng) -> PropertyResult:
         basis = random_orthogonal(p, int(rng.integers(2**32))) if rotated else None
         fast = one_stage_risk(lam, beta_star, beta_s, n, sigma_sq)
         dense = one_stage_risk_dense(lam, beta_star, beta_s, n, sigma_sq, basis=basis)
-        worst = max(
-            worst,
-            abs(fast.total - dense.total) / dense.total,
-            abs(fast.bias - dense.bias) / dense.total,
-            abs(fast.variance - dense.variance) / dense.total,
-        )
+        worst = max(worst, _relative_gap(fast, dense))
     return _tol_result(
-        "one-stage-dense-agreement",
         worst,
         1e-9,
         "diagonal formulas vs literal resolvent quadratic forms, rotated bases included",
     )
 
 
-def _prop_two_stage_dense_agreement(rng) -> PropertyResult:
+def _prop_two_stage_dense_agreement(rng) -> Verdict:
     worst = 0.0
     for rotated in (False, True):
         p = 30
@@ -335,21 +309,13 @@ def _prop_two_stage_dense_agreement(rng) -> PropertyResult:
         basis = random_orthogonal(p, int(rng.integers(2**32))) if rotated else None
         fast = two_stage_risk(inst)
         dense = two_stage_risk_dense(inst, basis=basis)
-        worst = max(
-            worst,
-            abs(fast.total - dense.total) / dense.total,
-            abs(fast.bias - dense.bias) / dense.total,
-            abs(fast.variance - dense.variance) / dense.total,
-        )
+        worst = max(worst, _relative_gap(fast, dense))
     return _tol_result(
-        "two-stage-dense-agreement",
-        worst,
-        1e-9,
-        "diagonal two-stage formulas vs literal trace forms, distinct spectra",
+        worst, 1e-9, "diagonal two-stage formulas vs literal trace forms, distinct spectra"
     )
 
 
-def _prop_omniscient_consistency(rng) -> PropertyResult:
+def _prop_omniscient_consistency(rng) -> Verdict:
     lam = _random_spectrum(rng, 150)
     beta = rng.standard_normal(150)
     n, sigma_sq = 40, 0.3
@@ -364,17 +330,13 @@ def _prop_omniscient_consistency(rng) -> PropertyResult:
         and omni.bias == via_one_stage.bias
         and omni.variance == via_one_stage.variance
     )
-    rel = abs(omni.total - closed_total) / closed_total
     if not exact:
-        return _bool_result(
-            "omniscient-consistency", False, "shared code path broke exact equality"
-        )
-    return _tol_result(
-        "omniscient-consistency", rel, 1e-12, "matches (B + (sigma^2+B) Omega/(1-Omega))"
-    )
+        return _bool_result(False, "shared code path broke exact equality")
+    rel = abs(omni.total - closed_total) / closed_total
+    return _tol_result(rel, 1e-12, "matches (B + (sigma^2+B) Omega/(1-Omega))")
 
 
-def _prop_gamma_self_consistency(rng) -> PropertyResult:
+def _prop_gamma_self_consistency(rng) -> Verdict:
     worst = 0.0
     for lam, n in [(power_law_spectrum(200, 2.0), 60), (_random_spectrum(rng, 120), 30)]:
         beta_s = rng.standard_normal(lam.size)
@@ -385,14 +347,11 @@ def _prop_gamma_self_consistency(rng) -> PropertyResult:
         kappa = lam.size / n
         worst = max(worst, abs(gamma_sq - kappa * (sigma_sq + risk_self)) / gamma_sq)
     return _tol_result(
-        "gamma-self-consistency",
-        worst,
-        1e-10,
-        "gamma^2 = kappa (sigma^2 + R(beta_s; beta_s)) closes the fixed point",
+        worst, 1e-10, "gamma^2 = kappa (sigma^2 + R(beta_s; beta_s)) closes the fixed point"
     )
 
 
-def _prop_noise_monotonicity(rng) -> PropertyResult:
+def _prop_noise_monotonicity(rng) -> Verdict:
     lam = power_law_spectrum(300, 2.0)
     beta = power_law_signal(300, 2.0, 1.5)
     n = 90
@@ -401,15 +360,14 @@ def _prop_noise_monotonicity(rng) -> PropertyResult:
         one_stage_risk(lam, beta, beta, n, s, stats=st).total for s in (0.0, 0.1, 0.5, 2.0)
     ]
     gaps = np.diff(totals)
-    return PropertyResult(
-        name="noise-monotonicity",
+    return Verdict(
         passed=bool(np.all(gaps > 0.0)),
         margin=float(gaps.min()),
         detail=f"risk strictly increasing in sigma^2; min gap {gaps.min():.3e}",
     )
 
 
-def _prop_gain_threshold_sign(rng) -> PropertyResult:
+def _prop_gain_threshold_sign(rng) -> Verdict:
     violations = 0
     checked = 0
     for lam, n in [
@@ -425,13 +383,11 @@ def _prop_gain_threshold_sign(rng) -> PropertyResult:
         checked += int(keep.sum())
         violations += int(np.sum(np.sign(lhs[keep]) != np.sign(rhs[keep])))
     return _bool_result(
-        "gain-threshold-sign",
-        violations == 0,
-        f"sign(gain-1) = sign((1-zeta)-Omega) at {checked} coordinates",
+        violations == 0, f"sign(gain-1) = sign((1-zeta)-Omega) at {checked} coordinates"
     )
 
 
-def _prop_isotropy_degeneracy(rng) -> PropertyResult:
+def _prop_isotropy_degeneracy(rng) -> Verdict:
     lam = np.full(50, 0.7)
     beta = rng.standard_normal(50)
     st = solve_tau(lam, 20)
@@ -443,12 +399,10 @@ def _prop_isotropy_degeneracy(rng) -> PropertyResult:
         float(np.max(np.abs(opt.values - beta)) / np.max(np.abs(beta))),
         0.0 if mask == frozenset(range(50)) else 1.0,
     )
-    return _tol_result(
-        "isotropy-degeneracy", worst, 1e-10, "isotropic: gains 1, full mask, optimal = target"
-    )
+    return _tol_result(worst, 1e-10, "isotropic: gains 1, full mask, optimal = target")
 
 
-def _prop_optimal_surrogate_optimality(rng) -> PropertyResult:
+def _prop_optimal_surrogate_optimality(rng) -> Verdict:
     lam = power_law_spectrum(100, 2.0)
     beta = power_law_signal(100, 2.0, 1.5)
     n, sigma_sq = 40, 0.05
@@ -463,8 +417,7 @@ def _prop_optimal_surrogate_optimality(rng) -> PropertyResult:
     risk_star = one_stage_risk(lam, beta, beta, n, sigma_sq, stats=st).total
     strict = risk_star - risk_opt
     passed = min_gap >= -1e-12 and strict > 0.0
-    return PropertyResult(
-        name="optimal-surrogate-optimality",
+    return Verdict(
         passed=bool(passed),
         margin=float(min(min_gap, strict)),
         detail=(
@@ -474,7 +427,7 @@ def _prop_optimal_surrogate_optimality(rng) -> PropertyResult:
     )
 
 
-def _prop_ordering_chain(rng) -> PropertyResult:
+def _prop_ordering_chain(rng) -> Verdict:
     min_gap = math.inf
     for alpha, n in [(1.5, 50), (2.0, 50), (2.0, 150), (3.0, 90)]:
         lam = power_law_spectrum(300, alpha)
@@ -486,15 +439,10 @@ def _prop_ordering_chain(rng) -> PropertyResult:
         r_msk = one_stage_risk(lam, beta, msk, n, 0.05, stats=st).total
         r_star = one_stage_risk(lam, beta, beta, n, 0.05, stats=st).total
         min_gap = min(min_gap, r_msk - r_opt, r_star - r_msk)
-    return PropertyResult(
-        name="ordering-chain",
-        passed=bool(min_gap >= 0.0),
-        margin=float(min_gap),
-        detail=f"optimal <= masked <= ground-truth; min gap {min_gap:.3e}",
-    )
+    return _slack_result(min_gap, f"optimal <= masked <= ground-truth; min gap {min_gap:.3e}")
 
 
-def _prop_mask_brute_force(rng) -> PropertyResult:
+def _prop_mask_brute_force(rng) -> Verdict:
     mismatches = 0
     for _ in range(3):
         lam = _random_spectrum(rng, 10)
@@ -506,21 +454,17 @@ def _prop_mask_brute_force(rng) -> PropertyResult:
             if rule != brute:
                 mismatches += 1
     return _bool_result(
-        "mask-brute-force-equality",
         mismatches == 0,
         "threshold rule equals exhaustive search over 2^10 supports, sigma^2 in {0, 1}",
     )
 
 
-def _prop_mask_sparsity_monotone(rng) -> PropertyResult:
+def _prop_mask_sparsity_monotone(rng) -> Verdict:
     lam = power_law_spectrum(400, 2.0)
     sizes = [len(optimal_mask(lam, n)) for n in range(10, 210, 10)]
-    gaps = np.diff(sizes)
-    return PropertyResult(
-        name="mask-sparsity-monotone",
-        passed=bool(np.all(gaps >= 0)),
-        margin=float(gaps.min()),
-        detail=f"mask size non-decreasing over n=10..200; sizes {sizes[0]}..{sizes[-1]}",
+    return _slack_result(
+        float(np.diff(sizes).min()),
+        f"mask size non-decreasing over n=10..200; sizes {sizes[0]}..{sizes[-1]}",
     )
 
 
@@ -546,54 +490,46 @@ def _source_design_risks(
     return out
 
 
-def _shift_case(p: int):
+_SHIFT_TRIALS = 400
+
+
+def _shift_gap(seed: int, transport: bool) -> tuple[float, float]:
+    """Mean gap and combined SE: mapped-surrogate draws vs source-design draws.
+
+    The mapped surrogate runs on `seed`, the source design on `seed + 1`, each
+    for _SHIFT_TRIALS trials at p = 80, n = 30, sigma^2 = 0.05.
+    """
+    p, n, sigma_sq = 80, 30, 0.05
     lam_s = power_law_spectrum(p, 1.5)
     lam_t = power_law_spectrum(p, 2.5)
     beta_star = power_law_signal(p, 2.5, 1.8)
-    return lam_s, lam_t, beta_star
-
-
-def _prop_covariance_shift_equivalence(rng) -> PropertyResult:
-    p, n, trials = 80, 30, 400
-    lam_s, lam_t, beta_star = _shift_case(p)
-    sigma_sq = 0.05
     mapped = covariance_shift_map(beta_star, lam_s, lam_t)
-    seed = 777
+    trials = _SHIFT_TRIALS
     model_shift = mc_one_stage_risks(lam_t, beta_star, mapped, sigma_sq, n, trials, seed)
-    cov_shift = _source_design_risks(
-        lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=True
+    source = _source_design_risks(
+        lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=transport
     )
     se = math.hypot(
         float(np.std(model_shift, ddof=1)) / math.sqrt(trials),
-        float(np.std(cov_shift, ddof=1)) / math.sqrt(trials),
+        float(np.std(source, ddof=1)) / math.sqrt(trials),
     )
-    gap = abs(float(np.mean(model_shift)) - float(np.mean(cov_shift)))
+    return abs(float(np.mean(model_shift)) - float(np.mean(source))), se
+
+
+def _prop_covariance_shift_equivalence(rng) -> Verdict:
+    gap, se = _shift_gap(777, transport=True)
     return _tol_result(
-        "covariance-shift-equivalence",
         gap,
         3.0 * se,
         f"mapped-surrogate draws vs transported source-design draws, independent seeds, "
-        f"{trials} trials each, means within 3 combined SE",
+        f"{_SHIFT_TRIALS} trials each, means within 3 combined SE",
     )
 
 
-def _prop_covariance_shift_refit_separation(rng) -> PropertyResult:
-    p, n, trials = 80, 30, 400
-    lam_s, lam_t, beta_star = _shift_case(p)
-    sigma_sq = 0.05
-    mapped = covariance_shift_map(beta_star, lam_s, lam_t)
-    seed = 811
-    model_shift = mc_one_stage_risks(lam_t, beta_star, mapped, sigma_sq, n, trials, seed)
-    naive = _source_design_risks(
-        lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=False
-    )
-    band = 3.0 * math.hypot(
-        float(np.std(model_shift, ddof=1)) / math.sqrt(trials),
-        float(np.std(naive, ddof=1)) / math.sqrt(trials),
-    )
-    gap = abs(float(np.mean(model_shift)) - float(np.mean(naive)))
-    return PropertyResult(
-        name="covariance-shift-refit-separation",
+def _prop_covariance_shift_refit_separation(rng) -> Verdict:
+    gap, se = _shift_gap(811, transport=False)
+    band = 3.0 * se
+    return Verdict(
         passed=bool(gap > band),
         margin=float(gap / band - 1.0),
         detail=(
@@ -603,7 +539,7 @@ def _prop_covariance_shift_refit_separation(rng) -> PropertyResult:
     )
 
 
-def _prop_two_stage_degenerate_limit(rng) -> PropertyResult:
+def _prop_two_stage_degenerate_limit(rng) -> Verdict:
     p = 300
     lam = power_law_spectrum(p, 2.0)
     beta = power_law_signal(p, 2.0, 1.5)
@@ -620,14 +556,13 @@ def _prop_two_stage_degenerate_limit(rng) -> PropertyResult:
     omni = omniscient_risk(lam, beta, 0.05, 50).total
     rel = abs(two - omni) / omni
     return _tol_result(
-        "two-stage-degenerate-limit",
         rel,
         0.02,
         "m = p-1, noiseless stage one, same spectra: pipeline risk meets the one-stage risk",
     )
 
 
-def _prop_parallel_determinism(rng) -> PropertyResult:
+def _prop_parallel_determinism(rng) -> Verdict:
     cfg = ExperimentConfig(
         experiment="risk-vs-n",
         p=60,
@@ -643,14 +578,10 @@ def _prop_parallel_determinism(rng) -> PropertyResult:
     cfg3 = with_overrides(cfg, workers=3)
     cols3, rows3 = run_risk_vs_n(cfg3)
     csv3 = render_csv(cfg3, cols3, rows3)
-    return _bool_result(
-        "parallel-determinism",
-        csv1 == csv3,
-        "risk-vs-n output bytes identical with 1 and 3 workers",
-    )
+    return _bool_result(csv1 == csv3, "risk-vs-n output bytes identical with 1 and 3 workers")
 
 
-def _prop_negative_control(rng) -> PropertyResult:
+def _prop_negative_control(rng) -> Verdict:
     lam = power_law_spectrum(100, 2.0)
     n = 30
     st = solve_tau(lam, n)
@@ -658,8 +589,7 @@ def _prop_negative_control(rng) -> PropertyResult:
     tol = TAU_ATOL + TAU_RTOL * n
     residual = abs(fixed_point_residual(lam, bad_tau, n))
     caught = residual > tol
-    return PropertyResult(
-        name="negative-control-fault-detected",
+    return Verdict(
         passed=bool(caught),
         margin=float(residual / tol - 1.0),
         detail=(
@@ -669,66 +599,64 @@ def _prop_negative_control(rng) -> PropertyResult:
     )
 
 
+# The battery in report order: (report name, check). Entry i runs on the
+# generator seeded by derive_seed(seed, 0, i), so appending keeps every
+# earlier property's draws; reordering or inserting changes them.
 _PROPERTIES = (
-    _prop_fixed_point_residual,
-    _prop_fixed_point_determinism,
-    _prop_shrinkage_ordering,
-    _prop_omega_identity,
-    _prop_scale_covariance,
-    _prop_tau_bounds_sandwich,
-    _prop_omega_lower_bound,
-    _prop_power_law_asymptotics,
-    _prop_interpolation,
-    _prop_min_norm_minimality,
-    _prop_ols_normal_equations,
-    _prop_sampling_determinism,
-    _prop_one_stage_dense_agreement,
-    _prop_two_stage_dense_agreement,
-    _prop_omniscient_consistency,
-    _prop_gamma_self_consistency,
-    _prop_noise_monotonicity,
-    _prop_gain_threshold_sign,
-    _prop_isotropy_degeneracy,
-    _prop_optimal_surrogate_optimality,
-    _prop_ordering_chain,
-    _prop_mask_brute_force,
-    _prop_mask_sparsity_monotone,
-    _prop_covariance_shift_equivalence,
-    _prop_covariance_shift_refit_separation,
-    _prop_two_stage_degenerate_limit,
-    _prop_parallel_determinism,
-    _prop_negative_control,
+    ("fixed-point-residual", _prop_fixed_point_residual),
+    ("fixed-point-determinism", _prop_fixed_point_determinism),
+    ("shrinkage-ordering", _prop_shrinkage_ordering),
+    ("omega-identity", _prop_omega_identity),
+    ("scale-covariance", _prop_scale_covariance),
+    ("tau-bounds-sandwich", _prop_tau_bounds_sandwich),
+    ("omega-lower-bound", _prop_omega_lower_bound),
+    ("power-law-asymptotics", _prop_power_law_asymptotics),
+    ("interpolation", _prop_interpolation),
+    ("min-norm-minimality", _prop_min_norm_minimality),
+    ("ols-normal-equations", _prop_ols_normal_equations),
+    ("sampling-determinism", _prop_sampling_determinism),
+    ("one-stage-dense-agreement", _prop_one_stage_dense_agreement),
+    ("two-stage-dense-agreement", _prop_two_stage_dense_agreement),
+    ("omniscient-consistency", _prop_omniscient_consistency),
+    ("gamma-self-consistency", _prop_gamma_self_consistency),
+    ("noise-monotonicity", _prop_noise_monotonicity),
+    ("gain-threshold-sign", _prop_gain_threshold_sign),
+    ("isotropy-degeneracy", _prop_isotropy_degeneracy),
+    ("optimal-surrogate-optimality", _prop_optimal_surrogate_optimality),
+    ("ordering-chain", _prop_ordering_chain),
+    ("mask-brute-force-equality", _prop_mask_brute_force),
+    ("mask-sparsity-monotone", _prop_mask_sparsity_monotone),
+    ("covariance-shift-equivalence", _prop_covariance_shift_equivalence),
+    ("covariance-shift-refit-separation", _prop_covariance_shift_refit_separation),
+    ("two-stage-degenerate-limit", _prop_two_stage_degenerate_limit),
+    ("parallel-determinism", _prop_parallel_determinism),
+    ("negative-control-fault-detected", _prop_negative_control),
 )
+
+
+def run_property(index: int, seed: int) -> dict:
+    """Run registry entry `index` on its generator derive_seed(seed, 0, index).
+
+    Returns the report entry: registry name, verdict, margin and detail. A
+    check that raises is a failed property with margin -1, not a crash.
+    """
+    name, check = _PROPERTIES[index]
+    rng = np.random.default_rng(derive_seed(seed, 0, index))
+    try:
+        passed, margin, detail = check(rng)
+    except Exception as exc:
+        passed, margin, detail = False, -1.0, f"raised {exc!r}"
+    return {"name": name, "passed": passed, "margin": margin, "detail": detail}
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
     """Run every property at desk scale and return the machine-readable report."""
-    results = []
-    for index, prop in enumerate(_PROPERTIES):
-        rng = np.random.default_rng(derive_seed(cfg.seed, 0, index))
-        try:
-            results.append(prop(rng))
-        except Exception as exc:  # a crashed property is a failed property
-            name = prop.__name__.removeprefix("_prop_").replace("_", "-")
-            results.append(
-                PropertyResult(
-                    name=name, passed=False, margin=-1.0, detail=f"raised {exc!r}"
-                )
-            )
-    report = {
+    results = [run_property(index, cfg.seed) for index in range(len(_PROPERTIES))]
+    return {
         "schema": schema_tag(cfg.experiment),
         "build_id": build_id(cfg),
         "config": config_echo(cfg),
-        "properties": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "margin": r.margin,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "properties": results,
         "property_count": len(results),
-        "all_passed": all(r.passed for r in results),
+        "all_passed": all(r["passed"] for r in results),
     }
-    return report

@@ -280,7 +280,15 @@ def omega_asymptotic(alpha: float) -> float:
 
 
 def _tau_hypothesis_k(alpha: float) -> float:
+    """k of the tau bounds' hypothesis n < p*k, also k2 of the Omega window."""
     return (3.0 + 2.0 ** (-alpha)) / (4.0 + 2.0 ** (-(alpha - 2.0)))
+
+
+def _omega_window(alpha: float, p: int) -> tuple[float, float]:
+    """Edges (low, high) of the Omega lower bound's hypothesis low < n < high."""
+    k1 = alpha / (alpha - 1.0) ** 2
+    k2 = _tau_hypothesis_k(alpha)
+    return p * k1 + alpha**2 / (alpha - 1.0) ** 2, p * k2
 
 
 def tau_bounds_nonasymptotic(alpha: float, p: int, n: int) -> tuple[float, float]:
@@ -327,10 +335,7 @@ def omega_lower_bound(alpha: float, p: int, n: int) -> float:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
-    k1 = alpha / (alpha - 1.0) ** 2
-    k2 = _tau_hypothesis_k(alpha)
-    low_edge = p * k1 + alpha**2 / (alpha - 1.0) ** 2
-    high_edge = p * k2
+    low_edge, high_edge = _omega_window(alpha, p)
     if not (low_edge < n < high_edge):
         raise HypothesisViolatedError(
             f"requires {low_edge:.4g} < n < {high_edge:.4g}, got n={n}"

@@ -102,31 +102,6 @@ class TestFit:
         assert not out.rank_deficient
         assert design @ out.fitted == pytest.approx(labels, abs=1e-9)
 
-    def test_minimum_norm_among_interpolants(self):
-        """Adding any row-null-space direction can only grow the norm."""
-        rng = np.random.default_rng(8)
-        design = rng.normal(size=(4, 10))
-        labels = rng.normal(size=4)
-        fitted = fit(design, labels).fitted
-        proj = design.T @ np.linalg.solve(design @ design.T, design)
-        for _ in range(5):
-            w = rng.normal(size=10)
-            null_dir = w - proj @ w
-            alt = fitted + null_dir
-            assert design @ alt == pytest.approx(labels, abs=1e-8)
-            assert np.linalg.norm(alt) >= np.linalg.norm(fitted) - 1e-10
-        # the interpolant itself has no null-space component
-        assert proj @ fitted == pytest.approx(fitted, abs=1e-8)
-
-    def test_overdetermined_matches_normal_equations(self):
-        rng = np.random.default_rng(13)
-        design = rng.normal(size=(30, 8))
-        labels = rng.normal(size=30)
-        out = fit(design, labels)
-        expected = np.linalg.solve(design.T @ design, design.T @ labels)
-        assert out.regime == "ordinary-least-squares"
-        assert out.fitted == pytest.approx(expected, abs=1e-9)
-
     def test_flags_rank_deficiency(self):
         rng = np.random.default_rng(21)
         row = rng.normal(size=9)
@@ -312,15 +287,6 @@ class TestPipelines:
             derive_seed(seed, STAGE_TARGET, trial),
         )
         assert np.array_equal(beta_s2t, fit(stage2.design, stage2.labels).fitted)
-
-    def test_distillation_flag_drops_stage_two_noise(self):
-        inst = self._instance()
-        _, noiseless = two_stage_fit(inst, 55, distill_noiseless=True)
-        beta_s, _ = two_stage_fit(inst, 55)
-        stage2 = sample_dataset(
-            inst.spectrum_t, beta_s, 0.0, inst.n, derive_seed(55, STAGE_TARGET, 0)
-        )
-        assert np.array_equal(noiseless, fit(stage2.design, stage2.labels).fitted)
 
     def test_instance_validation(self):
         lam = power_law_spectrum(4, 2.0)
