@@ -27,7 +27,13 @@ from .config import (
     parse_config_file,
 )
 from .experiments import RUNNERS, SLOPE_COLUMNS
-from .output import render_csv, write_files, write_outputs
+from .output import (
+    output_paths,
+    refuse_existing,
+    render_csv,
+    write_files,
+    write_outputs,
+)
 from .verify import run_verify
 
 
@@ -145,6 +151,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = build_config(args.experiment, file_values, **_overrides_from_args(args))
+        refuse_existing(output_paths(cfg), cfg.force)  # before any work is spent
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -99,6 +99,28 @@ def render_json(cfg: ExperimentConfig, columns, rows) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def output_paths(cfg: ExperimentConfig) -> list:
+    """Every path a run of cfg writes: --out, then the JSON mirror if configured.
+
+    verify's report is JSON already and goes to --out alone, so it has no mirror.
+    """
+    if cfg.out is None:
+        return []
+    if not cfg.json_mirror or cfg.experiment == "verify":
+        return [cfg.out]
+    root, ext = os.path.splitext(cfg.out)
+    return [cfg.out, root + ".json" if ext.lower() == ".csv" else cfg.out + ".json"]
+
+
+def refuse_existing(paths, force: bool) -> None:
+    """Raise ConfigError for the first path that exists, unless force is set."""
+    if force:
+        return
+    for path in paths:
+        if os.path.exists(path):
+            raise ConfigError(f"out: {path} exists; pass --force to overwrite")
+
+
 def write_files(renders: dict, force: bool) -> list:
     """Write each {path: render} with the text render() returns; returns the paths.
 
@@ -106,9 +128,7 @@ def write_files(renders: dict, force: bool) -> list:
     unless force is set. Parent directories are created. Each text is
     rendered just before its file is written, so only one is held at a time.
     """
-    for path in renders:
-        if os.path.exists(path) and not force:
-            raise ConfigError(f"out: {path} exists; pass --force to overwrite")
+    refuse_existing(renders, force)
     for path, render in renders.items():
         parent = os.path.dirname(path)
         if parent:
@@ -119,16 +139,15 @@ def write_files(renders: dict, force: bool) -> list:
 
 
 def write_outputs(cfg: ExperimentConfig, columns, rows) -> list:
-    """Write the CSV (and JSON mirror when configured) to cfg.out.
+    """Write the CSV (and JSON mirror when configured) to the paths of output_paths.
 
     Returns the list of paths written. Parent directories are created;
     existing files are refused unless the config carries force=True.
     """
     if cfg.out is None:
         raise ConfigError("out: no output path configured")
-    renders = {cfg.out: lambda: render_csv(cfg, columns, rows)}
-    if cfg.json_mirror:
-        root, ext = os.path.splitext(cfg.out)
-        mirror = root + ".json" if ext.lower() == ".csv" else cfg.out + ".json"
-        renders[mirror] = lambda: render_json(cfg, columns, rows)
-    return write_files(renders, cfg.force)
+    renders = (
+        lambda: render_csv(cfg, columns, rows),
+        lambda: render_json(cfg, columns, rows),
+    )
+    return write_files(dict(zip(output_paths(cfg), renders)), cfg.force)

@@ -16,16 +16,18 @@ together parameterize every closed-form risk in this package.
 
 All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
-takes 7 full-spectrum passes and about 0.7 s on one core of a 2-CPU x86 VM
-(numpy 2.4), and holds two p-length work buffers. Sums over the spectrum
-accumulate the tail first (smallest eigenvalues first) for reproducible
-floating-point results when the tail is near the denormal range.
+(alpha 1.5 or 3, n from 1e3 to 1e5) takes 6-7 full-spectrum passes and
+0.41-0.50 s on one core of a 2-CPU x86 VM (numpy 2.4). It holds two p-length
+work buffers, which it returns as zeta and 1 - zeta, so the statistics add no
+third array. Sums over the spectrum accumulate the tail first (smallest
+eigenvalues first) for reproducible floating-point results when the tail is
+near the denormal range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +76,12 @@ class SpectralStats:
         iterations: full-spectrum passes the solve spent, endpoint checks included.
         residual: the certified signed residual sum lambda/(lambda+tau) - n,
             bit-identical to fixed_point_residual(eigenvalues, tau, n).
+        zeta_complement: 1 - zeta_i, held as lambda/(lambda+tau) so a tiny tail
+            suffers no cancellation; read it through one_minus_zeta().
+
+    zeta and zeta_complement are the solver's two work buffers, kept
+    read-only: the statistics hold two p-length arrays, and an oracle call
+    allocates neither.
     """
 
     tau: float
@@ -83,15 +91,15 @@ class SpectralStats:
     eigenvalues: np.ndarray
     iterations: int
     residual: float
+    zeta_complement: np.ndarray = field(repr=False)
 
     @property
     def p(self) -> int:
         return int(self.eigenvalues.size)
 
     def one_minus_zeta(self) -> np.ndarray:
-        # computed as lambda/(lambda+tau) directly; no cancellation for tiny tail
-        lam = self.eigenvalues
-        return lam / (lam + self.tau)
+        """1 - zeta_i = lambda_i/(lambda_i + tau), bit for bit; read-only."""
+        return self.zeta_complement
 
 
 def _residual_into(lam: np.ndarray, tau: float, n: int, shifted, ratio) -> float:
@@ -152,14 +160,17 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     residual. The next point is a Newton step on log S against log tau,
 
         log tau <- log tau + (log S - log n) / (tau * D / S),
-        D = sum lambda/(lambda+tau)^2,  tau * D = sum (1 - zeta) * zeta,
+        D = sum lambda/(lambda+tau)^2,  tau * D = sum r (1 - r) = S - sum r^2,
 
-    which is nearly exact for power-law-like spectra. A step that leaves the
-    bracket, or that fails to halve the step before last, is replaced by a
-    bisection (geometric, else arithmetic), so convergence is unconditional;
-    a power-law spectrum at p = 1e6 takes 6-8 passes, endpoint checks
-    included. The passes reuse two p-length buffers, and identical inputs
-    always reproduce bit-identical tau.
+    with r = lambda/(lambda+tau) = 1 - zeta, so the slope costs one fused
+    sweep over the r the residual already holds. The step is nearly exact for
+    power-law-like spectra. A step that leaves the bracket, or that fails to
+    halve the step before last, is replaced by a bisection (geometric, else
+    arithmetic), as is any step whose slope cancelled to tau * D <= 0, so
+    convergence is unconditional; a power-law spectrum at p = 1e6 takes 6-8
+    passes, endpoint checks included. The passes reuse two p-length buffers,
+    which after the accepted pass become the returned zeta and 1 - zeta, and
+    identical inputs always reproduce bit-identical tau.
     """
     lam = as_spectrum(spectrum)
     p = lam.size
@@ -195,9 +206,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         else:
             hi = tau
         total = residual + n  # S
-        np.divide(tau, shifted, out=shifted)  # zeta, tail first
-        np.multiply(shifted, ratio, out=shifted)
-        tau_d = float(np.sum(shifted))  # tau * D = -S * d log S / d log tau
+        # tau * D = sum r (1 - r) = S - sum r^2 = -S * d log S / d log tau, with
+        # r = lambda/(lambda+tau) in ratio: one fused sweep, no BLAS (whose
+        # thread count would change the bits). Cancellation only spoils the
+        # proposed step, which the bracket and the tau_d > 0 guard police.
+        tau_d = total - float(np.einsum("i,i->", ratio, ratio))
         candidate = None
         if total > 0.0 and tau_d > 0.0:
             move = (math.log(total) - log_n) * (total / tau_d)
@@ -217,10 +230,14 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
             f"residual tolerance {tol:g} unreachable within {TAU_MAX_ITER} iterations"
         )
 
-    # ratio holds lambda/(lambda+tau) tail first at the accepted tau
-    omega = float(np.sum(np.square(ratio, out=ratio))) / n
+    # ratio holds lambda/(lambda+tau) tail first at the accepted tau, so its
+    # reversed view is 1 - zeta; shifted is free for r^2 and then for zeta
+    omega = float(np.sum(np.square(ratio, out=shifted))) / n
     np.add(lam, tau, out=shifted)
-    zeta = tau / shifted
+    zeta = np.divide(tau, shifted, out=shifted)
+    zeta.flags.writeable = False
+    ratio.flags.writeable = False  # before the view, which inherits the flag
+    one_minus_zeta = ratio[::-1]
     return SpectralStats(
         tau=float(tau),
         zeta=zeta,
@@ -229,6 +246,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         eigenvalues=lam,
         iterations=passes,
         residual=residual,
+        zeta_complement=one_minus_zeta,
     )
 
 
@@ -285,10 +303,20 @@ def _tau_hypothesis_k(alpha: float) -> float:
 
 
 def _omega_window(alpha: float, p: int) -> tuple[float, float]:
-    """Edges (low, high) of the Omega lower bound's hypothesis low < n < high."""
+    """Edges (low, high) of the Omega lower bound's hypothesis low < n < high.
+
+    The low edge p*k1 + alpha^2/(alpha-1)^2 = alpha*(p + alpha)/(alpha-1)^2 is
+    rational in alpha, so its integer part is computed exactly in integers and
+    the float edge is clamped into [floor, floor + 1): then low < n holds for
+    an integer n exactly when it holds for the exact edge. Unclamped, alpha =
+    9.25 and p = 263 give 36.99999999999999 for the exact edge 37.
+    """
     k1 = alpha / (alpha - 1.0) ** 2
-    k2 = _tau_hypothesis_k(alpha)
-    return p * k1 + alpha**2 / (alpha - 1.0) ** 2, p * k2
+    low = p * k1 + alpha**2 / (alpha - 1.0) ** 2
+    num, den = float(alpha).as_integer_ratio()
+    whole = num * (p * den + num) // (num - den) ** 2
+    low = min(max(low, float(whole)), math.nextafter(whole + 1.0, 0.0))
+    return low, p * _tau_hypothesis_k(alpha)
 
 
 def tau_bounds_nonasymptotic(alpha: float, p: int, n: int) -> tuple[float, float]:

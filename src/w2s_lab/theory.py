@@ -53,7 +53,9 @@ class RiskReport:
 def _stats_for(spectrum: np.ndarray, n: int, stats: SpectralStats | None) -> SpectralStats:
     if stats is None:
         return solve_tau(spectrum, n)
-    if stats.n != int(n) or not np.array_equal(stats.eigenvalues, spectrum):
+    if stats.n != int(n) or not (
+        stats.eigenvalues is spectrum or np.array_equal(stats.eigenvalues, spectrum)
+    ):
         raise ValueError("stats were solved for a different spectrum or sample count")
     return stats
 

@@ -471,6 +471,29 @@ class TestCli:
         assert main(argv + ["--force"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, existing",
+        [
+            (["verify"], "report.json"),
+            (["risk-vs-n", "--p", "20", "--n", "5"], "run.csv"),
+            (["risk-vs-n", "--p", "20", "--n", "5", "--json"], "run.json"),
+        ],
+    )
+    def test_existing_out_is_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, argv, existing
+    ):
+        def not_run(cfg):
+            raise AssertionError("ran before the output check")
+
+        monkeypatch.setattr(cli, "run_verify", not_run)
+        for name in RUNNERS:
+            monkeypatch.setitem(RUNNERS, name, not_run)
+        (tmp_path / existing).write_text("kept\n")
+        out = tmp_path / ("report.json" if argv[0] == "verify" else "run.csv")
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"{existing} exists" in capsys.readouterr().err
+        assert (tmp_path / existing).read_text() == "kept\n"
+
     def test_json_mirror_flag(self, tmp_path):
         out = tmp_path / "run.csv"
         rc = main(

@@ -1,6 +1,7 @@
 """Tests for the fixed-point solver, spectrum builders, and finite-sample bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from w2s_lab import (
     fixed_point_residual,
     omega_asymptotic,
     omega_lower_bound,
+    one_stage_risk,
     power_law_signal,
     power_law_spectrum,
     solve_tau,
@@ -59,9 +61,45 @@ class TestSolverObservability:
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
     def test_few_passes_at_large_p(self, large_spectrum, n):
         stats = solve_tau(large_spectrum, n)
-        assert stats.iterations <= 12
+        assert stats.iterations <= 8
         assert stats.residual == fixed_point_residual(large_spectrum, stats.tau, n)
         assert abs(stats.residual) <= TAU_ATOL + TAU_RTOL * n
+        lam = large_spectrum
+        assert np.array_equal(stats.one_minus_zeta(), lam / (lam + stats.tau))
+        assert np.array_equal(stats.zeta, stats.tau / (lam + stats.tau))
+
+
+class TestMemory:
+    """At p = 1e6 a solve and an oracle call hold at most two p-length arrays."""
+
+    P = 1_000_000
+    BOUND = 2 * 8 * P + 2**20  # bytes: two float64 arrays of length p, plus 1 MiB
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        lam = power_law_spectrum(self.P, 2.0)
+        beta = power_law_signal(self.P, 2.0, 1.5)
+        return lam, beta, solve_tau(lam, 1_000)
+
+    def _peak_bytes(self, call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_tau_peak(self, problem):
+        lam, _, _ = problem
+        assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.BOUND
+
+    def test_one_stage_risk_peak(self, problem):
+        lam, beta, stats = problem
+        surrogate = 0.9 * beta
+        peak = self._peak_bytes(
+            lambda: one_stage_risk(lam, beta, surrogate, 1_000, 0.05, stats=stats)
+        )
+        assert peak <= self.BOUND
 
 
 class TestSpectralStats:
@@ -77,6 +115,13 @@ class TestSpectralStats:
         assert isinstance(stats, SpectralStats)
         with pytest.raises(Exception):
             stats.tau = 0.0
+
+    def test_stored_arrays_are_read_only(self):
+        stats = solve_tau(power_law_spectrum(30, 1.5), 10)
+        for array in (stats.zeta, stats.one_minus_zeta()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
 
 class TestBuilders:
@@ -140,3 +185,10 @@ class TestFiniteSampleBounds:
             omega_lower_bound(5.0, 1000, 100)
         with pytest.raises(HypothesisViolatedError):
             omega_lower_bound(5.0, 1000, 900)
+
+    def test_omega_window_low_edge_is_exact(self):
+        # alpha*(p+alpha)/(alpha-1)^2 is exactly 37 here, while its float
+        # evaluation rounds to 36.99999999999999, which would admit n = 37
+        with pytest.raises(HypothesisViolatedError):
+            omega_lower_bound(9.25, 263, 37)
+        assert omega_lower_bound(9.25, 263, 38) > 0.0

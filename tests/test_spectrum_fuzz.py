@@ -6,6 +6,8 @@ bit for bit, as fixed_point_residual and a second solve report), or raises
 NonConvergenceError. Nothing else is allowed. The exact root is not asserted:
 for 50 ones and 50 values of 1e-300 at n = 50 every tau in about
 (1e-288, 1e-12) meets the tolerance, so only the certificate is the contract.
+The arrays the solver keeps from its buffers, zeta and 1 - zeta, must equal
+their closed forms at the returned tau bit for bit.
 """
 
 import math
@@ -80,3 +82,19 @@ def test_solve_tau_certificate(case):
     assert again.iterations == stats.iterations
     assert again.omega == stats.omega
     assert np.array_equal(again.zeta, stats.zeta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(spectra_and_n())
+@example(_two_level(1.0, 1e-300, 50, 50))
+@example(_two_level(1.0, _TINY, 50, 99))
+@example((np.logspace(0.0, -320.0, 60), 30))
+def test_kept_buffers_are_exact(case):
+    """The kept solver buffers equal the closed forms at the returned tau, bit for bit."""
+    lam, n = case
+    try:
+        stats = solve_tau(lam, n)
+    except NonConvergenceError:
+        return
+    assert np.array_equal(stats.one_minus_zeta(), lam / (lam + stats.tau))
+    assert np.array_equal(stats.zeta, stats.tau / (lam + stats.tau))

@@ -20,6 +20,7 @@ from w2s_lab import (
     two_stage_fit,
     two_stage_risk,
 )
+from w2s_lab.theory import _stats_for
 
 
 def _reference_tau(lam, n):
@@ -89,6 +90,17 @@ class TestOneStage:
         wrong = solve_tau(lam, 5)
         with pytest.raises(ValueError):
             one_stage_risk(lam, np.ones(20), np.ones(20), 6, 0.1, stats=wrong)
+
+    def test_stats_match_by_identity_or_value(self):
+        lam = power_law_spectrum(20, 2.0)
+        stats = solve_tau(lam, 5)
+        assert _stats_for(lam, 5, stats) is stats
+        assert _stats_for(lam.copy(), 5, stats) is stats
+        perturbed = lam.copy()
+        perturbed[7] = np.nextafter(perturbed[7], 0.0)
+        for spectrum, n in ((perturbed, 5), (lam, 6), (lam.copy(), 6)):
+            with pytest.raises(ValueError):
+                _stats_for(spectrum, n, stats)
 
     def test_shape_and_noise_validation(self):
         lam = power_law_spectrum(6, 2.0)
