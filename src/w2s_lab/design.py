@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SpectralStats, _omega_window, as_spectrum
+from .spectrum import SpectralStats, _omega_window, _tolerance, as_spectrum
 from .theory import _check_omega, _one_stage_terms, _stats_for
 
 # Candidate supports scored per kernel call in brute_force_mask.
@@ -54,8 +54,7 @@ def _gains(stats: SpectralStats) -> np.ndarray:
 
 def gain_profile(spectrum, n: int, stats: SpectralStats | None = None) -> GainProfile:
     """Optimal per-coordinate gains for sample count n, independent of the signal."""
-    lam = as_spectrum(spectrum)
-    st = _stats_for(lam, n, stats)
+    st = _stats_for(spectrum, n, stats)
     return GainProfile(gains=_gains(st), threshold_amplify=1.0 - st.omega)
 
 
@@ -71,24 +70,36 @@ def optimal_surrogate(
     every gain collapses to 1, and the optimal surrogate is beta_star itself;
     anisotropy is what creates room for improvement.
     """
-    lam = as_spectrum(spectrum)
+    st = _stats_for(spectrum, n, stats)
     beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.shape != lam.shape:
+    if beta_star.shape != st.eigenvalues.shape:
         raise ValueError("beta_star must match the spectrum length")
-    st = _stats_for(lam, n, stats)
     return SurrogateParam(values=_gains(st) * beta_star, kind="optimal")
 
 
 def optimal_mask(spectrum, n: int, stats: SpectralStats | None = None) -> frozenset:
     """Risk-optimal support for a masked surrogate: keep i iff zeta_i^2 < 1 - Omega.
 
-    The inequality is strict, so coordinates exactly on the threshold are
-    dropped (keeping them changes nothing in exact arithmetic; dropping gives
-    the smaller support). Indices are 0-based positions into the spectrum.
+    Coordinates on the threshold are dropped (keeping them changes nothing in
+    exact arithmetic; dropping gives the smaller support), and so are those
+    within the solver's resolution of it, which count as ties. The solver
+    certifies |S(tau) - n| <= tol, so to first order tau is known to a relative
+    rel = tol / (n (1 - Omega)), within which zeta_i^2 moves by at most
+    2 zeta_i^2 rel and 1 - Omega by at most 2 Omega rel. A coordinate is kept
+    only when the strict rule holds across that band,
+
+        zeta_i^2 < ((1 - Omega) - 2 Omega rel) / (1 + 2 rel),
+
+    so exact ties, and near ties inside that band, are dropped for every tau
+    the certificate allows. The band moves the point where the mask flips; it
+    does not remove it: a coordinate whose margin is close to the band width
+    can still be kept or dropped by the last digits of tau. Indices are 0-based
+    positions into the spectrum.
     """
-    lam = as_spectrum(spectrum)
-    st = _stats_for(lam, n, stats)
-    keep = np.flatnonzero(st.zeta**2 < 1.0 - st.omega)
+    st = _stats_for(spectrum, n, stats)
+    rel = _tolerance(st.n) / (st.n * (1.0 - st.omega))
+    threshold = ((1.0 - st.omega) - 2.0 * st.omega * rel) / (1.0 + 2.0 * rel)
+    keep = np.flatnonzero(st.zeta**2 < threshold)
     return frozenset(keep.tolist())
 
 

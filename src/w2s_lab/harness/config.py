@@ -7,6 +7,7 @@ always name the offending field so sweep scripts fail loudly and precisely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 EXPERIMENTS = (
@@ -133,7 +134,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     values = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -183,6 +184,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not 0 <= cfg.seed < 2**64:
         # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
         raise ConfigError(f"seed: must be in [0, 2**64), got {cfg.seed}")
+    for name in ("sigma_t_sq", "sigma_s_sq", "beta_exp"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name}: must be finite, got {getattr(cfg, name)}")
     if cfg.sigma_t_sq < 0.0:
         raise ConfigError(f"sigma_t_sq: must be >= 0, got {cfg.sigma_t_sq}")
     if cfg.sigma_s_sq < 0.0:
@@ -192,8 +196,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.alpha:
         raise ConfigError("alpha: grid must be non-empty")
     for a in cfg.alpha:
-        if not a > 1.0:
-            raise ConfigError(f"alpha: every value must be > 1, got {a}")
+        if not (math.isfinite(a) and a > 1.0):
+            raise ConfigError(f"alpha: every value must be finite and > 1, got {a}")
     if not cfg.n:
         raise ConfigError("n: grid must be non-empty")
     for value in cfg.n:

@@ -16,12 +16,12 @@ together parameterize every closed-form risk in this package.
 
 All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
-(alpha 1.5 or 3, n from 1e3 to 1e5) takes 6-7 full-spectrum passes and
-0.41-0.50 s on one core of a 2-CPU x86 VM (numpy 2.4). It holds two p-length
-work buffers, which it returns as zeta and 1 - zeta, so the statistics add no
-third array. Sums over the spectrum accumulate the tail first (smallest
-eigenvalues first) for reproducible floating-point results when the tail is
-near the denormal range.
+(alpha 1.5 or 3, n from 1e3 to 1e5) takes 3-4 full-spectrum passes, plus
+the start's read-only sum over the tail, and 0.32-0.52 s on one core of a
+2-CPU x86 VM (numpy 2.4). It holds two p-length work buffers, which it
+returns as zeta and 1 - zeta, so the statistics add no third array. Sums
+over the spectrum accumulate the tail first (smallest eigenvalues first) for
+reproducible floating-point results when the tail is near the denormal range.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ class SpectralStats:
         omega: (1/n) * sum (1 - zeta_i)^2, in (0, 1) whenever n < p.
         n: sample count the fixed point was solved at.
         eigenvalues: the spectrum the statistics belong to.
-        iterations: full-spectrum passes the solve spent, endpoint checks included.
+        iterations: full-spectrum residual passes the solve spent, each
+            bracket-end check counted when it ran (ends are checked only
+            when a bisection relies on them).
         residual: the certified signed residual sum lambda/(lambda+tau) - n,
             bit-identical to fixed_point_residual(eigenvalues, tau, n).
         zeta_complement: 1 - zeta_i, held as lambda/(lambda+tau) so a tiny tail
@@ -81,7 +83,9 @@ class SpectralStats:
 
     zeta and zeta_complement are the solver's two work buffers, kept
     read-only: the statistics hold two p-length arrays, and an oracle call
-    allocates neither.
+    allocates neither. Only solve_tau marks its statistics as built from a
+    validated spectrum; the oracles validate the spectrum they are given with
+    statistics built any other way.
     """
 
     tau: float
@@ -92,6 +96,7 @@ class SpectralStats:
     iterations: int
     residual: float
     zeta_complement: np.ndarray = field(repr=False)
+    _validated: bool = field(default=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -100,6 +105,11 @@ class SpectralStats:
     def one_minus_zeta(self) -> np.ndarray:
         """1 - zeta_i = lambda_i/(lambda_i + tau), bit for bit; read-only."""
         return self.zeta_complement
+
+
+def _tolerance(n: int) -> float:
+    """The residual tolerance solve_tau certifies at sample count n."""
+    return TAU_ATOL + TAU_RTOL * n
 
 
 def _residual_into(lam: np.ndarray, tau: float, n: int, shifted, ratio) -> float:
@@ -137,6 +147,27 @@ def _split(lo: float, hi: float) -> float | None:
     return None
 
 
+def _certified_split(lam, n, lo, hi, lo_open, hi_open, shifted, ratio):
+    """Bisection point of (lo, hi) and the passes spent certifying its ends.
+
+    A bisection relies on both ends of its bracket. An end that is still the
+    analytic one (lo_open, hi_open: no residual has replaced it) is evaluated
+    here, and its residual must have the sign the bracket claims, positive at
+    the left end and negative at the right.
+    """
+    passes = 0
+    for end, is_open, sign in ((lo, lo_open, 1.0), (hi, hi_open, -1.0)):
+        if is_open:
+            f_end = _residual_into(lam, end, n, shifted, ratio)
+            passes += 1
+            if not sign * f_end > 0.0:
+                raise NonConvergenceError(
+                    f"bracket certification failed: f({end:g})={f_end:g}, "
+                    f"expected {'> 0' if sign > 0.0 else '< 0'}"
+                )
+    return _split(lo, hi), passes
+
+
 def solve_tau(spectrum, n: int) -> SpectralStats:
     """Solve the effective-regularization fixed point by safeguarded Newton.
 
@@ -150,13 +181,19 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
 
     Raises:
         ValueError: if n >= p (no positive root exists) or n < 1.
-        NonConvergenceError: if the bracket cannot be certified or the residual
-            tolerance is unreachable within the iteration cap.
+        NonConvergenceError: if a bracket end a bisection relies on fails its
+            certification, or the residual tolerance is unreachable within the
+            iteration cap.
 
     The bracket [lambda_p * eps, lambda_1 * p / n] is valid because the map is
     strictly decreasing: at the left end the sum is close to p > n, at the
     right end each term is below lambda_1 / (lambda_1 * p / n) = n / p, so the
-    sum is below n. Every evaluation shrinks the bracket by the sign of its
+    sum is below n. The first iterate is the root of a flat spectrum with the
+    same tail, tau_0 = (sum_{i >= n} lambda_i) / n (0-based i, summed tail
+    first): exact when the spectrum is flat, and within a small factor of the
+    root on power laws. That start costs one read-only sum over the p - n
+    tail values, which is not a residual pass and which iterations does not
+    count. Every evaluation shrinks the bracket by the sign of its
     residual. The next point is a Newton step on log S against log tau,
 
         log tau <- log tau + (log S - log n) / (tau * D / S),
@@ -167,10 +204,16 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     power-law-like spectra. A step that leaves the bracket, or that fails to
     halve the step before last, is replaced by a bisection (geometric, else
     arithmetic), as is any step whose slope cancelled to tau * D <= 0, so
-    convergence is unconditional; a power-law spectrum at p = 1e6 takes 6-8
-    passes, endpoint checks included. The passes reuse two p-length buffers,
-    which after the accepted pass become the returned zeta and 1 - zeta, and
-    identical inputs always reproduce bit-identical tau.
+    convergence is unconditional; tau_0 outside the bracket also starts with a
+    bisection. An analytic bracket end is certified by its own residual only
+    at the first bisection whose bracket still has it; when the Newton
+    iterates converge neither end is evaluated. The end residuals never enter
+    the returned tau, which is certified by its own residual, and every
+    bisection runs inside a certified bracket. A flat spectrum takes 1 pass
+    and a power-law spectrum at p = 1e6 takes 2-5, end checks included when
+    they run (plus the start's tail sum in each case). The passes reuse two
+    p-length buffers, which after the accepted pass become the returned zeta
+    and 1 - zeta, and identical inputs always reproduce bit-identical tau.
     """
     lam = as_spectrum(spectrum)
     p = lam.size
@@ -184,17 +227,14 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     ratio = np.empty_like(lam)
     lo = float(lam[-1]) * _EPS
     hi = float(lam[0]) * p / n
-    f_lo = _residual_into(lam, lo, n, shifted, ratio)
-    f_hi = _residual_into(lam, hi, n, shifted, ratio)
-    passes = 2
-    if not (f_lo > 0.0 > f_hi):
-        raise NonConvergenceError(
-            f"bracket certification failed: f({lo:g})={f_lo:g}, f({hi:g})={f_hi:g}"
-        )
-
-    tol = TAU_ATOL + TAU_RTOL * n
+    lo_open = hi_open = True  # the end is analytic and its residual unchecked
+    passes = 0
+    tol = _tolerance(n)
     log_n = math.log(n)
-    tau = _split(lo, hi)
+    tau = float(np.sum(lam[n:][::-1])) / n  # the root if the spectrum were flat
+    if not lo < tau < hi:  # only by underflow or overflow
+        tau, passes = _certified_split(lam, n, lo, hi, lo_open, hi_open, shifted, ratio)
+        lo_open = hi_open = False
     step = step_before = math.inf  # |log tau| moves of the last two updates
     while tau is not None and passes < TAU_MAX_ITER:
         residual = _residual_into(lam, tau, n, shifted, ratio)
@@ -202,9 +242,9 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         if abs(residual) <= tol:
             break
         if residual > 0.0:
-            lo = tau
+            lo, lo_open = tau, False
         else:
-            hi = tau
+            hi, hi_open = tau, False
         total = residual + n  # S
         # tau * D = sum r (1 - r) = S - sum r^2 = -S * d log S / d log tau, with
         # r = lambda/(lambda+tau) in ratio: one fused sweep, no BLAS (whose
@@ -217,7 +257,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
             if abs(move) <= 0.5 * step_before:
                 candidate = tau * math.exp(min(move, 709.0))
         if candidate is None or not lo < candidate < hi:
-            candidate = _split(lo, hi)
+            candidate, spent = _certified_split(
+                lam, n, lo, hi, lo_open, hi_open, shifted, ratio
+            )
+            passes += spent
+            lo_open = hi_open = False
         if candidate is not None:
             step_before, step = step, abs(math.log(candidate) - math.log(tau))
         tau = candidate
@@ -247,6 +291,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         iterations=passes,
         residual=residual,
         zeta_complement=one_minus_zeta,
+        _validated=True,
     )
 
 

@@ -50,9 +50,20 @@ class RiskReport:
     se: float | None = None
 
 
-def _stats_for(spectrum: np.ndarray, n: int, stats: SpectralStats | None) -> SpectralStats:
+def _stats_for(spectrum, n: int, stats: SpectralStats | None) -> SpectralStats:
+    """Stats for (spectrum, n), validating the spectrum exactly once.
+
+    Without stats, solve_tau validates the spectrum and solves. Given stats
+    from solve_tau, their eigenvalues were validated when they were solved, so
+    the spectrum only has to be that very array (no comparison) or equal to
+    it; a different or invalid array fails the comparison. Stats built any
+    other way carry no such guarantee, and the spectrum is validated. Callers
+    read the validated spectrum back as stats.eigenvalues.
+    """
     if stats is None:
         return solve_tau(spectrum, n)
+    if not stats._validated:
+        spectrum = as_spectrum(spectrum)
     if stats.n != int(n) or not (
         stats.eigenvalues is spectrum or np.array_equal(stats.eigenvalues, spectrum)
     ):
@@ -137,14 +148,13 @@ def one_stage_risk(
     Returns:
         RiskReport with total = bias + variance exactly.
     """
-    lam = as_spectrum(spectrum)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    beta_s = np.asarray(beta_s, dtype=np.float64)
-    if beta_star.shape != lam.shape or beta_s.shape != lam.shape:
-        raise ValueError("beta_star and beta_s must match the spectrum length")
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    st = _stats_for(lam, n, stats)
+    st = _stats_for(spectrum, n, stats)
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    beta_s = np.asarray(beta_s, dtype=np.float64)
+    if beta_star.shape != st.eigenvalues.shape or beta_s.shape != st.eigenvalues.shape:
+        raise ValueError("beta_star and beta_s must match the spectrum length")
     _check_omega(st.omega)
     bias, variance = _one_stage_terms(st, beta_star, beta_s[None, :], sigma_sq)
     bias, variance = float(bias[0]), float(variance[0])

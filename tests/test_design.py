@@ -21,6 +21,75 @@ from w2s_lab import (
     scaling_exponent,
     solve_tau,
 )
+from w2s_lab.spectrum import SpectralStats, _tolerance
+
+
+def _stats_at(lam, n, tau):
+    """SpectralStats of (lam, n) built from the closed forms at a chosen tau."""
+    one_minus = lam / (lam + tau)
+    return SpectralStats(
+        tau=tau,
+        zeta=tau / (lam + tau),
+        omega=float(np.sum(one_minus[::-1] ** 2)) / n,
+        n=n,
+        eigenvalues=lam,
+        iterations=0,
+        residual=float(np.sum(one_minus[::-1])) - n,
+        zeta_complement=one_minus,
+    )
+
+
+_LAM30 = power_law_spectrum(30, 2.0)
+_BETA30 = power_law_signal(30, 2.0, 1.5)
+# Each oracle at n = 8, as a function of (spectrum, stats).
+_ORACLES = {
+    "gain_profile": lambda lam, st: gain_profile(lam, 8, stats=st).gains,
+    "optimal_surrogate": lambda lam, st: optimal_surrogate(lam, _BETA30, 8, stats=st).values,
+    "optimal_mask": lambda lam, st: sorted(optimal_mask(lam, 8, stats=st)),
+    "one_stage_risk": lambda lam, st: one_stage_risk(lam, _BETA30, _BETA30, 8, 0.1, stats=st).total,
+}
+
+
+class TestStatsGivenSkipValidation:
+    """Given stats, an oracle takes their spectrum or an equal copy, nothing else."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLES))
+    def test_equal_copy_gives_identical_result(self, name):
+        oracle = _ORACLES[name]
+        stats = solve_tau(_LAM30, 8)
+        same = oracle(_LAM30, stats)
+        for spectrum in (_LAM30.copy(), _LAM30.tolist()):
+            assert np.array_equal(oracle(spectrum, stats), same)
+        assert np.array_equal(oracle(_LAM30, None), same)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLES))
+    def test_different_or_invalid_spectrum_raises(self, name):
+        oracle = _ORACLES[name]
+        stats = solve_tau(_LAM30, 8)
+        perturbed = _LAM30.copy()
+        perturbed[3] = np.nextafter(perturbed[3], 0.0)
+        with_nan = _LAM30.copy()
+        with_nan[-1] = np.nan
+        for spectrum in (perturbed, _LAM30[:-1]):  # valid, but not the stats' own
+            with pytest.raises(ValueError):
+                oracle(spectrum, stats)
+        for spectrum in (with_nan, _LAM30[::-1], _LAM30[None, :]):  # invalid
+            with pytest.raises(ValueError):
+                oracle(spectrum, stats)
+            with pytest.raises(ValueError):
+                oracle(spectrum, None)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLES))
+    def test_hand_built_stats_do_not_vouch_for_their_spectrum(self, name):
+        # stats not from solve_tau: their own invalid array is still refused
+        oracle = _ORACLES[name]
+        with_nan = _LAM30.copy()
+        with_nan[-1] = np.nan
+        for spectrum in (with_nan, _LAM30[::-1].copy()):
+            with pytest.raises(ValueError):
+                oracle(spectrum, _stats_at(spectrum, 8, 0.01))
+        hand_built = _stats_at(_LAM30, 8, solve_tau(_LAM30, 8).tau)
+        assert np.array_equal(oracle(_LAM30, hand_built), oracle(_LAM30, None))
 
 
 class TestOptimalSurrogate:
@@ -76,6 +145,19 @@ class TestMasks:
         # at (1, 1/4), n=1 the second coordinate sits exactly on the boundary
         # zeta^2 = 1 - Omega = 4/9, and the strict rule drops it
         assert optimal_mask(np.array([1.0, 0.25]), 1) == frozenset({0})
+
+    @pytest.mark.parametrize("second", [0.25, 0.25 * (1.0 + 1e-11)])
+    def test_mask_is_stable_across_the_certified_band(self, second):
+        # the exact tie, and a near tie that the strict rule at the exact tau
+        # would keep: every tau the certificate allows gives the same mask
+        lam = np.array([1.0, second])
+        base = solve_tau(lam, 1)
+        rel = _tolerance(1) / (1.0 - base.omega)
+        masks = {
+            optimal_mask(lam, 1, stats=_stats_at(lam, 1, base.tau * (1.0 + k * rel)))
+            for k in (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
+        }
+        assert masks == {frozenset({0})}
 
     def test_clear_margin_instance(self):
         assert optimal_mask(np.array([1.0, 0.2]), 1) == frozenset({0})

@@ -338,6 +338,37 @@ class TestScalingSlope:
         assert slope_optimal == pytest.approx(-0.5, abs=0.25)
 
 
+class TestValidationCount:
+    """Each sweep point of the large-p theory experiments validates its spectrum once."""
+
+    def test_one_as_spectrum_call_per_sweep_point(self, monkeypatch):
+        import sys
+
+        from w2s_lab import spectrum
+
+        calls = []
+        real = spectrum.as_spectrum
+
+        def counting(eigenvalues):
+            calls.append(len(eigenvalues))
+            return real(eigenvalues)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("w2s_lab") and getattr(module, "as_spectrum", None) is real:
+                monkeypatch.setattr(module, "as_spectrum", counting)
+        # the grid shapes of the large-p theory workload, at desk scale
+        run_scaling_slope(
+            build_config(
+                "scaling-slope",
+                {"p": 3_200, "n": (10, 20, 40, 80, 160, 320), "kinds": ("ground-truth", "optimal")},
+            )
+        )
+        run_mask_count(
+            build_config("mask-count", {"p": 3_200, "alpha": (1.5, 3.0), "n": (10, 100, 1000)})
+        )
+        assert len(calls) == 6 + 2 * 3
+
+
 class TestSmallHelpers:
     def test_mean_and_se(self):
         mean, se = mean_and_se(np.array([1.0, 2.0, 3.0]))

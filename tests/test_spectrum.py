@@ -8,6 +8,7 @@ import pytest
 
 from w2s_lab import (
     HypothesisViolatedError,
+    NonConvergenceError,
     SpectralStats,
     fixed_point_residual,
     omega_asymptotic,
@@ -19,6 +20,7 @@ from w2s_lab import (
     tau_asymptotic,
     tau_bounds_nonasymptotic,
 )
+from w2s_lab import spectrum
 from w2s_lab.spectrum import TAU_ATOL, TAU_RTOL, as_spectrum
 
 
@@ -61,12 +63,74 @@ class TestSolverObservability:
     @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
     def test_few_passes_at_large_p(self, large_spectrum, n):
         stats = solve_tau(large_spectrum, n)
-        assert stats.iterations <= 8
+        assert stats.iterations <= 5
         assert stats.residual == fixed_point_residual(large_spectrum, stats.tau, n)
         assert abs(stats.residual) <= TAU_ATOL + TAU_RTOL * n
         lam = large_spectrum
         assert np.array_equal(stats.one_minus_zeta(), lam / (lam + stats.tau))
         assert np.array_equal(stats.zeta, stats.tau / (lam + stats.tau))
+
+
+class TestLazyBracket:
+    """The start, and the bracket ends checked only when a bisection needs them."""
+
+    @staticmethod
+    def _record_passes(monkeypatch):
+        taus = []
+        real = spectrum._residual_into
+
+        def recording(lam, tau, n, shifted, ratio):
+            taus.append(tau)
+            return real(lam, tau, n, shifted, ratio)
+
+        monkeypatch.setattr(spectrum, "_residual_into", recording)
+        return taus
+
+    @pytest.mark.parametrize("lam, p, n", [(1.0, 10, 4), (3.5, 50, 49), (0.2, 6, 1), (2.0, 1000, 1)])
+    def test_flat_spectrum_takes_one_pass(self, lam, p, n):
+        stats = solve_tau(np.full(p, lam), n)
+        assert stats.iterations == 1
+
+    def test_converging_newton_evaluates_no_end(self, monkeypatch):
+        lam = power_law_spectrum(2_000, 2.0)
+        taus = self._record_passes(monkeypatch)
+        stats = solve_tau(lam, 100)
+        lo, hi = float(lam[-1]) * spectrum._EPS, float(lam[0]) * lam.size / 100
+        assert lo not in taus and hi not in taus
+        assert len(taus) == stats.iterations
+
+    def test_bisection_certifies_the_analytic_end(self, monkeypatch):
+        # a plateau between two levels: Newton creeps from the tail's flat
+        # root until the step safeguard bisects toward the analytic right end
+        lam = np.array([1.0] * 50 + [1e-300] * 50)
+        taus = self._record_passes(monkeypatch)
+        stats = solve_tau(lam, 50)
+        hi = float(lam[0]) * lam.size / 50
+        assert hi in taus
+        assert len(taus) == stats.iterations
+        assert abs(stats.residual) <= TAU_ATOL + TAU_RTOL * 50
+
+    def test_wrong_sign_end_raises(self, monkeypatch):
+        lam = np.array([1.0] * 50 + [1e-300] * 50)
+        hi = float(lam[0]) * lam.size / 50
+        real = spectrum._residual_into
+
+        def wrong_at_hi(lam, tau, n, shifted, ratio):
+            residual = real(lam, tau, n, shifted, ratio)
+            return abs(residual) if tau == hi else residual
+
+        monkeypatch.setattr(spectrum, "_residual_into", wrong_at_hi)
+        with pytest.raises(NonConvergenceError, match="bracket certification failed"):
+            solve_tau(lam, 50)
+
+    def test_start_outside_bracket_bisects(self, monkeypatch):
+        # the flat root of a one-denormal tail underflows to 0 = lo
+        lam = np.array([1.0, 1.0, math.ulp(0.0)])
+        taus = self._record_passes(monkeypatch)
+        stats = solve_tau(lam, 2)
+        lo, hi = float(lam[-1]) * spectrum._EPS, float(lam[0]) * lam.size / 2
+        assert taus[:2] == [lo, hi]
+        assert len(taus) == stats.iterations
 
 
 class TestMemory:
