@@ -1,14 +1,19 @@
-"""Experiment configuration: flat key=value files, flag overrides, validation.
+"""Experiment configuration: one field table, flat key=value files, flag overrides.
 
 A config is a single flat text file of `key = value` lines (blank lines and
-`#` comments ignored) plus CLI flag overrides; flags win. Validation errors
-always name the offending field so sweep scripts fail loudly and precisely.
+`#` comments ignored) plus CLI flag overrides; flags win. Each settable field
+declares its parser, flag and help text once, on the ExperimentConfig field
+itself; SETTINGS collects them, and the file reader and the command line both
+parse through them, so a value reads the same from either. Constructing an
+ExperimentConfig validates it, and errors always name the offending field so
+sweep scripts fail loudly and precisely.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field as _field, fields
+from typing import Callable, NamedTuple
 
 EXPERIMENTS = (
     "gain-profile",
@@ -41,35 +46,6 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    p: int = 500
-    n: tuple[int, ...] = (100, 200, 300)
-    m: tuple[int, ...] = ()  # empty means m mirrors n (two-stage only)
-    alpha: tuple[float, ...] = (2.0,)
-    beta_exp: float = 1.5
-    sigma_t_sq: float = DEFAULT_SIGMA_SQ
-    sigma_s_sq: float = DEFAULT_SIGMA_SQ
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    kinds: tuple[str, ...] = KINDS
-    workers: int = 1
-    out: str | None = None
-    json_mirror: bool = False
-    force: bool = False
-
-    def alpha_scalar(self) -> float:
-        if len(self.alpha) != 1:
-            raise ConfigError(f"alpha: expected a single value, got {self.alpha}")
-        return self.alpha[0]
-
-    def n_scalar(self) -> int:
-        if len(self.n) != 1:
-            raise ConfigError(f"n: expected a single value, got {self.n}")
-        return self.n[0]
-
-
 def _parse_int(field: str, text: str) -> int:
     try:
         return int(text)
@@ -84,18 +60,8 @@ def _parse_float(field: str, text: str) -> float:
         raise ConfigError(f"{field}: expected a number, got {text!r}") from None
 
 
-def _parse_int_list(field: str, text: str) -> tuple[int, ...]:
-    parts = [s.strip() for s in str(text).split(",") if s.strip()]
-    return tuple(_parse_int(field, s) for s in parts)
-
-
-def _parse_float_list(field: str, text: str) -> tuple[float, ...]:
-    parts = [s.strip() for s in str(text).split(",") if s.strip()]
-    return tuple(_parse_float(field, s) for s in parts)
-
-
 def _parse_bool(field: str, text: str) -> bool:
-    low = str(text).strip().lower()
+    low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
@@ -103,33 +69,160 @@ def _parse_bool(field: str, text: str) -> bool:
     raise ConfigError(f"{field}: expected a boolean, got {text!r}")
 
 
-def _parse_kinds(field: str, text: str) -> tuple[str, ...]:
-    parts = tuple(s.strip() for s in str(text).split(",") if s.strip())
-    return parts
+def _parse_text(field: str, text: str) -> str:
+    return text  # verbatim: a path given as a flag keeps its spaces
 
 
-_FILE_PARSERS = {
-    "experiment": lambda f, t: str(t).strip(),
-    "p": _parse_int,
-    "n": _parse_int_list,
-    "m": _parse_int_list,
-    "alpha": _parse_float_list,
-    "beta_exp": _parse_float,
-    "sigma_t_sq": _parse_float,
-    "sigma_s_sq": _parse_float,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "kinds": _parse_kinds,
-    "workers": _parse_int,
-    "out": lambda f, t: str(t).strip(),
-    "json_mirror": _parse_bool,
-}
+def _list_of(parse):
+    """A parser for a comma list of what `parse` reads; blank items are skipped."""
+    return lambda field, text: tuple(
+        parse(field, s.strip()) for s in text.split(",") if s.strip()
+    )
+
+
+class Setting(NamedTuple):
+    """How a field is set from outside the program.
+
+    parse(field name, text) returns the typed value or raises ConfigError
+    naming the field. A flag with a const takes no value and stands for that
+    text.
+    """
+
+    parse: Callable
+    flag: str
+    help: str
+    const: str | None = None
+
+
+def _setting(default, parse, flag, help, const=None):
+    return _field(default=default, metadata={"setting": Setting(parse, flag, help, const)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A validated run: construction and dataclasses.replace both check every rule."""
+
+    experiment: str
+    p: int = _setting(500, _parse_int, "--p", "ambient dimension")
+    n: tuple[int, ...] = _setting(
+        (100, 200, 300), _list_of(_parse_int), "--n", "target sample count or comma list"
+    )
+    m: tuple[int, ...] = _setting(  # empty means m mirrors n (two-stage only)
+        (), _list_of(_parse_int), "--m", "surrogate-stage sample count or comma list"
+    )
+    alpha: tuple[float, ...] = _setting(
+        (2.0,), _list_of(_parse_float), "--alpha", "spectrum decay exponent or comma list"
+    )
+    beta_exp: float = _setting(1.5, _parse_float, "--beta-exp", "signal-energy decay exponent")
+    sigma_t_sq: float = _setting(
+        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-t", "target-stage noise variance"
+    )
+    sigma_s_sq: float = _setting(
+        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-s", "surrogate-stage noise variance"
+    )
+    trials: int = _setting(DEFAULT_TRIALS, _parse_int, "--trials", "Monte Carlo trials")
+    seed: int = _setting(DEFAULT_SEED, _parse_int, "--seed", "master seed")
+    kinds: tuple[str, ...] = _setting(
+        KINDS, _list_of(_parse_text), "--kinds", "comma list of surrogate kinds to run"
+    )
+    workers: int = _setting(1, _parse_int, "--workers", "worker threads")
+    out: str | None = _setting(None, _parse_text, "--out", "output CSV path (default: stdout)")
+    json_mirror: bool = _setting(
+        False, _parse_bool, "--json", "also write a .json mirror next to the CSV", const="true"
+    )
+    force: bool = False
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(
+                f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
+            )
+        if self.p < 2:
+            raise ConfigError(f"p: must be >= 2, got {self.p}")
+        if self.trials < 1:
+            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.workers < 1:
+            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
+        if not 0 <= self.seed < 2**64:
+            # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
+            raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")
+        for name in ("sigma_t_sq", "sigma_s_sq", "beta_exp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
+        if self.sigma_t_sq < 0.0:
+            raise ConfigError(f"sigma_t_sq: must be >= 0, got {self.sigma_t_sq}")
+        if self.sigma_s_sq < 0.0:
+            raise ConfigError(f"sigma_s_sq: must be >= 0, got {self.sigma_s_sq}")
+        if not self.beta_exp > 1.0:
+            raise ConfigError(f"beta_exp: must be > 1, got {self.beta_exp}")
+        if not self.alpha:
+            raise ConfigError("alpha: grid must be non-empty")
+        for a in self.alpha:
+            if not (math.isfinite(a) and a > 1.0):
+                raise ConfigError(f"alpha: every value must be finite and > 1, got {a}")
+        if not self.n:
+            raise ConfigError("n: grid must be non-empty")
+        for value in self.n:
+            if value < 1:
+                raise ConfigError(f"n: every value must be >= 1, got {value}")
+        for value in self.m:
+            if value < 1:
+                raise ConfigError(f"m: every value must be >= 1, got {value}")
+        if not self.kinds:
+            raise ConfigError("kinds: must be non-empty")
+        for kind in self.kinds:
+            if kind not in KINDS:
+                raise ConfigError(f"kinds: unknown kind {kind!r}, valid: {', '.join(KINDS)}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"kinds: duplicate entries in {self.kinds}")
+
+        exp = self.experiment
+        if exp == "verify" and self.json_mirror:
+            raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
+        if exp in ("gain-profile",):
+            if len(self.n) != 1:
+                raise ConfigError(f"n: {exp} takes exactly one n value, got {self.n}")
+            if len(self.alpha) != 1:
+                raise ConfigError(f"alpha: {exp} takes exactly one alpha value, got {self.alpha}")
+        if exp in ("gain-profile", "risk-vs-n", "mask-count", "scaling-slope"):
+            # theory precondition: fixed point needs n < p
+            for value in self.n:
+                if value >= self.p:
+                    raise ConfigError(f"n: every value must be < p={self.p}, got {value}")
+        if exp == "risk-vs-n" and len(self.alpha) != 1:
+            raise ConfigError(f"alpha: risk-vs-n takes exactly one alpha value, got {self.alpha}")
+        if exp == "two-stage-grid":
+            if self.m and len(self.m) != len(self.n):
+                raise ConfigError(
+                    f"m: grid must be empty (mirrors n) or match the n grid length, "
+                    f"got {len(self.m)} values for {len(self.n)} n values"
+                )
+        if exp == "scaling-slope":
+            if len(self.n) < 3:
+                raise ConfigError(f"n: scaling-slope needs >= 3 grid points, got {len(self.n)}")
+            if len(self.alpha) != 1:
+                raise ConfigError(f"alpha: scaling-slope takes one alpha value, got {self.alpha}")
+            if self.p < 10 * max(self.n):
+                raise ConfigError(
+                    f"p: scaling-slope needs p >= 10*max(n) = {10 * max(self.n)}, got {self.p}"
+                )
+            for kind in self.kinds:
+                if kind not in ("ground-truth", "optimal"):
+                    raise ConfigError(
+                        f"kinds: scaling-slope supports ground-truth and optimal, got {kind!r}"
+                    )
+
+
+# Every field a file key and a flag can set, in declaration order.
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if f.metadata}
 
 
 def parse_config_file(path) -> dict:
     """Read a flat key=value config file into typed values.
 
-    Unknown or duplicate keys are configuration errors.
+    The keys are the fields of SETTINGS plus `experiment`, which build_config
+    checks against the experiment being run. Unknown or duplicate keys are
+    configuration errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -145,116 +238,27 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"config: line {lineno} is not key=value: {line!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _FILE_PARSERS:
+        setting = SETTINGS.get(key)
+        if setting is None and key != "experiment":
             raise ConfigError(f"config: unknown key {key!r} on line {lineno}")
         if key in values:
             raise ConfigError(f"config: duplicate key {key!r} on line {lineno}")
-        values[key] = _FILE_PARSERS[key](key, text.strip())
+        values[key] = setting.parse(key, text.strip()) if setting else text.strip()
     return values
 
 
 def build_config(experiment: str, file_values: dict | None = None, **overrides) -> ExperimentConfig:
-    """Assemble a validated ExperimentConfig; explicit overrides beat file values."""
+    """Assemble a validated ExperimentConfig; explicit overrides beat file values.
+
+    An `experiment` among the file values must name the experiment being run.
+    """
     merged = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
     merged.update(file_values or {})
-    merged.pop("experiment", None)  # the positional argument decides
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - known
+    named = merged.pop("experiment", experiment)
+    if named != experiment:
+        raise ConfigError(f"experiment: the config file names {named!r}, not {experiment!r}")
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    unknown = set(merged) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(experiment=experiment, **merged)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {cfg.experiment!r}"
-        )
-    if cfg.p < 2:
-        raise ConfigError(f"p: must be >= 2, got {cfg.p}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {cfg.trials}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
-    if not 0 <= cfg.seed < 2**64:
-        # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
-        raise ConfigError(f"seed: must be in [0, 2**64), got {cfg.seed}")
-    for name in ("sigma_t_sq", "sigma_s_sq", "beta_exp"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name}: must be finite, got {getattr(cfg, name)}")
-    if cfg.sigma_t_sq < 0.0:
-        raise ConfigError(f"sigma_t_sq: must be >= 0, got {cfg.sigma_t_sq}")
-    if cfg.sigma_s_sq < 0.0:
-        raise ConfigError(f"sigma_s_sq: must be >= 0, got {cfg.sigma_s_sq}")
-    if not cfg.beta_exp > 1.0:
-        raise ConfigError(f"beta_exp: must be > 1, got {cfg.beta_exp}")
-    if not cfg.alpha:
-        raise ConfigError("alpha: grid must be non-empty")
-    for a in cfg.alpha:
-        if not (math.isfinite(a) and a > 1.0):
-            raise ConfigError(f"alpha: every value must be finite and > 1, got {a}")
-    if not cfg.n:
-        raise ConfigError("n: grid must be non-empty")
-    for value in cfg.n:
-        if value < 1:
-            raise ConfigError(f"n: every value must be >= 1, got {value}")
-    for value in cfg.m:
-        if value < 1:
-            raise ConfigError(f"m: every value must be >= 1, got {value}")
-    if not cfg.kinds:
-        raise ConfigError("kinds: must be non-empty")
-    for kind in cfg.kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"kinds: unknown kind {kind!r}, valid: {', '.join(KINDS)}")
-    if len(set(cfg.kinds)) != len(cfg.kinds):
-        raise ConfigError(f"kinds: duplicate entries in {cfg.kinds}")
-
-    exp = cfg.experiment
-    if exp in ("gain-profile",):
-        if len(cfg.n) != 1:
-            raise ConfigError(f"n: {exp} takes exactly one n value, got {cfg.n}")
-        if len(cfg.alpha) != 1:
-            raise ConfigError(f"alpha: {exp} takes exactly one alpha value, got {cfg.alpha}")
-    if exp in ("gain-profile", "risk-vs-n", "mask-count", "scaling-slope"):
-        # theory precondition: fixed point needs n < p
-        for value in cfg.n:
-            if value >= cfg.p:
-                raise ConfigError(f"n: every value must be < p={cfg.p}, got {value}")
-    if exp == "risk-vs-n" and len(cfg.alpha) != 1:
-        raise ConfigError(f"alpha: risk-vs-n takes exactly one alpha value, got {cfg.alpha}")
-    if exp == "two-stage-grid":
-        if cfg.m and len(cfg.m) != len(cfg.n):
-            raise ConfigError(
-                f"m: grid must be empty (mirrors n) or match the n grid length, "
-                f"got {len(cfg.m)} values for {len(cfg.n)} n values"
-            )
-    if exp == "scaling-slope":
-        if len(cfg.n) < 3:
-            raise ConfigError(f"n: scaling-slope needs >= 3 grid points, got {len(cfg.n)}")
-        if len(cfg.alpha) != 1:
-            raise ConfigError(f"alpha: scaling-slope takes one alpha value, got {cfg.alpha}")
-        if cfg.p < 10 * max(cfg.n):
-            raise ConfigError(
-                f"p: scaling-slope needs p >= 10*max(n) = {10 * max(cfg.n)}, got {cfg.p}"
-            )
-        for kind in cfg.kinds:
-            if kind not in ("ground-truth", "optimal"):
-                raise ConfigError(
-                    f"kinds: scaling-slope supports ground-truth and optimal, got {kind!r}"
-                )
-
-
-def two_stage_m_grid(cfg: ExperimentConfig) -> tuple[int, ...]:
-    """The effective m grid: explicit if given, else mirroring the n grid."""
-    return cfg.m if cfg.m else cfg.n
-
-
-def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    new_cfg = replace(cfg, **changes)
-    validate_config(new_cfg)
-    return new_cfg
+    return ExperimentConfig(experiment=experiment, **merged)

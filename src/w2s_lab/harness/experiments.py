@@ -33,7 +33,7 @@ from ..estimators import (
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
 from ..theory import one_stage_risk, two_stage_risk
-from .config import ExperimentConfig, two_stage_m_grid
+from .config import ExperimentConfig
 
 RESULT_COLUMNS = (
     "experiment",
@@ -194,7 +194,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
 
     All kinds at one n run as one Monte Carlo call on shared trial designs.
     """
-    alpha = cfg.alpha_scalar()
+    (alpha,) = cfg.alpha
     spectrum = power_law_spectrum(cfg.p, alpha)
     beta_star = power_law_signal(cfg.p, alpha, cfg.beta_exp)
     rows = []
@@ -230,7 +230,7 @@ def run_two_stage_grid(cfg: ExperimentConfig):
     are skipped with a warning rather than failing the sweep.
     """
     rows = []
-    m_grid = two_stage_m_grid(cfg)
+    m_grid = cfg.m or cfg.n
     for alpha in cfg.alpha:
         spectrum = power_law_spectrum(cfg.p, alpha)
         signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
@@ -258,8 +258,8 @@ def run_two_stage_grid(cfg: ExperimentConfig):
 
 def run_gain_profile(cfg: ExperimentConfig):
     """Per-coordinate profile: eigenvalue, shrinkage, optimal surrogate, mask bit."""
-    n = cfg.n_scalar()
-    alpha = cfg.alpha_scalar()
+    (n,) = cfg.n
+    (alpha,) = cfg.alpha
     lam = power_law_spectrum(cfg.p, alpha)
     signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
 
@@ -324,7 +324,7 @@ def run_scaling_slope(cfg: ExperimentConfig):
     Every row repeats the three slopes; a series not requested via kinds has
     None in its total and slope columns.
     """
-    alpha = cfg.alpha_scalar()
+    (alpha,) = cfg.alpha
     spectrum = power_law_spectrum(cfg.p, alpha)
     beta_star = power_law_signal(cfg.p, alpha, cfg.beta_exp)
     want_target = "ground-truth" in cfg.kinds

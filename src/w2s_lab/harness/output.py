@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 
 from .config import ConfigError, ExperimentConfig
 
@@ -100,13 +101,10 @@ def render_json(cfg: ExperimentConfig, columns, rows) -> str:
 
 
 def output_paths(cfg: ExperimentConfig) -> list:
-    """Every path a run of cfg writes: --out, then the JSON mirror if configured.
-
-    verify's report is JSON already and goes to --out alone, so it has no mirror.
-    """
+    """Every path a run of cfg writes: --out, then the JSON mirror if configured."""
     if cfg.out is None:
         return []
-    if not cfg.json_mirror or cfg.experiment == "verify":
+    if not cfg.json_mirror:
         return [cfg.out]
     root, ext = os.path.splitext(cfg.out)
     return [cfg.out, root + ".json" if ext.lower() == ".csv" else cfg.out + ".json"]
@@ -121,33 +119,30 @@ def refuse_existing(paths, force: bool) -> None:
             raise ConfigError(f"out: {path} exists; pass --force to overwrite")
 
 
-def write_files(renders: dict, force: bool) -> list:
-    """Write each {path: render} with the text render() returns; returns the paths.
+def write_outputs(cfg: ExperimentConfig, renders) -> list:
+    """Write a run's outputs: the first text to stdout, or each to its output_paths(cfg).
+
+    renders holds one zero-argument callable per output, the main file first
+    and its JSON mirror second; each text is rendered just before it is
+    written, so only one is held at a time, and a mirror not configured is
+    never rendered. Returns the paths written, empty for stdout.
 
     Every path is checked before any is written: an existing file is refused
-    unless force is set. Parent directories are created. Each text is
-    rendered just before its file is written, so only one is held at a time.
-    """
-    refuse_existing(renders, force)
-    for path, render in renders.items():
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render())
-    return list(renders)
-
-
-def write_outputs(cfg: ExperimentConfig, columns, rows) -> list:
-    """Write the CSV (and JSON mirror when configured) to the paths of output_paths.
-
-    Returns the list of paths written. Parent directories are created;
-    existing files are refused unless the config carries force=True.
+    unless cfg.force is set. Parent directories are created. A path that
+    cannot be written is a ConfigError naming out.
     """
     if cfg.out is None:
-        raise ConfigError("out: no output path configured")
-    renders = (
-        lambda: render_csv(cfg, columns, rows),
-        lambda: render_json(cfg, columns, rows),
-    )
-    return write_files(dict(zip(output_paths(cfg), renders)), cfg.force)
+        sys.stdout.write(renders[0]())
+        return []
+    paths = output_paths(cfg)
+    refuse_existing(paths, cfg.force)
+    try:
+        for path, render in zip(paths, renders):
+            parent = os.path.dirname(path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(render())
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from None
+    return paths

@@ -18,6 +18,7 @@ test under its report name.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,10 +39,9 @@ from ..estimators import (
 )
 from ..reference import one_stage_risk_dense, random_orthogonal, two_stage_risk_dense
 from ..spectrum import (
-    TAU_ATOL,
-    TAU_RTOL,
     _omega_window,
     _tau_hypothesis_k,
+    _tolerance,
     fixed_point_residual,
     omega_lower_bound,
     power_law_signal,
@@ -57,7 +57,7 @@ from ..theory import (
     one_stage_risk,
     two_stage_risk,
 )
-from .config import ExperimentConfig, with_overrides
+from .config import ExperimentConfig
 from .experiments import mc_one_stage_risks, run_risk_vs_n
 from .output import build_id, config_echo, render_csv, schema_tag
 
@@ -110,7 +110,7 @@ def _prop_fixed_point_residual(rng) -> Verdict:
     worst = 0.0
     for lam, n in cases:
         st = solve_tau(lam, n)
-        tol = TAU_ATOL + TAU_RTOL * n
+        tol = _tolerance(n)
         worst = max(worst, abs(fixed_point_residual(lam, st.tau, n)) / tol)
     return _tol_result(worst, 1.0, f"{len(cases)} instances, ratio to solver tol")
 
@@ -575,7 +575,7 @@ def _prop_parallel_determinism(rng) -> Verdict:
     )
     cols1, rows1 = run_risk_vs_n(cfg)
     csv1 = render_csv(cfg, cols1, rows1)
-    cfg3 = with_overrides(cfg, workers=3)
+    cfg3 = replace(cfg, workers=3)
     cols3, rows3 = run_risk_vs_n(cfg3)
     csv3 = render_csv(cfg3, cols3, rows3)
     return _bool_result(csv1 == csv3, "risk-vs-n output bytes identical with 1 and 3 workers")
@@ -586,7 +586,7 @@ def _prop_negative_control(rng) -> Verdict:
     n = 30
     st = solve_tau(lam, n)
     bad_tau = st.tau * (1.0 + 1e-3)
-    tol = TAU_ATOL + TAU_RTOL * n
+    tol = _tolerance(n)
     residual = abs(fixed_point_residual(lam, bad_tau, n))
     caught = residual > tol
     return Verdict(

@@ -1,10 +1,10 @@
 """Property-based fuzzing of the config parser and validator.
 
-Any key=value file text, with or without flag overrides, either builds a
-config whose numeric fields are finite and inside their bounds, or raises
-ConfigError naming what is wrong. Nothing else is allowed: no other
-exception, and no config carrying inf, nan or an out-of-range number into a
-runner.
+Any key=value file text, with or without typed overrides, and any command
+line of `--flag=text` arguments, either builds a config whose numeric fields
+are finite and inside their bounds, or raises ConfigError naming what is
+wrong. Nothing else is allowed: no other exception, and no config carrying
+inf, nan or an out-of-range number into a runner.
 """
 
 import math
@@ -17,9 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from w2s_lab.harness.cli import config_from_argv  # noqa: E402
 from w2s_lab.harness.config import (  # noqa: E402
     EXPERIMENTS,
     KINDS,
+    SETTINGS,
     ConfigError,
     build_config,
     parse_config_file,
@@ -88,7 +90,7 @@ _OVERRIDE_VALUES = {
     "workers": _INTS,
     "kinds": st.lists(st.sampled_from(KINDS), max_size=3).map(tuple),
 }
-# Flag overrides arrive typed, as the CLI's argument parser builds them.
+# Overrides arrive typed, as a library caller passes them to build_config.
 _OVERRIDES = st.lists(st.sampled_from(sorted(_OVERRIDE_VALUES)), unique=True, max_size=2).flatmap(
     lambda keys: st.fixed_dictionaries({key: _OVERRIDE_VALUES[key] for key in keys})
 )
@@ -131,6 +133,33 @@ def test_config_is_in_bounds_or_refused(experiment, lines, overrides):
     try:
         values = _parse_text("\n".join(lines) + "\n")
         cfg = build_config(experiment, values, **(overrides or {}))
+    except ConfigError:
+        return
+    _assert_in_bounds(cfg)
+
+
+def _flag_arg(key: str, text: str) -> str:
+    setting = SETTINGS[key]
+    return setting.flag if setting.const else f"{setting.flag}={text}"
+
+
+# The file keys' texts again, each as its flag's `--flag=text` (a switch such
+# as --json takes no text and is given bare).
+_FLAG_ARGS = st.lists(st.sampled_from(sorted(SETTINGS)), unique=True, max_size=4).flatmap(
+    lambda keys: st.tuples(*(_KEY_TEXT[key] | _FREE_TEXT for key in keys)).map(
+        lambda texts: [_flag_arg(key, text) for key, text in zip(keys, texts)]
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(experiment=st.sampled_from(EXPERIMENTS + ("unknown",)), args=_FLAG_ARGS)
+@example(experiment="risk-vs-n", args=["--p=20", "--n=5", "--beta-exp=inf"])
+@example(experiment="mask-count", args=["--p=20", "--n=5", "--alpha=2, inf"])
+@example(experiment="verify", args=["--json"])
+def test_flags_are_in_bounds_or_refused(experiment, args):
+    try:
+        cfg = config_from_argv([experiment, *args])
     except ConfigError:
         return
     _assert_in_bounds(cfg)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,11 @@ from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
     EXPERIMENTS,
     KINDS,
+    SETTINGS,
     ConfigError,
+    ExperimentConfig,
     build_config,
     parse_config_file,
-    two_stage_m_grid,
-    validate_config,
-    with_overrides,
 )
 from w2s_lab.harness.experiments import (
     GAIN_COLUMNS,
@@ -114,13 +114,87 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config("risk-vs-n", {}, rho=1.0)
 
-    def test_with_overrides_revalidates(self):
+    def test_replace_and_construction_revalidate(self):
         cfg = build_config("risk-vs-n", {"p": 40, "n": (5,)})
-        bumped = with_overrides(cfg, trials=7)
+        bumped = replace(cfg, trials=7)
         assert bumped.trials == 7
         assert bumped.p == 40
-        with pytest.raises(ConfigError):
-            with_overrides(cfg, trials=0)
+        with pytest.raises(ConfigError, match="trials"):
+            replace(cfg, trials=0)
+        with pytest.raises(ConfigError, match="n: every value must be < p"):
+            ExperimentConfig(experiment="risk-vs-n", p=40, n=(40,))
+
+    @pytest.mark.parametrize("named", ["two-stage-grid", "nonsense"])
+    def test_file_experiment_key_must_match_the_command(self, tmp_path, named):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"experiment = {named}\np = 40\nn = 5\n")
+        with pytest.raises(ConfigError, match="experiment"):
+            build_config("risk-vs-n", parse_config_file(path))
+        path.write_text("experiment = risk-vs-n\np = 40\nn = 5\n")
+        assert build_config("risk-vs-n", parse_config_file(path)).p == 40
+
+
+# Per settable field, a text that two-stage-grid accepts and one that it
+# refuses (None where the field takes any text, or its flag takes none).
+_FIELD_TEXTS = {
+    "p": ("40", "x"),
+    "n": ("5,10", "5,x"),
+    "m": ("6,11,12", "6,1.5"),
+    "alpha": ("1.5,3", "2,two"),
+    "beta_exp": ("2.5", "steep"),
+    "sigma_t_sq": ("0.1", "-0.1"),
+    "sigma_s_sq": ("0", ""),
+    "trials": ("7", "1e3"),
+    "seed": ("11", "-1"),
+    "kinds": ("optimal,masked", "optimal,oracle"),
+    "workers": ("3", "0"),
+    "out": ("x y/run.csv", None),
+    "json_mirror": ("true", None),
+}
+
+
+def _from_file_and_flag(tmp_path, name, text):
+    """Build two-stage-grid from `name = text` in a file and from the flag: configs or errors."""
+    results = []
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{name} = {text}\n")
+    setting = SETTINGS[name]
+    flag = [setting.flag] if setting.const else [f"{setting.flag}={text}"]
+    for build in (
+        lambda: build_config("two-stage-grid", parse_config_file(path)),
+        lambda: cli.config_from_argv(["two-stage-grid", *flag]),
+    ):
+        try:
+            results.append(build())
+        except ConfigError as exc:
+            results.append(str(exc))
+    return results
+
+
+class TestFieldTable:
+    def test_every_settable_field_is_in_the_table(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert set(SETTINGS) == names - {"experiment", "force"}
+        assert set(_FIELD_TEXTS) == set(SETTINGS)
+
+    def test_flags_are_the_documented_set(self):
+        flags = {s.flag for s in SETTINGS.values()}
+        assert flags == {
+            "--p", "--n", "--m", "--alpha", "--beta-exp", "--sigma-t", "--sigma-s",
+            "--trials", "--seed", "--kinds", "--workers", "--out", "--json",
+        }
+
+    @pytest.mark.parametrize("name", sorted(_FIELD_TEXTS))
+    def test_file_key_and_flag_build_the_same_config(self, tmp_path, name):
+        good, bad = _FIELD_TEXTS[name]
+        from_file, from_flag = _from_file_and_flag(tmp_path, name, good)
+        assert isinstance(from_file, ExperimentConfig), from_file
+        assert from_file == from_flag
+        assert getattr(from_file, name) != getattr(build_config("two-stage-grid"), name)
+        if bad is not None:
+            from_file, from_flag = _from_file_and_flag(tmp_path, name, bad)
+            assert isinstance(from_file, str) and from_file.startswith(f"{name}: ")
+            assert from_file == from_flag
 
 
 class TestValidation:
@@ -142,10 +216,10 @@ class TestValidation:
             build_config("gain-profile", {"p": 40, "n": (5, 6)})
 
     def test_two_stage_m_grid_mirrors_n(self):
-        cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8)})
-        assert two_stage_m_grid(cfg) == (5, 8)
-        cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6, 9)})
-        assert two_stage_m_grid(cfg) == (6, 9)
+        cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "trials": 2})
+        assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [5, 5, 8, 8]
+        cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6, 9), "trials": 2})
+        assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [6, 6, 9, 9]
         with pytest.raises(ConfigError):
             build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6,)})
 
@@ -159,11 +233,10 @@ class TestValidation:
                 "scaling-slope",
                 {"p": 400, "n": (10, 20, 40), "kinds": ("masked",)},
             )
-        cfg = build_config(
+        build_config(
             "scaling-slope",
             {"p": 400, "n": (10, 20, 40), "kinds": ("ground-truth", "optimal")},
         )
-        validate_config(cfg)
 
     def test_kind_membership_and_duplicates(self):
         with pytest.raises(ConfigError):
@@ -238,7 +311,7 @@ class TestRiskVsN:
 
     def test_rows_identical_across_worker_counts(self):
         serial = _tiny_cfg(trials=12, kinds=("ground-truth", "optimal"))
-        threaded = with_overrides(serial, workers=4)
+        threaded = replace(serial, workers=4)
         _, rows_a = run_risk_vs_n(serial)
         _, rows_b = run_risk_vs_n(threaded)
         assert rows_a == rows_b
@@ -444,8 +517,8 @@ class TestOutputFormat:
 
     def test_build_id_tracks_scientific_fields_only(self):
         cfg = _tiny_cfg()
-        assert build_id(cfg) == build_id(with_overrides(cfg, workers=8))
-        assert build_id(cfg) != build_id(with_overrides(cfg, p=31))
+        assert build_id(cfg) == build_id(replace(cfg, workers=8))
+        assert build_id(cfg) != build_id(replace(cfg, p=31))
         assert len(build_id(cfg)) == 12
         assert set(build_id(cfg)) <= set("0123456789abcdef")
 
@@ -466,14 +539,18 @@ class TestOutputFormat:
             out=str(out), json_mirror=True,
         )
         columns, rows = run_risk_vs_n(cfg)
-        paths = write_outputs(cfg, columns, rows)
+        renders = (
+            lambda: render_csv(cfg, columns, rows),
+            lambda: render_json(cfg, columns, rows),
+        )
+        paths = write_outputs(cfg, renders)
         assert out.exists()
         assert (tmp_path / "deep" / "table.json").exists()
         assert len(paths) == 2
         with pytest.raises(ConfigError):
-            write_outputs(cfg, columns, rows)
-        forced = with_overrides(cfg, force=True)
-        write_outputs(forced, columns, rows)
+            write_outputs(cfg, renders)
+        forced = replace(cfg, force=True)
+        write_outputs(forced, renders)
 
 
 class TestCli:
@@ -627,6 +704,22 @@ class TestCli:
         assert result.passed is False
         assert math.isfinite(result.margin) and result.margin < 0.0
         assert "vacuous" in result.detail
+
+    def test_bad_flag_value_names_its_field(self, capsys):
+        assert main(["risk-vs-n", "--p", "x"]) == 1
+        assert capsys.readouterr().err == "config error: p: expected an integer, got 'x'\n"
+
+    def test_verify_json_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verify", lambda cfg: pytest.fail("verify ran"))
+        assert main(["verify", "--json"]) == 1
+        assert "json_mirror: verify's report is JSON" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_one_without_traceback(self, tmp_path, capsys):
+        rc = main(["mask-count", "--p", "20", "--n", "5", "--out", str(tmp_path), "--force"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: out: ")
+        assert "Traceback" not in err
 
     def test_verify_refuses_existing_out(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
