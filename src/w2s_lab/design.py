@@ -6,7 +6,9 @@ surrogate to {0, beta_star_i}; its optimal support also separates, into a
 threshold rule on the shrinkage factors. A brute-force oracle over all
 supports is kept for small p so the threshold rule can be checked against
 exhaustive search, and power-law asymptotics predict where the thresholds
-land and how fast the optimal risks decay. The brute-force oracle scores
+land and how fast the optimal risks decay. The designers take the fixed-point
+stats from solve_tau, as the risk oracles do; the brute-force oracle alone
+takes the raw problem and solves its fixed point itself. It scores
 blocks of candidate supports with the array kernel behind one_stage_risk, so
 its memory stays bounded up to its limit p = 20.
 """
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SpectralStats, _omega_window, _tolerance, as_spectrum
-from .theory import _check_omega, _one_stage_terms, _stats_for
+from .spectrum import SpectralStats, _omega_window, _tolerance, as_spectrum, solve_tau
+from .theory import _check_stats, _one_stage_terms
 
 # Candidate supports scored per kernel call in brute_force_mask.
 _CHUNK_ROWS = 1024
@@ -52,15 +54,13 @@ def _gains(stats: SpectralStats) -> np.ndarray:
     return one_minus / (one_minus**2 + ratio * stats.zeta**2)
 
 
-def gain_profile(spectrum, n: int, stats: SpectralStats | None = None) -> GainProfile:
-    """Optimal per-coordinate gains for sample count n, independent of the signal."""
-    st = _stats_for(spectrum, n, stats)
-    return GainProfile(gains=_gains(st), threshold_amplify=1.0 - st.omega)
+def gain_profile(stats: SpectralStats) -> GainProfile:
+    """Optimal per-coordinate gains at the fixed point stats, independent of the signal."""
+    _check_stats(stats)
+    return GainProfile(gains=_gains(stats), threshold_amplify=1.0 - stats.omega)
 
 
-def optimal_surrogate(
-    spectrum, beta_star, n: int, stats: SpectralStats | None = None
-) -> SurrogateParam:
+def optimal_surrogate(stats: SpectralStats, beta_star) -> SurrogateParam:
     """Minimizer of the one-stage risk over all surrogate vectors.
 
     beta_opt_i = beta_star_i * (1 - zeta_i) / ((1 - zeta_i)^2
@@ -70,14 +70,14 @@ def optimal_surrogate(
     every gain collapses to 1, and the optimal surrogate is beta_star itself;
     anisotropy is what creates room for improvement.
     """
-    st = _stats_for(spectrum, n, stats)
+    _check_stats(stats)
     beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.shape != st.eigenvalues.shape:
+    if beta_star.shape != stats.eigenvalues.shape:
         raise ValueError("beta_star must match the spectrum length")
-    return SurrogateParam(values=_gains(st) * beta_star, kind="optimal")
+    return SurrogateParam(values=_gains(stats) * beta_star, kind="optimal")
 
 
-def optimal_mask(spectrum, n: int, stats: SpectralStats | None = None) -> frozenset:
+def optimal_mask(stats: SpectralStats) -> frozenset:
     """Risk-optimal support for a masked surrogate: keep i iff zeta_i^2 < 1 - Omega.
 
     Coordinates on the threshold are dropped (keeping them changes nothing in
@@ -96,10 +96,10 @@ def optimal_mask(spectrum, n: int, stats: SpectralStats | None = None) -> frozen
     can still be kept or dropped by the last digits of tau. Indices are 0-based
     positions into the spectrum.
     """
-    st = _stats_for(spectrum, n, stats)
-    rel = _tolerance(st.n) / (st.n * (1.0 - st.omega))
-    threshold = ((1.0 - st.omega) - 2.0 * st.omega * rel) / (1.0 + 2.0 * rel)
-    keep = np.flatnonzero(st.zeta**2 < threshold)
+    _check_stats(stats)
+    rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
+    threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
+    keep = np.flatnonzero(stats.zeta**2 < threshold)
     return frozenset(keep.tolist())
 
 
@@ -128,9 +128,7 @@ def _support_blocks(p: int):
         yield ranks, ((ranks[:, None] >> shifts) & 1).astype(bool)
 
 
-def brute_force_mask(
-    spectrum, beta_star, n: int, sigma_sq: float, stats: SpectralStats | None = None
-) -> frozenset:
+def brute_force_mask(spectrum, beta_star, n: int, sigma_sq: float) -> frozenset:
     """Exhaustive argmin of the one-stage risk over all 2^p masked supports.
 
     Only for p <= 20. Ties are broken toward the smaller support, then
@@ -144,7 +142,8 @@ def brute_force_mask(
     Each block's winner by (total, size, -r) is compared with the best so far
     on the full key (total, size, sorted tuple). Every support is scored with
     the full risk formula, so the search does not rely on the separable
-    structure that optimal_mask exploits.
+    structure that optimal_mask exploits. It takes the raw problem, not
+    fixed-point stats, and solves the fixed point itself.
     """
     lam = as_spectrum(spectrum)
     beta_star = np.asarray(beta_star, dtype=np.float64)
@@ -155,8 +154,8 @@ def brute_force_mask(
         raise ValueError("beta_star must match the spectrum length")
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    st = _stats_for(lam, n, stats)
-    _check_omega(st.omega)
+    st = solve_tau(lam, n)
+    _check_stats(st)
 
     best_key = None
     for ranks, keep in _support_blocks(p):

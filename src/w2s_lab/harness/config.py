@@ -179,6 +179,10 @@ class ExperimentConfig:
         exp = self.experiment
         if exp == "verify" and self.json_mirror:
             raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
+        if self.json_mirror and self.out is None:
+            raise ConfigError("json_mirror: the mirror is written next to out, and out is not set")
+        if self.m and exp != "two-stage-grid":
+            raise ConfigError(f"m: only two-stage-grid reads m, got {self.m} for {exp}")
         if exp in ("gain-profile",):
             if len(self.n) != 1:
                 raise ConfigError(f"n: {exp} takes exactly one n value, got {self.n}")

@@ -32,7 +32,7 @@ from ..estimators import (
     two_stage_fit,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
-from ..theory import one_stage_risk, two_stage_risk
+from ..theory import omniscient_risk, one_stage_risk, two_stage_risk
 from .config import ExperimentConfig
 
 RESULT_COLUMNS = (
@@ -179,13 +179,13 @@ def _point_rows(cfg: ExperimentConfig, alpha, kind: str, n, m, report, risks) ->
     ]
 
 
-def surrogate_values_for_kind(kind: str, spectrum, beta_star, n, stats) -> np.ndarray:
+def surrogate_values_for_kind(kind: str, stats, beta_star) -> np.ndarray:
     if kind == "ground-truth":
         return np.asarray(beta_star, dtype=np.float64)
     if kind == "optimal":
-        return optimal_surrogate(spectrum, beta_star, n, stats=stats).values
+        return optimal_surrogate(stats, beta_star).values
     if kind == "masked":
-        return masked_surrogate(beta_star, optimal_mask(spectrum, n, stats=stats)).values
+        return masked_surrogate(beta_star, optimal_mask(stats)).values
     raise ValueError(f"unknown surrogate kind {kind!r}")
 
 
@@ -200,10 +200,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
     rows = []
     for n in cfg.n:
         stats = solve_tau(spectrum, n)
-        values = [
-            surrogate_values_for_kind(kind, spectrum, beta_star, n, stats)
-            for kind in cfg.kinds
-        ]
+        values = [surrogate_values_for_kind(kind, stats, beta_star) for kind in cfg.kinds]
         risks = mc_one_stage_risks(
             spectrum,
             beta_star,
@@ -216,9 +213,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
         )
         # one contiguous trial-ordered vector per kind, as a one-kind call returns
         for kind, kind_values, kind_risks in zip(cfg.kinds, values, risks.T.copy()):
-            report = one_stage_risk(
-                spectrum, beta_star, kind_values, n, cfg.sigma_t_sq, stats=stats
-            )
+            report = one_stage_risk(stats, beta_star, kind_values, cfg.sigma_t_sq)
             rows += _point_rows(cfg, alpha, kind, n, None, report, kind_risks)
     return RESULT_COLUMNS, rows
 
@@ -264,9 +259,9 @@ def run_gain_profile(cfg: ExperimentConfig):
     signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
 
     stats = solve_tau(lam, n)
-    profile = gain_profile(lam, n, stats=stats)
-    mask = optimal_mask(lam, n, stats=stats)
-    optimal = optimal_surrogate(lam, signal, n, stats=stats)
+    profile = gain_profile(stats)
+    mask = optimal_mask(stats)
+    optimal = optimal_surrogate(stats, signal)
     threshold_amplify = profile.threshold_amplify
     threshold_mask = math.sqrt(threshold_amplify)
     rows = []
@@ -298,7 +293,7 @@ def run_mask_count(cfg: ExperimentConfig):
     for alpha in cfg.alpha:
         spectrum = power_law_spectrum(cfg.p, alpha)
         for n in cfg.n:
-            size = len(optimal_mask(spectrum, n))
+            size = len(optimal_mask(solve_tau(spectrum, n)))
             _, i_mask = cutoff_indices(alpha, n)
             abs_error = abs(size - i_mask)
             tolerance = 0.05 * n + 5.0
@@ -336,18 +331,10 @@ def run_scaling_slope(cfg: ExperimentConfig):
     for n in n_values:
         stats = solve_tau(spectrum, n)
         if want_target:
-            target_totals.append(
-                one_stage_risk(
-                    spectrum, beta_star, beta_star, n, cfg.sigma_t_sq, stats=stats
-                ).total
-            )
+            target_totals.append(omniscient_risk(stats, beta_star, cfg.sigma_t_sq).total)
         if want_optimal:
-            values = optimal_surrogate(spectrum, beta_star, n, stats=stats).values
-            optimal_totals.append(
-                one_stage_risk(
-                    spectrum, beta_star, values, n, cfg.sigma_t_sq, stats=stats
-                ).total
-            )
+            values = optimal_surrogate(stats, beta_star).values
+            optimal_totals.append(one_stage_risk(stats, beta_star, values, cfg.sigma_t_sq).total)
 
     def fitted_slope(totals):
         return float(np.polyfit(np.log(n_values), np.log(totals), 1)[0])

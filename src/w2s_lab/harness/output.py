@@ -111,11 +111,11 @@ def output_paths(cfg: ExperimentConfig) -> list:
 
 
 def refuse_existing(paths, force: bool) -> None:
-    """Raise ConfigError for the first path that exists, unless force is set."""
-    if force:
-        return
+    """Raise ConfigError for the first path that is a directory, or exists without force."""
     for path in paths:
-        if os.path.exists(path):
+        if os.path.isdir(path):
+            raise ConfigError(f"out: {path} is a directory")
+        if not force and os.path.exists(path):
             raise ConfigError(f"out: {path} exists; pass --force to overwrite")
 
 
@@ -127,9 +127,9 @@ def write_outputs(cfg: ExperimentConfig, renders) -> list:
     written, so only one is held at a time, and a mirror not configured is
     never rendered. Returns the paths written, empty for stdout.
 
-    Every path is checked before any is written: an existing file is refused
-    unless cfg.force is set. Parent directories are created. A path that
-    cannot be written is a ConfigError naming out.
+    Every path is checked before any is written: a directory is refused, and
+    an existing file unless cfg.force is set. Parent directories are created.
+    A path that cannot be written is a ConfigError naming out.
     """
     if cfg.out is None:
         sys.stdout.write(renders[0]())

@@ -58,7 +58,7 @@ from ..theory import (
     two_stage_risk,
 )
 from .config import ExperimentConfig
-from .experiments import mc_one_stage_risks, run_risk_vs_n
+from .experiments import mc_one_stage_risks, mean_and_se, run_risk_vs_n
 from .output import build_id, config_echo, render_csv, schema_tag
 
 
@@ -283,7 +283,7 @@ def _prop_one_stage_dense_agreement(rng) -> Verdict:
         n = int(rng.integers(5, p - 1))
         sigma_sq = float(rng.uniform(0.0, 1.0))
         basis = random_orthogonal(p, int(rng.integers(2**32))) if rotated else None
-        fast = one_stage_risk(lam, beta_star, beta_s, n, sigma_sq)
+        fast = one_stage_risk(solve_tau(lam, n), beta_star, beta_s, sigma_sq)
         dense = one_stage_risk_dense(lam, beta_star, beta_s, n, sigma_sq, basis=basis)
         worst = max(worst, _relative_gap(fast, dense))
     return _tol_result(
@@ -320,8 +320,8 @@ def _prop_omniscient_consistency(rng) -> Verdict:
     beta = rng.standard_normal(150)
     n, sigma_sq = 40, 0.3
     st = solve_tau(lam, n)
-    omni = omniscient_risk(lam, beta, sigma_sq, n, stats=st)
-    via_one_stage = one_stage_risk(lam, beta, beta, n, sigma_sq, stats=st)
+    omni = omniscient_risk(st, beta, sigma_sq)
+    via_one_stage = one_stage_risk(st, beta, beta, sigma_sq)
     signal_energy = float(np.sum((lam * st.zeta**2 * beta**2)[::-1]))
     # closed form: bias = sum lam zeta^2 beta^2, variance = Omega(sigma^2+bias)/(1-Omega)
     closed_total = signal_energy + (sigma_sq + signal_energy) * st.omega / (1.0 - st.omega)
@@ -343,7 +343,7 @@ def _prop_gamma_self_consistency(rng) -> Verdict:
         sigma_sq = float(rng.uniform(0.0, 1.0))
         st = solve_tau(lam, n)
         gamma_sq = gamma_t_sq(st, beta_s, sigma_sq)
-        risk_self = one_stage_risk(lam, beta_s, beta_s, n, sigma_sq, stats=st).total
+        risk_self = one_stage_risk(st, beta_s, beta_s, sigma_sq).total
         kappa = lam.size / n
         worst = max(worst, abs(gamma_sq - kappa * (sigma_sq + risk_self)) / gamma_sq)
     return _tol_result(
@@ -356,9 +356,7 @@ def _prop_noise_monotonicity(rng) -> Verdict:
     beta = power_law_signal(300, 2.0, 1.5)
     n = 90
     st = solve_tau(lam, n)
-    totals = [
-        one_stage_risk(lam, beta, beta, n, s, stats=st).total for s in (0.0, 0.1, 0.5, 2.0)
-    ]
+    totals = [one_stage_risk(st, beta, beta, s).total for s in (0.0, 0.1, 0.5, 2.0)]
     gaps = np.diff(totals)
     return Verdict(
         passed=bool(np.all(gaps > 0.0)),
@@ -376,7 +374,7 @@ def _prop_gain_threshold_sign(rng) -> Verdict:
         (_random_spectrum(rng, 200), 66),
     ]:
         st = solve_tau(lam, n)
-        prof = gain_profile(lam, n, stats=st)
+        prof = gain_profile(st)
         lhs = prof.gains - 1.0
         rhs = st.one_minus_zeta() - st.omega
         keep = np.abs(rhs) > 1e-13
@@ -391,9 +389,9 @@ def _prop_isotropy_degeneracy(rng) -> Verdict:
     lam = np.full(50, 0.7)
     beta = rng.standard_normal(50)
     st = solve_tau(lam, 20)
-    prof = gain_profile(lam, 20, stats=st)
-    opt = optimal_surrogate(lam, beta, 20, stats=st)
-    mask = optimal_mask(lam, 20, stats=st)
+    prof = gain_profile(st)
+    opt = optimal_surrogate(st, beta)
+    mask = optimal_mask(st)
     worst = max(
         float(np.max(np.abs(prof.gains - 1.0))),
         float(np.max(np.abs(opt.values - beta)) / np.max(np.abs(beta))),
@@ -407,14 +405,14 @@ def _prop_optimal_surrogate_optimality(rng) -> Verdict:
     beta = power_law_signal(100, 2.0, 1.5)
     n, sigma_sq = 40, 0.05
     st = solve_tau(lam, n)
-    opt = optimal_surrogate(lam, beta, n, stats=st)
-    risk_opt = one_stage_risk(lam, beta, opt.values, n, sigma_sq, stats=st).total
+    opt = optimal_surrogate(st, beta)
+    risk_opt = one_stage_risk(st, beta, opt.values, sigma_sq).total
     min_gap = math.inf
     for _ in range(1000):
         candidate = opt.values + rng.standard_normal(100) * rng.uniform(0.01, 2.0)
-        risk_cand = one_stage_risk(lam, beta, candidate, n, sigma_sq, stats=st).total
+        risk_cand = one_stage_risk(st, beta, candidate, sigma_sq).total
         min_gap = min(min_gap, risk_cand - risk_opt)
-    risk_star = one_stage_risk(lam, beta, beta, n, sigma_sq, stats=st).total
+    risk_star = one_stage_risk(st, beta, beta, sigma_sq).total
     strict = risk_star - risk_opt
     passed = min_gap >= -1e-12 and strict > 0.0
     return Verdict(
@@ -433,11 +431,11 @@ def _prop_ordering_chain(rng) -> Verdict:
         lam = power_law_spectrum(300, alpha)
         beta = power_law_signal(300, alpha, 1.5)
         st = solve_tau(lam, n)
-        opt = optimal_surrogate(lam, beta, n, stats=st).values
-        msk = masked_surrogate(beta, optimal_mask(lam, n, stats=st)).values
-        r_opt = one_stage_risk(lam, beta, opt, n, 0.05, stats=st).total
-        r_msk = one_stage_risk(lam, beta, msk, n, 0.05, stats=st).total
-        r_star = one_stage_risk(lam, beta, beta, n, 0.05, stats=st).total
+        opt = optimal_surrogate(st, beta).values
+        msk = masked_surrogate(beta, optimal_mask(st)).values
+        r_opt = one_stage_risk(st, beta, opt, 0.05).total
+        r_msk = one_stage_risk(st, beta, msk, 0.05).total
+        r_star = one_stage_risk(st, beta, beta, 0.05).total
         min_gap = min(min_gap, r_msk - r_opt, r_star - r_msk)
     return _slack_result(min_gap, f"optimal <= masked <= ground-truth; min gap {min_gap:.3e}")
 
@@ -448,10 +446,9 @@ def _prop_mask_brute_force(rng) -> Verdict:
         lam = _random_spectrum(rng, 10)
         beta = rng.standard_normal(10)
         n = int(rng.integers(3, 8))
+        rule = optimal_mask(solve_tau(lam, n))
         for sigma_sq in (0.0, 1.0):
-            rule = optimal_mask(lam, n)
-            brute = brute_force_mask(lam, beta, n, sigma_sq)
-            if rule != brute:
+            if rule != brute_force_mask(lam, beta, n, sigma_sq):
                 mismatches += 1
     return _bool_result(
         mismatches == 0,
@@ -461,7 +458,7 @@ def _prop_mask_brute_force(rng) -> Verdict:
 
 def _prop_mask_sparsity_monotone(rng) -> Verdict:
     lam = power_law_spectrum(400, 2.0)
-    sizes = [len(optimal_mask(lam, n)) for n in range(10, 210, 10)]
+    sizes = [len(optimal_mask(solve_tau(lam, n))) for n in range(10, 210, 10)]
     return _slack_result(
         float(np.diff(sizes).min()),
         f"mask size non-decreasing over n=10..200; sizes {sizes[0]}..{sizes[-1]}",
@@ -509,11 +506,9 @@ def _shift_gap(seed: int, transport: bool) -> tuple[float, float]:
     source = _source_design_risks(
         lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=transport
     )
-    se = math.hypot(
-        float(np.std(model_shift, ddof=1)) / math.sqrt(trials),
-        float(np.std(source, ddof=1)) / math.sqrt(trials),
-    )
-    return abs(float(np.mean(model_shift)) - float(np.mean(source))), se
+    mean_model, se_model = mean_and_se(model_shift)
+    mean_source, se_source = mean_and_se(source)
+    return abs(mean_model - mean_source), math.hypot(se_model, se_source)
 
 
 def _prop_covariance_shift_equivalence(rng) -> Verdict:
@@ -553,7 +548,7 @@ def _prop_two_stage_degenerate_limit(rng) -> Verdict:
         m=p - 1,
     )
     two = two_stage_risk(inst).total
-    omni = omniscient_risk(lam, beta, 0.05, 50).total
+    omni = omniscient_risk(solve_tau(lam, 50), beta, 0.05).total
     rel = abs(two - omni) / omni
     return _tol_result(
         rel,

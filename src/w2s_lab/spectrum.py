@@ -83,9 +83,10 @@ class SpectralStats:
 
     zeta and zeta_complement are the solver's two work buffers, kept
     read-only: the statistics hold two p-length arrays, and an oracle call
-    allocates neither. Only solve_tau marks its statistics as built from a
-    validated spectrum; the oracles validate the spectrum they are given with
-    statistics built any other way.
+    allocates neither. The oracles take these statistics in place of a
+    spectrum. Only solve_tau marks its statistics as built from a validated
+    spectrum; the oracles validate the eigenvalues of statistics built any
+    other way.
     """
 
     tau: float

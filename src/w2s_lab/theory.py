@@ -6,8 +6,9 @@ beta_star under the target covariance:
 
     R = E || Sigma_t^(1/2) (beta_hat - beta_star) ||^2.
 
-The closed forms live entirely in spectral coordinates. With stats
-(tau, zeta, Omega) from the fixed point at sample count n:
+The closed forms live entirely in spectral coordinates. Each oracle takes
+the stats (tau, zeta, Omega) of the fixed point at sample count n, as
+solve_tau returns them, in place of the spectrum:
 
   one stage, labels from a fixed surrogate beta_s with noise sigma^2:
       bias     = sum_i lambda_i ((1 - zeta_i) beta_s_i - beta_star_i)^2
@@ -50,30 +51,19 @@ class RiskReport:
     se: float | None = None
 
 
-def _stats_for(spectrum, n: int, stats: SpectralStats | None) -> SpectralStats:
-    """Stats for (spectrum, n), validating the spectrum exactly once.
+def _check_stats(stats: SpectralStats) -> None:
+    """Refuse anything but fixed-point stats whose spectrum is known valid.
 
-    Without stats, solve_tau validates the spectrum and solves. Given stats
-    from solve_tau, their eigenvalues were validated when they were solved, so
-    the spectrum only has to be that very array (no comparison) or equal to
-    it; a different or invalid array fails the comparison. Stats built any
-    other way carry no such guarantee, and the spectrum is validated. Callers
-    read the validated spectrum back as stats.eigenvalues.
+    Stats from solve_tau were solved from a validated spectrum; stats built
+    any other way do not vouch for their eigenvalues, which are validated
+    here. Omega must lie in (0, 1) either way.
     """
-    if stats is None:
-        return solve_tau(spectrum, n)
+    if not isinstance(stats, SpectralStats):
+        raise TypeError(f"expected SpectralStats from solve_tau, got {type(stats).__name__}")
     if not stats._validated:
-        spectrum = as_spectrum(spectrum)
-    if stats.n != int(n) or not (
-        stats.eigenvalues is spectrum or np.array_equal(stats.eigenvalues, spectrum)
-    ):
-        raise ValueError("stats were solved for a different spectrum or sample count")
-    return stats
-
-
-def _check_omega(omega: float) -> None:
-    if not 0.0 < omega < 1.0:
-        raise RuntimeError(f"internal inconsistency: Omega={omega} outside (0, 1)")
+        as_spectrum(stats.eigenvalues)
+    if not 0.0 < stats.omega < 1.0:
+        raise RuntimeError(f"internal inconsistency: Omega={stats.omega} outside (0, 1)")
 
 
 def _noise_energy(stats: SpectralStats, beta_s: np.ndarray, sigma_sq: float) -> np.ndarray:
@@ -115,68 +105,49 @@ def gamma_t_sq(stats: SpectralStats, beta_s, sigma_sq: float) -> float:
     where R(beta_s; beta_s) is the one-stage risk of estimating beta_s from
     its own labels.
     """
+    _check_stats(stats)
     beta_s = np.asarray(beta_s, dtype=np.float64)
     if beta_s.shape != stats.eigenvalues.shape:
         raise ValueError("beta_s must match the spectrum length")
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    _check_omega(stats.omega)
     kappa = stats.p / stats.n
     energy = float(_noise_energy(stats, beta_s[None, :], sigma_sq)[0])
     return kappa * energy / (1.0 - stats.omega)
 
 
-def one_stage_risk(
-    spectrum,
-    beta_star,
-    beta_s,
-    n: int,
-    sigma_sq: float,
-    stats: SpectralStats | None = None,
-) -> RiskReport:
+def one_stage_risk(stats: SpectralStats, beta_star, beta_s, sigma_sq: float) -> RiskReport:
     """Excess risk of a single ridgeless fit whose labels come from beta_s.
 
     Args:
-        spectrum: covariance eigenvalues, non-increasing.
+        stats: the fixed point of the covariance spectrum at the sample count,
+            from solve_tau.
         beta_star: ground truth the risk is measured against.
         beta_s: vector generating the labels (beta_s = beta_star recovers the
             standard self-labeled fit).
-        n: sample count, 1 <= n < p.
         sigma_sq: label noise variance, >= 0.
-        stats: optional precomputed SpectralStats for this (spectrum, n).
 
     Returns:
         RiskReport with total = bias + variance exactly.
     """
+    _check_stats(stats)
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    st = _stats_for(spectrum, n, stats)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     beta_s = np.asarray(beta_s, dtype=np.float64)
-    if beta_star.shape != st.eigenvalues.shape or beta_s.shape != st.eigenvalues.shape:
+    if beta_star.shape != stats.eigenvalues.shape or beta_s.shape != stats.eigenvalues.shape:
         raise ValueError("beta_star and beta_s must match the spectrum length")
-    _check_omega(st.omega)
-    bias, variance = _one_stage_terms(st, beta_star, beta_s[None, :], sigma_sq)
+    bias, variance = _one_stage_terms(stats, beta_star, beta_s[None, :], sigma_sq)
     bias, variance = float(bias[0]), float(variance[0])
     return RiskReport(bias=bias, variance=variance, total=bias + variance)
 
 
-def omniscient_risk(
-    spectrum,
-    beta_star,
-    sigma_sq: float,
-    n: int,
-    stats: SpectralStats | None = None,
-) -> RiskReport:
+def omniscient_risk(stats: SpectralStats, beta_star, sigma_sq: float) -> RiskReport:
     """Excess risk of the standard fit on ground-truth labels (beta_s = beta_star)."""
-    return one_stage_risk(spectrum, beta_star, beta_star, n, sigma_sq, stats=stats)
+    return one_stage_risk(stats, beta_star, beta_star, sigma_sq)
 
 
-def two_stage_risk(
-    inst: ProblemInstance,
-    stats_s: SpectralStats | None = None,
-    stats_t: SpectralStats | None = None,
-) -> RiskReport:
+def two_stage_risk(inst: ProblemInstance) -> RiskReport:
     """Expected excess risk of the estimated-surrogate pipeline.
 
     Stage one estimates beta_s from m samples under spectrum_s (noise
@@ -202,10 +173,10 @@ def two_stage_risk(
         raise ValueError(
             f"two-stage formulas need n < p and m < p, got n={inst.n}, m={inst.m}, p={inst.p}"
         )
-    st_s = _stats_for(inst.spectrum_s, inst.m, stats_s)
-    st_t = _stats_for(inst.spectrum_t, inst.n, stats_t)
-    _check_omega(st_s.omega)
-    _check_omega(st_t.omega)
+    st_s = solve_tau(inst.spectrum_s, inst.m)
+    st_t = solve_tau(inst.spectrum_t, inst.n)
+    _check_stats(st_s)
+    _check_stats(st_t)
 
     lam_s = inst.spectrum_s
     lam_t = inst.spectrum_t

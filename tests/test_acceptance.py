@@ -82,9 +82,9 @@ def test_criterion_02_risk_ordering():
     beta_star = power_law_signal(p, 2.0, 1.5)
     stats = solve_tau(spectrum, n)
     kinds = ("ground-truth", "optimal", "masked")
-    values = [surrogate_values_for_kind(kind, spectrum, beta_star, n, stats) for kind in kinds]
+    values = [surrogate_values_for_kind(kind, stats, beta_star) for kind in kinds]
     theory = {
-        kind: one_stage_risk(spectrum, beta_star, v, n, sigma_sq, stats=stats).total
+        kind: one_stage_risk(stats, beta_star, v, sigma_sq).total
         for kind, v in zip(kinds, values)
     }
     # one stacked call: every kind is fit on the same trial draws (paired)
@@ -120,14 +120,14 @@ def test_criterion_03_optimal_surrogate_stationarity():
         lam = np.sort(rng.uniform(0.05, 3.0, size=p))[::-1]
         beta_star = rng.normal(size=p)
         stats = solve_tau(lam, n)
-        opt = optimal_surrogate(lam, beta_star, n, stats=stats).values
-        risk = one_stage_risk(lam, beta_star, opt, n, 0.0, stats=stats).total
+        opt = optimal_surrogate(stats, beta_star).values
+        risk = one_stage_risk(stats, beta_star, opt, 0.0).total
         tol = 1e-6 * (1.0 + risk)
         for i in range(p):
             step = np.zeros(p)
             step[i] = h
-            up = one_stage_risk(lam, beta_star, opt + step, n, 0.0, stats=stats).total
-            down = one_stage_risk(lam, beta_star, opt - step, n, 0.0, stats=stats).total
+            up = one_stage_risk(stats, beta_star, opt + step, 0.0).total
+            down = one_stage_risk(stats, beta_star, opt - step, 0.0).total
             worst = max(worst, abs(up - down) / (2.0 * h) / tol)
     ok = worst <= 1.0
     line = _verdict(
@@ -149,7 +149,7 @@ def test_criterion_04_mask_exhaustive_equivalence():
         lam = np.sort(rng.uniform(0.05, 3.0, size=p))[::-1]
         beta_star = rng.normal(size=p)
         sigma_sq = float(rng.choice([0.0, 1.0]))
-        if brute_force_mask(lam, beta_star, n, sigma_sq) != optimal_mask(lam, n):
+        if brute_force_mask(lam, beta_star, n, sigma_sq) != optimal_mask(solve_tau(lam, n)):
             mismatches += 1
     ok = mismatches == 0
     line = _verdict(

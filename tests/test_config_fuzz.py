@@ -107,6 +107,8 @@ def _assert_in_bounds(cfg):
     assert cfg.trials >= 1 and cfg.workers >= 1
     assert 0 <= cfg.seed < 2**64
     assert cfg.kinds and set(cfg.kinds) <= set(KINDS)
+    assert cfg.out is not None or not cfg.json_mirror
+    assert not cfg.m or cfg.experiment == "two-stage-grid"
 
 
 def _parse_text(text: str) -> dict:

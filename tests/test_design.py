@@ -12,7 +12,9 @@ from w2s_lab import (
     brute_force_mask,
     cutoff_indices,
     gain_profile,
+    gamma_t_sq,
     masked_surrogate,
+    omniscient_risk,
     one_stage_risk,
     optimal_mask,
     optimal_surrogate,
@@ -41,61 +43,51 @@ def _stats_at(lam, n, tau):
 
 _LAM30 = power_law_spectrum(30, 2.0)
 _BETA30 = power_law_signal(30, 2.0, 1.5)
-# Each oracle at n = 8, as a function of (spectrum, stats).
+# Each oracle that reads the fixed point, as a function of its stats alone.
 _ORACLES = {
-    "gain_profile": lambda lam, st: gain_profile(lam, 8, stats=st).gains,
-    "optimal_surrogate": lambda lam, st: optimal_surrogate(lam, _BETA30, 8, stats=st).values,
-    "optimal_mask": lambda lam, st: sorted(optimal_mask(lam, 8, stats=st)),
-    "one_stage_risk": lambda lam, st: one_stage_risk(lam, _BETA30, _BETA30, 8, 0.1, stats=st).total,
+    "gain_profile": lambda st: gain_profile(st).gains,
+    "gamma_t_sq": lambda st: gamma_t_sq(st, _BETA30, 0.1),
+    "omniscient_risk": lambda st: omniscient_risk(st, _BETA30, 0.1).total,
+    "one_stage_risk": lambda st: one_stage_risk(st, _BETA30, 0.5 * _BETA30, 0.1).total,
+    "optimal_mask": lambda st: sorted(optimal_mask(st)),
+    "optimal_surrogate": lambda st: optimal_surrogate(st, _BETA30).values,
 }
 
 
 class TestStatsGivenSkipValidation:
-    """Given stats, an oracle takes their spectrum or an equal copy, nothing else."""
+    """Stats are an oracle's only spectrum input: solve_tau's are trusted, others checked."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLES))
     def test_equal_copy_gives_identical_result(self, name):
+        # hand-built stats at solve_tau's tau are an equal copy of its fixed point
         oracle = _ORACLES[name]
-        stats = solve_tau(_LAM30, 8)
-        same = oracle(_LAM30, stats)
-        for spectrum in (_LAM30.copy(), _LAM30.tolist()):
-            assert np.array_equal(oracle(spectrum, stats), same)
-        assert np.array_equal(oracle(_LAM30, None), same)
+        solved = solve_tau(_LAM30, 8)
+        hand_built = _stats_at(_LAM30.copy(), 8, solved.tau)
+        assert np.array_equal(oracle(hand_built), oracle(solved))
 
     @pytest.mark.parametrize("name", sorted(_ORACLES))
     def test_different_or_invalid_spectrum_raises(self, name):
         oracle = _ORACLES[name]
-        stats = solve_tau(_LAM30, 8)
-        perturbed = _LAM30.copy()
-        perturbed[3] = np.nextafter(perturbed[3], 0.0)
-        with_nan = _LAM30.copy()
-        with_nan[-1] = np.nan
-        for spectrum in (perturbed, _LAM30[:-1]):  # valid, but not the stats' own
-            with pytest.raises(ValueError):
-                oracle(spectrum, stats)
-        for spectrum in (with_nan, _LAM30[::-1], _LAM30[None, :]):  # invalid
-            with pytest.raises(ValueError):
-                oracle(spectrum, stats)
-            with pytest.raises(ValueError):
-                oracle(spectrum, None)
+        for not_stats in (_LAM30, _LAM30.tolist(), None):  # an old-style spectrum argument
+            with pytest.raises(TypeError):
+                oracle(not_stats)
+        with pytest.raises(ValueError):  # hand-built over a spectrum that is not 1-D
+            oracle(_stats_at(_LAM30[None, :], 8, 0.01))
 
     @pytest.mark.parametrize("name", sorted(_ORACLES))
     def test_hand_built_stats_do_not_vouch_for_their_spectrum(self, name):
-        # stats not from solve_tau: their own invalid array is still refused
         oracle = _ORACLES[name]
         with_nan = _LAM30.copy()
         with_nan[-1] = np.nan
         for spectrum in (with_nan, _LAM30[::-1].copy()):
             with pytest.raises(ValueError):
-                oracle(spectrum, _stats_at(spectrum, 8, 0.01))
-        hand_built = _stats_at(_LAM30, 8, solve_tau(_LAM30, 8).tau)
-        assert np.array_equal(oracle(_LAM30, hand_built), oracle(_LAM30, None))
+                oracle(_stats_at(spectrum, 8, 0.01))
 
 
 class TestOptimalSurrogate:
     def test_hand_worked_two_point_instance(self):
         """Eigenvalues (1, 1/4), n=1, beta = (1, 1): gains are 8/7 and 1/2."""
-        param = optimal_surrogate(np.array([1.0, 0.25]), np.ones(2), 1)
+        param = optimal_surrogate(solve_tau(np.array([1.0, 0.25]), 1), np.ones(2))
         assert param.kind == "optimal"
         assert param.values[0] == pytest.approx(8.0 / 7.0, abs=1e-9)
         assert param.values[1] == pytest.approx(0.5, abs=1e-9)
@@ -103,36 +95,37 @@ class TestOptimalSurrogate:
     def test_isotropic_gains_are_unity(self):
         # flat spectrum: amplification and shrinkage cancel coordinate by coordinate
         beta = np.arange(1.0, 7.0)
-        param = optimal_surrogate(np.full(6, 2.0), beta, 2)
+        param = optimal_surrogate(solve_tau(np.full(6, 2.0), 2), beta)
         assert param.values == pytest.approx(beta, rel=1e-9)
 
     def test_never_beaten_by_nearby_surrogates(self):
         rng = np.random.default_rng(42)
         lam = power_law_spectrum(20, 1.8)
         beta = power_law_signal(20, 1.8, 2.1)
-        opt = optimal_surrogate(lam, beta, 7)
-        best = one_stage_risk(lam, beta, opt.values, 7, 0.0).total
+        stats = solve_tau(lam, 7)
+        opt = optimal_surrogate(stats, beta)
+        best = one_stage_risk(stats, beta, opt.values, 0.0).total
         for _ in range(20):
             jitter = opt.values + 0.01 * rng.normal(size=20)
-            assert one_stage_risk(lam, beta, jitter, 7, 0.0).total >= best - 1e-12
+            assert one_stage_risk(stats, beta, jitter, 0.0).total >= best - 1e-12
 
 
 class TestGainProfile:
     def test_threshold_is_one_minus_omega(self):
         lam = power_law_spectrum(40, 2.0)
         stats = solve_tau(lam, 15)
-        profile = gain_profile(lam, 15)
+        profile = gain_profile(stats)
         assert profile.threshold_amplify == pytest.approx(1.0 - stats.omega, rel=1e-12)
 
     def test_amplification_set_matches_threshold(self):
         """gain_i > 1 exactly when zeta_i falls below 1 - Omega."""
         lam = power_law_spectrum(60, 1.6)
         stats = solve_tau(lam, 20)
-        profile = gain_profile(lam, 20, stats=stats)
+        profile = gain_profile(stats)
         assert np.array_equal(profile.gains > 1.0, stats.zeta < profile.threshold_amplify)
 
     def test_single_crossing_on_power_law(self):
-        profile = gain_profile(power_law_spectrum(80, 2.5), 25)
+        profile = gain_profile(solve_tau(power_law_spectrum(80, 2.5), 25))
         signs = np.sign(profile.gains - 1.0)
         flips = np.count_nonzero(np.diff(signs[signs != 0.0]))
         assert flips == 1
@@ -144,7 +137,7 @@ class TestMasks:
     def test_threshold_tie_is_excluded(self):
         # at (1, 1/4), n=1 the second coordinate sits exactly on the boundary
         # zeta^2 = 1 - Omega = 4/9, and the strict rule drops it
-        assert optimal_mask(np.array([1.0, 0.25]), 1) == frozenset({0})
+        assert optimal_mask(solve_tau(np.array([1.0, 0.25]), 1)) == frozenset({0})
 
     @pytest.mark.parametrize("second", [0.25, 0.25 * (1.0 + 1e-11)])
     def test_mask_is_stable_across_the_certified_band(self, second):
@@ -154,19 +147,19 @@ class TestMasks:
         base = solve_tau(lam, 1)
         rel = _tolerance(1) / (1.0 - base.omega)
         masks = {
-            optimal_mask(lam, 1, stats=_stats_at(lam, 1, base.tau * (1.0 + k * rel)))
+            optimal_mask(_stats_at(lam, 1, base.tau * (1.0 + k * rel)))
             for k in (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
         }
         assert masks == {frozenset({0})}
 
     def test_clear_margin_instance(self):
-        assert optimal_mask(np.array([1.0, 0.2]), 1) == frozenset({0})
+        assert optimal_mask(solve_tau(np.array([1.0, 0.2]), 1)) == frozenset({0})
 
     def test_isotropic_mask_keeps_everything(self):
-        assert optimal_mask(np.full(6, 2.0), 2) == frozenset(range(6))
+        assert optimal_mask(solve_tau(np.full(6, 2.0), 2)) == frozenset(range(6))
 
     def test_mask_holds_python_ints(self):
-        mask = optimal_mask(power_law_spectrum(200, 2.0), 50)
+        mask = optimal_mask(solve_tau(power_law_spectrum(200, 2.0), 50))
         assert mask and all(type(i) is int for i in mask)
 
     def test_brute_force_agrees_with_threshold_rule(self):
@@ -177,7 +170,7 @@ class TestMasks:
             lam = np.sort(rng.uniform(0.05, 3.0, size=p))[::-1]
             beta = rng.normal(size=p)
             sigma_sq = float(rng.choice([0.0, 1.0]))
-            assert brute_force_mask(lam, beta, n, sigma_sq) == optimal_mask(lam, n)
+            assert brute_force_mask(lam, beta, n, sigma_sq) == optimal_mask(solve_tau(lam, n))
 
     def test_brute_force_refuses_large_p(self):
         lam = power_law_spectrum(21, 2.0)
@@ -258,7 +251,7 @@ class TestBatchedSearch:
                 bias, variance = theory._one_stage_terms(st, beta_star, stack, sigma_sq)
                 total = bias + variance
                 for row, values in enumerate(stack):
-                    ref = one_stage_risk(lam, beta_star, values, n, sigma_sq, stats=st)
+                    ref = one_stage_risk(st, beta_star, values, sigma_sq)
                     assert ref.bias == bias[row]
                     assert ref.variance == variance[row]
                     assert ref.total == total[row]
@@ -270,7 +263,7 @@ class TestBatchedSearch:
         beta_star = power_law_signal(10, 2.0, 1.5)
         beta_star[[0, 2]] = 0.0
         mask = brute_force_mask(lam, beta_star, 4, 0.1)
-        assert mask == optimal_mask(lam, 4) - {0, 2}
+        assert mask == optimal_mask(solve_tau(lam, 4)) - {0, 2}
         assert mask == _python_min_support(lam, beta_star, 4, 0.1)
 
     def test_zero_signal_picks_the_empty_support(self):
@@ -305,13 +298,13 @@ class TestBatchedSearch:
         assert 2**12 >= 4 * design._CHUNK_ROWS
         mask = brute_force_mask(lam, beta_star, 5, 0.05)
         assert _rank(mask, 12) >= design._CHUNK_ROWS
-        assert mask == optimal_mask(lam, 5)
+        assert mask == optimal_mask(solve_tau(lam, 5))
         assert mask == _python_min_support(lam, beta_star, 5, 0.05)
 
     def test_largest_allowed_p_matches_threshold_rule(self):
         lam = power_law_spectrum(20, 2.0)
         beta_star = power_law_signal(20, 2.0, 1.5)
-        assert brute_force_mask(lam, beta_star, 8, 0.05) == optimal_mask(lam, 8)
+        assert brute_force_mask(lam, beta_star, 8, 0.05) == optimal_mask(solve_tau(lam, 8))
 
 
 class TestCutoffs:

@@ -154,12 +154,17 @@ _FIELD_TEXTS = {
 
 
 def _from_file_and_flag(tmp_path, name, text):
-    """Build two-stage-grid from `name = text` in a file and from the flag: configs or errors."""
+    """Build two-stage-grid from `name = text` in a file and from the flag: configs or errors.
+
+    The JSON mirror needs an out path, which both ways then also give.
+    """
     results = []
     path = tmp_path / "one.cfg"
-    path.write_text(f"{name} = {text}\n")
+    path.write_text(f"{name} = {text}\n" + ("out = run.csv\n" if name == "json_mirror" else ""))
     setting = SETTINGS[name]
     flag = [setting.flag] if setting.const else [f"{setting.flag}={text}"]
+    if name == "json_mirror":
+        flag.append("--out=run.csv")
     for build in (
         lambda: build_config("two-stage-grid", parse_config_file(path)),
         lambda: cli.config_from_argv(["two-stage-grid", *flag]),
@@ -223,6 +228,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6,)})
 
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "two-stage-grid"])
+    def test_m_is_refused_where_it_is_not_read(self, experiment):
+        base = {"p": 50, "n": (5,)}
+        if experiment == "scaling-slope":
+            base = {"p": 400, "n": (10, 20, 40)}
+        build_config(experiment, base)
+        with pytest.raises(ConfigError, match="^m: only two-stage-grid reads m"):
+            build_config(experiment, {**base, "m": (7,)})
+
+    def test_build_id_without_m_is_unchanged(self):
+        assert build_id(build_config("mask-count", {"p": 50, "n": (5,)})) == "52c28407d5b3"
+        cfg = build_config("two-stage-grid", {"p": 50, "n": (5,), "m": (7,)})
+        assert build_id(cfg) == "fa6c31a97650"
+
     def test_scaling_slope_rules(self):
         with pytest.raises(ConfigError):  # needs at least three n points
             build_config("scaling-slope", {"p": 400, "n": (10, 20)})
@@ -285,12 +304,8 @@ class TestRiskVsN:
         assert by_col["m"] is None
         assert by_col["mc_mean"] is None
         stats = solve_tau(spectrum, by_col["n"])
-        values = surrogate_values_for_kind(
-            by_col["kind"], spectrum, beta_star, by_col["n"], stats
-        )
-        expected = one_stage_risk(
-            spectrum, beta_star, values, by_col["n"], cfg.sigma_t_sq, stats=stats
-        )
+        values = surrogate_values_for_kind(by_col["kind"], stats, beta_star)
+        expected = one_stage_risk(stats, beta_star, values, cfg.sigma_t_sq)
         assert by_col["theory_total"] == expected.total
 
     def test_monte_carlo_rows_carry_se(self):
@@ -360,7 +375,7 @@ class TestGainProfileTable:
         assert columns == GAIN_COLUMNS
         assert len(rows) == 20
         assert [r[5] for r in rows] == list(range(1, 21))
-        mask = optimal_mask(power_law_spectrum(20, 2.0), 5)
+        mask = optimal_mask(solve_tau(power_law_spectrum(20, 2.0), 5))
         for row in rows:
             by_col = dict(zip(columns, row))
             assert by_col["masked"] == (1 if by_col["i"] - 1 in mask else 0)
@@ -383,7 +398,8 @@ class TestMaskCountTable:
         for row in rows:
             by_col = dict(zip(columns, row))
             spectrum = power_law_spectrum(120, by_col["alpha"])
-            assert by_col["mask_size"] == len(optimal_mask(spectrum, by_col["n"]))
+            stats = solve_tau(spectrum, by_col["n"])
+            assert by_col["mask_size"] == len(optimal_mask(stats))
             assert by_col["tolerance"] == pytest.approx(0.05 * by_col["n"] + 5.0)
             assert by_col["within"] in (0, 1)
 
@@ -455,14 +471,12 @@ class TestSmallHelpers:
         spectrum = power_law_spectrum(15, 2.0)
         beta_star = power_law_signal(15, 2.0, 1.5)
         stats = solve_tau(spectrum, 5)
-        truth = surrogate_values_for_kind("ground-truth", spectrum, beta_star, 5, stats)
+        truth = surrogate_values_for_kind("ground-truth", stats, beta_star)
         assert np.array_equal(truth, beta_star)
-        opt = surrogate_values_for_kind("optimal", spectrum, beta_star, 5, stats)
-        assert np.array_equal(
-            opt, optimal_surrogate(spectrum, beta_star, 5, stats=stats).values
-        )
+        opt = surrogate_values_for_kind("optimal", stats, beta_star)
+        assert np.array_equal(opt, optimal_surrogate(stats, beta_star).values)
         with pytest.raises(ValueError):
-            surrogate_values_for_kind("oracle", spectrum, beta_star, 5, stats)
+            surrogate_values_for_kind("oracle", stats, beta_star)
 
     def test_mc_risks_deterministic(self):
         spectrum = power_law_spectrum(20, 2.0)
@@ -477,9 +491,7 @@ class TestSmallHelpers:
         spectrum = power_law_spectrum(37, 2.0)
         beta = power_law_signal(37, 2.0, 1.5)
         stats = solve_tau(spectrum, 11)
-        values = [
-            surrogate_values_for_kind(kind, spectrum, beta, 11, stats) for kind in KINDS
-        ]
+        values = [surrogate_values_for_kind(kind, stats, beta) for kind in KINDS]
         stacked = mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
         assert stacked.shape == (9, len(KINDS))
         for j, kind_values in enumerate(values):
@@ -714,8 +726,33 @@ class TestCli:
         assert main(["verify", "--json"]) == 1
         assert "json_mirror: verify's report is JSON" in capsys.readouterr().err
 
+    def test_json_without_out_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: pytest.fail("mask-count ran"))
+        assert main(["mask-count", "--p", "50", "--n", "5", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: json_mirror: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_directory_out_is_refused_before_running(self, tmp_path, capsys, force):
+        rc = main(["verify", "--out", str(tmp_path)] + (["--force"] if force else []))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"config error: out: {tmp_path} is a directory\n"  # no PASS/FAIL line
+
+    def test_directory_mirror_is_refused_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: pytest.fail("mask-count ran"))
+        (tmp_path / "run.json").mkdir()
+        out = tmp_path / "run.csv"
+        argv = ["mask-count", "--p", "50", "--n", "5", "--out", str(out), "--json", "--force"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith("run.json is a directory\n")
+        assert not out.exists()
+
     def test_unwritable_out_exits_one_without_traceback(self, tmp_path, capsys):
-        rc = main(["mask-count", "--p", "20", "--n", "5", "--out", str(tmp_path), "--force"])
+        (tmp_path / "file").write_text("")  # a parent that is not a directory
+        out = tmp_path / "file" / "run.csv"
+        rc = main(["mask-count", "--p", "20", "--n", "5", "--out", str(out), "--force"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("config error: out: ")

@@ -160,9 +160,7 @@ class TestMemory:
     def test_one_stage_risk_peak(self, problem):
         lam, beta, stats = problem
         surrogate = 0.9 * beta
-        peak = self._peak_bytes(
-            lambda: one_stage_risk(lam, beta, surrogate, 1_000, 0.05, stats=stats)
-        )
+        peak = self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05))
         assert peak <= self.BOUND
 
 

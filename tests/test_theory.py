@@ -20,7 +20,6 @@ from w2s_lab import (
     two_stage_fit,
     two_stage_risk,
 )
-from w2s_lab.theory import _stats_for
 
 
 def _reference_tau(lam, n):
@@ -51,7 +50,7 @@ class TestOneStage:
         """Eigenvalues (1, 1/4), n=1, noiseless self-labeled fit at beta = (1, 1)."""
         lam = np.array([1.0, 0.25])
         ones = np.ones(2)
-        report = one_stage_risk(lam, ones, ones, 1, 0.0)
+        report = one_stage_risk(solve_tau(lam, 1), ones, ones, 0.0)
         assert report.bias == pytest.approx(2.0 / 9.0, abs=1e-10)
         assert report.variance == pytest.approx(5.0 / 18.0, abs=1e-10)
         assert report.total == pytest.approx(0.5, abs=1e-10)
@@ -65,7 +64,7 @@ class TestOneStage:
             beta_star = rng.normal(size=p)
             beta_s = rng.normal(size=p)
             sigma_sq = float(rng.uniform(0.0, 1.5))
-            report = one_stage_risk(lam, beta_star, beta_s, n, sigma_sq)
+            report = one_stage_risk(solve_tau(lam, n), beta_star, beta_s, sigma_sq)
             bias, variance = _reference_one_stage(lam, beta_star, beta_s, n, sigma_sq)
             assert report.bias == pytest.approx(bias, rel=1e-10, abs=1e-12)
             assert report.variance == pytest.approx(variance, rel=1e-10, abs=1e-12)
@@ -73,47 +72,42 @@ class TestOneStage:
     def test_total_is_exact_sum(self):
         lam = power_law_spectrum(30, 1.8)
         beta = power_law_signal(30, 1.8, 2.4)
-        report = one_stage_risk(lam, beta, 0.5 * beta, 9, 0.3)
+        report = one_stage_risk(solve_tau(lam, 9), beta, 0.5 * beta, 0.3)
         assert report.total == report.bias + report.variance
         assert report.variance >= 0.0
 
     def test_precomputed_stats_reused_bitwise(self):
+        # one solve serves many calls: each matches a fresh solve bit for bit
         lam = power_law_spectrum(40, 1.5)
         beta = power_law_signal(40, 1.5, 2.0)
         stats = solve_tau(lam, 12)
-        with_stats = one_stage_risk(lam, beta, beta, 12, 0.2, stats=stats)
-        without = one_stage_risk(lam, beta, beta, 12, 0.2)
-        assert with_stats.total == without.total
+        zeta = stats.zeta.copy()
+        first = one_stage_risk(stats, beta, beta, 0.2)
+        again = one_stage_risk(stats, beta, beta, 0.2)
+        fresh = one_stage_risk(solve_tau(lam, 12), beta, beta, 0.2)
+        assert first.total == again.total == fresh.total
+        assert np.array_equal(stats.zeta, zeta)
 
     def test_mismatched_stats_rejected(self):
         lam = power_law_spectrum(20, 2.0)
-        wrong = solve_tau(lam, 5)
-        with pytest.raises(ValueError):
-            one_stage_risk(lam, np.ones(20), np.ones(20), 6, 0.1, stats=wrong)
-
-    def test_stats_match_by_identity_or_value(self):
-        lam = power_law_spectrum(20, 2.0)
+        with pytest.raises(TypeError):  # a spectrum where the stats belong
+            one_stage_risk(lam, np.ones(20), np.ones(20), 0.1)
         stats = solve_tau(lam, 5)
-        assert _stats_for(lam, 5, stats) is stats
-        assert _stats_for(lam.copy(), 5, stats) is stats
-        perturbed = lam.copy()
-        perturbed[7] = np.nextafter(perturbed[7], 0.0)
-        for spectrum, n in ((perturbed, 5), (lam, 6), (lam.copy(), 6)):
-            with pytest.raises(ValueError):
-                _stats_for(spectrum, n, stats)
+        with pytest.raises(ValueError):  # stats of another dimension than the vectors
+            one_stage_risk(stats, np.ones(21), np.ones(21), 0.1)
 
     def test_shape_and_noise_validation(self):
-        lam = power_law_spectrum(6, 2.0)
+        stats = solve_tau(power_law_spectrum(6, 2.0), 2)
         with pytest.raises(ValueError):
-            one_stage_risk(lam, np.ones(5), np.ones(6), 2, 0.1)
+            one_stage_risk(stats, np.ones(5), np.ones(6), 0.1)
         with pytest.raises(ValueError):
-            one_stage_risk(lam, np.ones(6), np.ones(6), 2, -0.1)
+            one_stage_risk(stats, np.ones(6), np.ones(6), -0.1)
 
 
 class TestOmniscient:
     def test_isotropic_pure_noise_oracle(self):
         """Flat spectrum, zero signal, unit noise, n = p/2: risk is exactly 1."""
-        report = omniscient_risk(np.ones(2), np.zeros(2), 1.0, 1)
+        report = omniscient_risk(solve_tau(np.ones(2), 1), np.zeros(2), 1.0)
         assert report.bias == pytest.approx(0.0, abs=1e-12)
         assert report.total == pytest.approx(1.0, abs=1e-10)
 
@@ -238,8 +232,8 @@ class TestSpectralCoordinates:
         basis, _ = np.linalg.qr(rng.normal(size=(p, p)))
         cov = basis @ np.diag(lam) @ basis.T
         spectrum, beta_bar = to_spectral_coordinates(cov, basis @ beta)
-        direct = one_stage_risk(lam, beta, beta, n, 0.3)
-        rotated = one_stage_risk(spectrum, beta_bar, beta_bar, n, 0.3)
+        direct = one_stage_risk(solve_tau(lam, n), beta, beta, 0.3)
+        rotated = one_stage_risk(solve_tau(spectrum, n), beta_bar, beta_bar, 0.3)
         assert rotated.total == pytest.approx(direct.total, rel=1e-8)
 
     def test_rejects_asymmetric_and_indefinite(self):
@@ -272,7 +266,7 @@ class TestMonteCarloReport:
     def test_tracks_closed_form(self):
         lam = power_law_spectrum(30, 2.0)
         beta = power_law_signal(30, 2.0, 1.6)
-        theory = one_stage_risk(lam, beta, beta, 10, 0.1)
+        theory = one_stage_risk(solve_tau(lam, 10), beta, beta, 0.1)
         fitted = np.empty((300, 30))
         for t in range(300):
             ds = sample_dataset(lam, beta, 0.1, 10, 5000 + t)
