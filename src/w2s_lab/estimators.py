@@ -12,8 +12,8 @@ trace(G) / lambda_min(G) <= GRAM_COND_LIMIT, rounding included. Every other
 input falls back to the SVD solver `np.linalg.lstsq`. Which route ran is
 recorded in `EstimatorOutput.route`. Label vectors that share a design (a
 (k, p) stack of coefficient vectors in `sample_dataset`, (rows, k) labels in
-`fit`) share its draw and its certified Gram matrix; each column's result is
-bit-identical to the one-column call.
+`fit`) share its draw, its certified Gram matrix and one multi-column solve,
+so a fitted column matches the one-column fit to rounding, not bit for bit.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
@@ -151,11 +151,11 @@ def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Da
     return Dataset(design=design, labels=labels, seed=int(seed))
 
 
-def _gram_solve(design: np.ndarray, columns: list) -> list | None:
-    """Min-norm solutions through the smaller Gram matrix, or None if not certified.
+def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
+    """Min-norm solution through the smaller Gram matrix, or None if not certified.
 
-    G is formed and certified once, then solved for each label vector in
-    columns on its own: a multi-column solve rounds differently.
+    G is formed, certified and factored once for all label columns: labels is
+    (rows,) or (rows, k), as `b` in np.linalg.solve.
 
     With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it is
     G^-1 X^T y. The certificate (Rump, "Verification of positive
@@ -179,8 +179,8 @@ def _gram_solve(design: np.ndarray, columns: list) -> list | None:
         return None
     np.fill_diagonal(gram, diagonal)
     if wide:
-        return [design.T @ np.linalg.solve(gram, y) for y in columns]
-    return [np.linalg.solve(gram, design.T @ y) for y in columns]
+        return design.T @ np.linalg.solve(gram, labels)
+    return np.linalg.solve(gram, design.T @ labels)
 
 
 def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
@@ -196,11 +196,11 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
 
     labels is (rows,) or (rows, k), as `b` in np.linalg.solve, and fitted is
     then (p,) or (p, k). The route, rank and rank_deficient depend on the
-    design alone, so k columns share one Gram product and one certificate;
-    each column is then solved on its own and its fitted vector is bit for
-    bit the fit of that column alone. Non-finite labels raise ValueError on
-    every route. A non-finite design never passes the Gram certificate and
-    raises ValueError before the SVD.
+    design alone, so k columns share one Gram product, one certificate and
+    one solve; a fitted column matches that column's own fit to rounding, and
+    (rows, 1) labels fit bit for bit as (rows,). Non-finite labels raise
+    ValueError on every route. A non-finite design never passes the Gram
+    certificate and raises ValueError before the SVD.
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -217,21 +217,16 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
         raise ValueError("labels must be finite, got a NaN or inf entry")
     rows, p = design.shape
     regime = "min-norm-interpolator" if rows < p else "ordinary-least-squares"
-    # BLAS products on a strided vector round differently from a contiguous copy
-    columns = [labels] if labels.ndim == 1 else list(labels.T.copy())
-    solutions = _gram_solve(design, columns)
-    if solutions is not None:
+    fitted = _gram_solve(design, labels)
+    if fitted is not None:
         route, rank = "gram", min(rows, p)
     else:
         if not np.isfinite(design).all():
             raise ValueError("design must be finite, got a NaN or inf entry")
-        solutions = []
-        for y in columns:
-            solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            solutions.append(solution)
+        fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
         route = "lstsq"
     return EstimatorOutput(
-        fitted=solutions[0] if labels.ndim == 1 else np.stack(solutions, axis=1),
+        fitted=fitted,
         regime=regime,
         rank=int(rank),
         rank_deficient=bool(rank < min(rows, p)),

@@ -121,8 +121,9 @@ def mc_one_stage_risks(
 
     surrogate_values is one (p,) surrogate, giving (trials,) risks, or a
     (k, p) stack, giving (trials, k) risks. A stack draws each trial's design
-    once and fits all k label columns against one certified Gram matrix;
-    column j equals the call with surrogate_values[j] alone, bit for bit.
+    once and fits all k label columns in one solve against one certified Gram
+    matrix; column j equals the call with surrogate_values[j] alone to
+    rounding, and a (1, p) stack equals the (p,) call bit for bit.
     """
     lam = as_spectrum(spectrum)
     surrogates = np.asarray(surrogate_values, dtype=np.float64)
@@ -192,7 +193,8 @@ def surrogate_values_for_kind(kind: str, stats, beta_star) -> np.ndarray:
 def run_risk_vs_n(cfg: ExperimentConfig):
     """Theory and Monte Carlo excess risk per (n, surrogate kind).
 
-    All kinds at one n run as one Monte Carlo call on shared trial designs.
+    All kinds at one n run as one Monte Carlo call on shared trial designs,
+    one multi-column fit per trial (see mc_one_stage_risks).
     """
     (alpha,) = cfg.alpha
     spectrum = power_law_spectrum(cfg.p, alpha)

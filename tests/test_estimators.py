@@ -216,31 +216,54 @@ class TestFitRoute:
         assert np.array_equal(out.fitted, np.zeros(4))
 
 
-class TestSharedDesignFit:
-    """(rows, k) labels fit column for column exactly as k one-column fits."""
+ROUTES = pytest.mark.parametrize(
+    "shape,duplicate,route",
+    [((30, 70), False, "gram"), ((90, 30), False, "gram"), ((40, 10), True, "lstsq")],
+    ids=["gram-wide", "gram-tall", "lstsq-duplicated-column"],
+)
 
-    @pytest.mark.parametrize(
-        "shape,duplicate,route",
-        [((30, 70), False, "gram"), ((90, 30), False, "gram"), ((40, 10), True, "lstsq")],
-        ids=["gram-wide", "gram-tall", "lstsq-duplicated-column"],
-    )
+
+def _design_and_labels(shape, duplicate, k):
+    rng = np.random.default_rng(17)
+    design = rng.normal(size=shape)
+    if duplicate:
+        design[:, 7] = design[:, 3]  # fails the Gram certificate
+    return design, rng.normal(size=(design.shape[0], k))
+
+
+class TestSharedDesignFit:
+    """(rows, k) labels share one route and one solve with k one-column fits."""
+
+    @ROUTES
     def test_columns_match_one_column_fits(self, shape, duplicate, route):
-        rng = np.random.default_rng(17)
-        design = rng.normal(size=shape)
-        if duplicate:
-            design[:, 7] = design[:, 3]  # fails the Gram certificate
-        labels = rng.normal(size=(design.shape[0], 4))
+        """Route, rank and rank_deficient exactly; each column to rounding."""
+        design, labels = _design_and_labels(shape, duplicate, 4)
         shared = fit(design, labels)
         assert shared.route == route
         assert shared.fitted.shape == (design.shape[1], 4)
         for j in range(4):
             alone = fit(design, labels[:, j].copy())
-            assert np.array_equal(shared.fitted[:, j], alone.fitted)
             assert (alone.route, alone.rank, alone.rank_deficient) == (
                 shared.route,
                 shared.rank,
                 shared.rank_deficient,
             )
+            gap = np.linalg.norm(shared.fitted[:, j] - alone.fitted)
+            assert gap <= 1e-12 * np.linalg.norm(alone.fitted)
+
+    @ROUTES
+    def test_matrix_of_one_column_equals_vector_fit(self, shape, duplicate, route):
+        """(rows, 1) labels give the (rows,) fit bit for bit, as a one-kind stack needs."""
+        design, labels = _design_and_labels(shape, duplicate, 1)
+        column = fit(design, labels)
+        vector = fit(design, labels[:, 0].copy())
+        assert column.fitted.shape == (design.shape[1], 1)
+        assert np.array_equal(column.fitted[:, 0], vector.fitted)
+        assert (column.route, column.rank, column.rank_deficient) == (
+            route,
+            vector.rank,
+            vector.rank_deficient,
+        )
 
     def test_shape_validation(self):
         design = np.ones((4, 6))

@@ -485,18 +485,38 @@ class TestSmallHelpers:
         b = mc_one_stage_risks(spectrum, beta, beta, 0.1, 6, 8, 123, workers=3)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_stacked_mc_risks_match_per_kind_calls(self, workers):
-        """One stacked call gives each kind's one-kind risks, bit for bit."""
+    def _stack(self):
         spectrum = power_law_spectrum(37, 2.0)
         beta = power_law_signal(37, 2.0, 1.5)
         stats = solve_tau(spectrum, 11)
-        values = [surrogate_values_for_kind(kind, stats, beta) for kind in KINDS]
+        return spectrum, beta, [surrogate_values_for_kind(kind, stats, beta) for kind in KINDS]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stacked_mc_risks_match_per_kind_calls(self, workers):
+        """One stacked call gives each kind's one-kind risks, to rounding."""
+        spectrum, beta, values = self._stack()
         stacked = mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
         assert stacked.shape == (9, len(KINDS))
         for j, kind_values in enumerate(values):
             alone = mc_one_stage_risks(spectrum, beta, kind_values, 0.1, 11, 9, 5, workers)
-            assert np.array_equal(stacked[:, j], alone)
+            np.testing.assert_allclose(stacked[:, j], alone, rtol=1e-12, atol=0.0)
+
+    def test_stacked_mc_risks_do_not_depend_on_workers(self):
+        spectrum, beta, values = self._stack()
+        one, three = (
+            mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
+            for workers in (1, 3)
+        )
+        assert np.array_equal(one, three)
+
+    def test_one_kind_stack_equals_vector_call(self):
+        """A (1, p) stack, as risk-vs-n passes for one kind, gives the 1-D call's risks."""
+        spectrum, beta, values = self._stack()
+        for kind_values in values:
+            stacked = mc_one_stage_risks(spectrum, beta, kind_values[None, :], 0.1, 11, 9, 5)
+            alone = mc_one_stage_risks(spectrum, beta, kind_values, 0.1, 11, 9, 5)
+            assert stacked.shape == (9, 1)
+            assert np.array_equal(stacked[:, 0], alone)
 
 
 class TestOutputFormat:
