@@ -7,8 +7,6 @@ that validates every formula against simulation.
 """
 
 from .design import (
-    GainProfile,
-    SurrogateParam,
     benign_region_check,
     brute_force_mask,
     cutoff_indices,
@@ -46,7 +44,6 @@ from .theory import (
     RiskReport,
     covariance_shift_map,
     gamma_t_sq,
-    monte_carlo_report,
     omniscient_risk,
     one_stage_risk,
     to_spectral_coordinates,
@@ -58,13 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "EstimatorOutput",
-    "GainProfile",
     "HypothesisViolatedError",
     "NonConvergenceError",
     "ProblemInstance",
     "RiskReport",
     "SpectralStats",
-    "SurrogateParam",
     "as_spectrum",
     "benign_region_check",
     "brute_force_mask",
@@ -77,7 +72,6 @@ __all__ = [
     "gain_profile",
     "gamma_t_sq",
     "masked_surrogate",
-    "monte_carlo_report",
     "omega_asymptotic",
     "omega_lower_bound",
     "omniscient_risk",

@@ -7,16 +7,17 @@ threshold rule on the shrinkage factors. A brute-force oracle over all
 supports is kept for small p so the threshold rule can be checked against
 exhaustive search, and power-law asymptotics predict where the thresholds
 land and how fast the optimal risks decay. The designers take the fixed-point
-stats from solve_tau, as the risk oracles do; the brute-force oracle alone
-takes the raw problem and solves its fixed point itself. It scores
-blocks of candidate supports with the array kernel behind one_stage_risk, so
-its memory stays bounded up to its limit p = 20.
+stats from solve_tau, as the risk oracles do, and return plain (p,) float64
+vectors: the gains, the optimal surrogate and the masked surrogate (a mask is
+a frozenset of 0-based indices). The brute-force oracle alone takes the raw
+problem and solves its fixed point itself. It scores blocks of candidate
+supports with the array kernel behind one_stage_risk, so its memory stays
+bounded up to its limit p = 20.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +28,19 @@ from .theory import _check_stats, _one_stage_terms
 _CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class SurrogateParam:
-    """A surrogate vector plus the design rule that produced it."""
+def gain_profile(stats: SpectralStats) -> np.ndarray:
+    """Optimal per-coordinate gains beta_opt_i / beta_star_i, independent of the signal.
 
-    values: np.ndarray
-    kind: str
-    support: frozenset | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class GainProfile:
-    """Per-coordinate optimal gain beta_opt_i / beta_star_i (signal independent).
-
-    gains_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
-    zeta_i < threshold_amplify with threshold_amplify = 1 - Omega.
+    gain_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
+    zeta_i < 1 - stats.omega.
     """
-
-    gains: np.ndarray
-    threshold_amplify: float
-
-
-def _gains(stats: SpectralStats) -> np.ndarray:
+    _check_stats(stats)
     one_minus = stats.one_minus_zeta()
     ratio = stats.omega / (1.0 - stats.omega)
     return one_minus / (one_minus**2 + ratio * stats.zeta**2)
 
 
-def gain_profile(stats: SpectralStats) -> GainProfile:
-    """Optimal per-coordinate gains at the fixed point stats, independent of the signal."""
-    _check_stats(stats)
-    return GainProfile(gains=_gains(stats), threshold_amplify=1.0 - stats.omega)
-
-
-def optimal_surrogate(stats: SpectralStats, beta_star) -> SurrogateParam:
+def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
     """Minimizer of the one-stage risk over all surrogate vectors.
 
     beta_opt_i = beta_star_i * (1 - zeta_i) / ((1 - zeta_i)^2
@@ -70,11 +50,11 @@ def optimal_surrogate(stats: SpectralStats, beta_star) -> SurrogateParam:
     every gain collapses to 1, and the optimal surrogate is beta_star itself;
     anisotropy is what creates room for improvement.
     """
-    _check_stats(stats)
+    gains = gain_profile(stats)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     if beta_star.shape != stats.eigenvalues.shape:
         raise ValueError("beta_star must match the spectrum length")
-    return SurrogateParam(values=_gains(stats) * beta_star, kind="optimal")
+    return gains * beta_star
 
 
 def optimal_mask(stats: SpectralStats) -> frozenset:
@@ -103,18 +83,17 @@ def optimal_mask(stats: SpectralStats) -> frozenset:
     return frozenset(keep.tolist())
 
 
-def masked_surrogate(beta_star, support) -> SurrogateParam:
+def masked_surrogate(beta_star, support) -> np.ndarray:
     """Surrogate equal to beta_star on `support` and zero elsewhere."""
     beta_star = np.asarray(beta_star, dtype=np.float64)
     sup = frozenset(int(i) for i in support)
     for i in sup:
         if i < 0 or i >= beta_star.size:
             raise IndexError(f"mask index {i} out of range for length {beta_star.size}")
+    keep = sorted(sup)
     values = np.zeros_like(beta_star)
-    if sup:
-        idx = sorted(sup)
-        values[idx] = beta_star[idx]
-    return SurrogateParam(values=values, kind="masked", support=sup)
+    values[keep] = beta_star[keep]
+    return values
 
 
 def _support_blocks(p: int):

@@ -61,11 +61,10 @@ def derive_seed(parent_seed: int, stage: int, trial: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A sampled design matrix with labels and the seed that produced them."""
+    """A sampled design matrix with its labels."""
 
     design: np.ndarray
     labels: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +147,7 @@ def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Da
         labels = design @ beta + noise
     else:
         labels = np.stack([design @ column + noise for column in beta], axis=1)
-    return Dataset(design=design, labels=labels, seed=int(seed))
+    return Dataset(design=design, labels=labels)
 
 
 def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:

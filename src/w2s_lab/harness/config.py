@@ -32,6 +32,21 @@ DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
 
 
+# The experiments that read each echoed field, where not all of them do. Any
+# other experiment refuses a value that differs from the field's default, so
+# an unread field never changes the echo or the build id of identical rows.
+# seed is left out: it is echoed by every experiment and read by few.
+READERS = {
+    **dict.fromkeys(("p", "n", "alpha"), EXPERIMENTS[:-1]),  # all but verify
+    "m": ("two-stage-grid",),
+    "beta_exp": ("gain-profile", "risk-vs-n", "two-stage-grid", "scaling-slope"),
+    "sigma_t_sq": ("risk-vs-n", "two-stage-grid", "scaling-slope"),
+    "sigma_s_sq": ("two-stage-grid",),
+    "trials": ("risk-vs-n", "two-stage-grid"),
+    "kinds": ("risk-vs-n", "scaling-slope"),
+}
+
+
 # Where an experiment's own rules refuse a shared default, its entry here
 # replaces it; file values and flags still win. A gain profile is taken at one
 # n, and a scaling slope needs p >= 10*max(n) and a predicted exponent for
@@ -181,8 +196,14 @@ class ExperimentConfig:
             raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
         if self.json_mirror and self.out is None:
             raise ConfigError("json_mirror: the mirror is written next to out, and out is not set")
-        if self.m and exp != "two-stage-grid":
-            raise ConfigError(f"m: only two-stage-grid reads m, got {self.m} for {exp}")
+        for f in fields(self):
+            readers = READERS.get(f.name, (exp,))
+            value = getattr(self, f.name)
+            if exp not in readers and value != f.default:
+                verb = "reads" if len(readers) == 1 else "read"
+                raise ConfigError(
+                    f"{f.name}: only {', '.join(readers)} {verb} {f.name}, got {value} for {exp}"
+                )
         if exp in ("gain-profile",):
             if len(self.n) != 1:
                 raise ConfigError(f"n: {exp} takes exactly one n value, got {self.n}")

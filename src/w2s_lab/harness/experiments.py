@@ -152,6 +152,7 @@ def mc_two_stage_risks(inst: ProblemInstance, trials, seed, workers=1) -> np.nda
 
 
 def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:
+    """Mean and standard error of per-trial risks; the SE is None for one trial."""
     mean = float(np.mean(risks))
     if risks.size < 2:
         return mean, None
@@ -184,9 +185,9 @@ def surrogate_values_for_kind(kind: str, stats, beta_star) -> np.ndarray:
     if kind == "ground-truth":
         return np.asarray(beta_star, dtype=np.float64)
     if kind == "optimal":
-        return optimal_surrogate(stats, beta_star).values
+        return optimal_surrogate(stats, beta_star)
     if kind == "masked":
-        return masked_surrogate(beta_star, optimal_mask(stats)).values
+        return masked_surrogate(beta_star, optimal_mask(stats))
     raise ValueError(f"unknown surrogate kind {kind!r}")
 
 
@@ -261,10 +262,10 @@ def run_gain_profile(cfg: ExperimentConfig):
     signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
 
     stats = solve_tau(lam, n)
-    profile = gain_profile(stats)
+    gains = gain_profile(stats)
     mask = optimal_mask(stats)
     optimal = optimal_surrogate(stats, signal)
-    threshold_amplify = profile.threshold_amplify
+    threshold_amplify = 1.0 - stats.omega
     threshold_mask = math.sqrt(threshold_amplify)
     rows = []
     for i in range(cfg.p):
@@ -279,8 +280,8 @@ def run_gain_profile(cfg: ExperimentConfig):
                 float(lam[i]),
                 float(stats.zeta[i]),
                 float(signal[i]),
-                float(optimal.values[i]),
-                float(profile.gains[i]),
+                float(optimal[i]),
+                float(gains[i]),
                 1 if i in mask else 0,
                 threshold_amplify,
                 threshold_mask,
@@ -335,7 +336,7 @@ def run_scaling_slope(cfg: ExperimentConfig):
         if want_target:
             target_totals.append(omniscient_risk(stats, beta_star, cfg.sigma_t_sq).total)
         if want_optimal:
-            values = optimal_surrogate(stats, beta_star).values
+            values = optimal_surrogate(stats, beta_star)
             optimal_totals.append(one_stage_risk(stats, beta_star, values, cfg.sigma_t_sq).total)
 
     def fitted_slope(totals):

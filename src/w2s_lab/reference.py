@@ -66,7 +66,7 @@ def one_stage_risk_dense(
     variance = gamma_sq * float(np.trace(resolvent @ resolvent @ sigma @ sigma)) / p
 
     bias = t_shift + t_null + t_cross
-    return RiskReport(bias=bias, variance=variance, total=bias + variance, source="dense")
+    return RiskReport(bias=bias, variance=variance, total=bias + variance)
 
 
 def two_stage_risk_dense(inst: ProblemInstance, basis=None) -> RiskReport:
@@ -121,4 +121,4 @@ def two_stage_risk_dense(inst: ProblemInstance, basis=None) -> RiskReport:
     )
 
     variance = term2 + term3
-    return RiskReport(bias=term1, variance=variance, total=term1 + variance, source="dense")
+    return RiskReport(bias=term1, variance=variance, total=term1 + variance)

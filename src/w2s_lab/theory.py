@@ -20,8 +20,11 @@ solve_tau returns them, in place of the spectrum:
   so variance = gamma^2 * n * Omega / p. The two-stage form composes two fixed
   points and adds the stage-one estimation error propagated through stage two.
 
-Dense-matrix reference implementations of the same quantities (slow, p <= a few
-hundred) live in the reference module and are cross-checked in the test suite.
+Each oracle returns a RiskReport of bias, variance and their total. Dense-matrix
+reference implementations of the same quantities (slow, p <= a few hundred)
+live in the reference module and are cross-checked in the test suite. The
+Monte Carlo side reduces per-trial risks to a mean and standard error in
+harness.experiments.mean_and_se.
 """
 
 from __future__ import annotations
@@ -36,19 +39,11 @@ from .spectrum import SpectralStats, as_spectrum, solve_tau
 
 @dataclass(frozen=True)
 class RiskReport:
-    """An excess-risk value split into bias and variance, with its source.
-
-    Theory reports satisfy total = bias + variance by construction. Reports
-    with source "monte-carlo" additionally carry the trial count and the
-    standard error of the per-trial totals; both stay None for theory reports.
-    """
+    """An excess risk split into bias and variance, with total = bias + variance."""
 
     bias: float
     variance: float
     total: float
-    source: str = "theory"
-    trials: int | None = None
-    se: float | None = None
 
 
 def _check_stats(stats: SpectralStats) -> None:
@@ -206,44 +201,6 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
     variance_carry = (gamma_s_sq / p) * float(np.sum(carry_terms[::-1]))
     variance = variance_stage2 + variance_carry
     return RiskReport(bias=bias, variance=variance, total=bias + variance)
-
-
-def monte_carlo_report(spectrum, beta_star, fitted) -> RiskReport:
-    """Empirical RiskReport from a batch of fitted coefficient vectors.
-
-    Args:
-        spectrum: eigenvalues the risk is evaluated under.
-        beta_star: ground-truth coefficients, shape (p,).
-        fitted: fitted vectors, shape (trials, p), one row per trial.
-
-    Returns:
-        RiskReport with source "monte-carlo". The split uses the exact
-        decomposition of the mean excess risk around the mean fitted vector:
-        bias is the risk of the averaged estimate, variance the mean weighted
-        spread around it, and total their sum. se is the standard error of the
-        per-trial totals (None with a single trial).
-    """
-    lam = as_spectrum(spectrum)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    fitted = np.asarray(fitted, dtype=np.float64)
-    if fitted.ndim != 2 or fitted.shape[1] != lam.size or beta_star.shape != lam.shape:
-        raise ValueError(
-            f"fitted must be (trials, p) matching the spectrum, got {fitted.shape}"
-        )
-    trials = fitted.shape[0]
-    center = fitted.mean(axis=0)
-    bias = float(np.sum((lam * (center - beta_star) ** 2)[::-1]))
-    variance = float(np.mean(np.sum(lam[None, :] * (fitted - center) ** 2, axis=1)))
-    per_trial = np.sum(lam[None, :] * (fitted - beta_star) ** 2, axis=1)
-    se = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else None
-    return RiskReport(
-        bias=bias,
-        variance=variance,
-        total=bias + variance,
-        source="monte-carlo",
-        trials=trials,
-        se=se,
-    )
 
 
 def covariance_shift_map(beta_star, spectrum_s, spectrum_t) -> np.ndarray:

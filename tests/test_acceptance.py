@@ -120,7 +120,7 @@ def test_criterion_03_optimal_surrogate_stationarity():
         lam = np.sort(rng.uniform(0.05, 3.0, size=p))[::-1]
         beta_star = rng.normal(size=p)
         stats = solve_tau(lam, n)
-        opt = optimal_surrogate(stats, beta_star).values
+        opt = optimal_surrogate(stats, beta_star)
         risk = one_stage_risk(stats, beta_star, opt, 0.0).total
         tol = 1e-6 * (1.0 + risk)
         for i in range(p):

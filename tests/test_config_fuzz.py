@@ -10,6 +10,7 @@ inf, nan or an out-of-range number into a runner.
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 
@@ -21,6 +22,7 @@ from w2s_lab.harness.cli import config_from_argv  # noqa: E402
 from w2s_lab.harness.config import (  # noqa: E402
     EXPERIMENTS,
     KINDS,
+    READERS,
     SETTINGS,
     ConfigError,
     build_config,
@@ -108,7 +110,9 @@ def _assert_in_bounds(cfg):
     assert 0 <= cfg.seed < 2**64
     assert cfg.kinds and set(cfg.kinds) <= set(KINDS)
     assert cfg.out is not None or not cfg.json_mirror
-    assert not cfg.m or cfg.experiment == "two-stage-grid"
+    for f in fields(cfg):  # a field the experiment does not read keeps its default
+        if cfg.experiment not in READERS.get(f.name, (cfg.experiment,)):
+            assert getattr(cfg, f.name) == f.default, f.name
 
 
 def _parse_text(text: str) -> dict:

@@ -7,7 +7,6 @@ import pytest
 
 from w2s_lab import design, theory
 from w2s_lab import (
-    SurrogateParam,
     benign_region_check,
     brute_force_mask,
     cutoff_indices,
@@ -45,12 +44,12 @@ _LAM30 = power_law_spectrum(30, 2.0)
 _BETA30 = power_law_signal(30, 2.0, 1.5)
 # Each oracle that reads the fixed point, as a function of its stats alone.
 _ORACLES = {
-    "gain_profile": lambda st: gain_profile(st).gains,
+    "gain_profile": gain_profile,
     "gamma_t_sq": lambda st: gamma_t_sq(st, _BETA30, 0.1),
     "omniscient_risk": lambda st: omniscient_risk(st, _BETA30, 0.1).total,
     "one_stage_risk": lambda st: one_stage_risk(st, _BETA30, 0.5 * _BETA30, 0.1).total,
     "optimal_mask": lambda st: sorted(optimal_mask(st)),
-    "optimal_surrogate": lambda st: optimal_surrogate(st, _BETA30).values,
+    "optimal_surrogate": lambda st: optimal_surrogate(st, _BETA30),
 }
 
 
@@ -84,19 +83,32 @@ class TestStatsGivenSkipValidation:
                 oracle(_stats_at(spectrum, 8, 0.01))
 
 
+class TestDesignersReturnArrays:
+    def test_float64_vectors_of_length_p(self):
+        stats = solve_tau(_LAM30, 8)
+        integer_beta = np.arange(30)  # an integer signal still gives float64 vectors
+        for values in (
+            gain_profile(stats),
+            optimal_surrogate(stats, integer_beta),
+            masked_surrogate(integer_beta, optimal_mask(stats)),
+        ):
+            assert type(values) is np.ndarray
+            assert values.dtype == np.float64
+            assert values.shape == (30,)
+
+
 class TestOptimalSurrogate:
     def test_hand_worked_two_point_instance(self):
         """Eigenvalues (1, 1/4), n=1, beta = (1, 1): gains are 8/7 and 1/2."""
-        param = optimal_surrogate(solve_tau(np.array([1.0, 0.25]), 1), np.ones(2))
-        assert param.kind == "optimal"
-        assert param.values[0] == pytest.approx(8.0 / 7.0, abs=1e-9)
-        assert param.values[1] == pytest.approx(0.5, abs=1e-9)
+        values = optimal_surrogate(solve_tau(np.array([1.0, 0.25]), 1), np.ones(2))
+        assert values[0] == pytest.approx(8.0 / 7.0, abs=1e-9)
+        assert values[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_isotropic_gains_are_unity(self):
         # flat spectrum: amplification and shrinkage cancel coordinate by coordinate
         beta = np.arange(1.0, 7.0)
-        param = optimal_surrogate(solve_tau(np.full(6, 2.0), 2), beta)
-        assert param.values == pytest.approx(beta, rel=1e-9)
+        values = optimal_surrogate(solve_tau(np.full(6, 2.0), 2), beta)
+        assert values == pytest.approx(beta, rel=1e-9)
 
     def test_never_beaten_by_nearby_surrogates(self):
         rng = np.random.default_rng(42)
@@ -104,33 +116,27 @@ class TestOptimalSurrogate:
         beta = power_law_signal(20, 1.8, 2.1)
         stats = solve_tau(lam, 7)
         opt = optimal_surrogate(stats, beta)
-        best = one_stage_risk(stats, beta, opt.values, 0.0).total
+        best = one_stage_risk(stats, beta, opt, 0.0).total
         for _ in range(20):
-            jitter = opt.values + 0.01 * rng.normal(size=20)
+            jitter = opt + 0.01 * rng.normal(size=20)
             assert one_stage_risk(stats, beta, jitter, 0.0).total >= best - 1e-12
 
 
 class TestGainProfile:
-    def test_threshold_is_one_minus_omega(self):
-        lam = power_law_spectrum(40, 2.0)
-        stats = solve_tau(lam, 15)
-        profile = gain_profile(stats)
-        assert profile.threshold_amplify == pytest.approx(1.0 - stats.omega, rel=1e-12)
-
     def test_amplification_set_matches_threshold(self):
         """gain_i > 1 exactly when zeta_i falls below 1 - Omega."""
         lam = power_law_spectrum(60, 1.6)
         stats = solve_tau(lam, 20)
-        profile = gain_profile(stats)
-        assert np.array_equal(profile.gains > 1.0, stats.zeta < profile.threshold_amplify)
+        gains = gain_profile(stats)
+        assert np.array_equal(gains > 1.0, stats.zeta < 1.0 - stats.omega)
 
     def test_single_crossing_on_power_law(self):
-        profile = gain_profile(solve_tau(power_law_spectrum(80, 2.5), 25))
-        signs = np.sign(profile.gains - 1.0)
+        gains = gain_profile(solve_tau(power_law_spectrum(80, 2.5), 25))
+        signs = np.sign(gains - 1.0)
         flips = np.count_nonzero(np.diff(signs[signs != 0.0]))
         assert flips == 1
-        assert profile.gains[0] > 1.0
-        assert profile.gains[-1] < 1.0
+        assert gains[0] > 1.0
+        assert gains[-1] < 1.0
 
 
 class TestMasks:
@@ -178,14 +184,10 @@ class TestMasks:
             brute_force_mask(lam, np.ones(21), 5, 0.1)
 
     def test_masked_surrogate_values(self):
-        param = masked_surrogate(np.array([3.0, -2.0, 5.0]), {0, 2})
-        assert isinstance(param, SurrogateParam)
-        assert param.kind == "masked"
-        assert param.values == pytest.approx([3.0, 0.0, 5.0])
-        assert param.support == frozenset({0, 2})
+        values = masked_surrogate(np.array([3.0, -2.0, 5.0]), {0, 2})
+        assert values == pytest.approx([3.0, 0.0, 5.0])
         empty = masked_surrogate(np.array([3.0, -2.0, 5.0]), frozenset())
-        assert empty.values == pytest.approx([0.0, 0.0, 0.0])
-        assert empty.support == frozenset()
+        assert empty == pytest.approx([0.0, 0.0, 0.0])
 
     def test_masked_surrogate_rejects_bad_support(self):
         for bad in (3, 5, -1):

@@ -23,6 +23,7 @@ from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
     EXPERIMENTS,
     KINDS,
+    READERS,
     SETTINGS,
     ConfigError,
     ExperimentConfig,
@@ -134,8 +135,9 @@ class TestBuildConfig:
         assert build_config("risk-vs-n", parse_config_file(path)).p == 40
 
 
-# Per settable field, a text that two-stage-grid accepts and one that it
-# refuses (None where the field takes any text, or its flag takes none).
+# Per settable field, a text that the field's experiment (two-stage-grid
+# unless _FIELD_EXPERIMENT names another) accepts and one that it refuses
+# (None where the field takes any text, or its flag takes none).
 _FIELD_TEXTS = {
     "p": ("40", "x"),
     "n": ("5,10", "5,x"),
@@ -151,10 +153,12 @@ _FIELD_TEXTS = {
     "out": ("x y/run.csv", None),
     "json_mirror": ("true", None),
 }
+# two-stage-grid reads every field but kinds.
+_FIELD_EXPERIMENT = {"kinds": "risk-vs-n"}
 
 
-def _from_file_and_flag(tmp_path, name, text):
-    """Build two-stage-grid from `name = text` in a file and from the flag: configs or errors.
+def _from_file_and_flag(tmp_path, experiment, name, text):
+    """Build experiment from `name = text` in a file and from the flag: configs or errors.
 
     The JSON mirror needs an out path, which both ways then also give.
     """
@@ -166,8 +170,8 @@ def _from_file_and_flag(tmp_path, name, text):
     if name == "json_mirror":
         flag.append("--out=run.csv")
     for build in (
-        lambda: build_config("two-stage-grid", parse_config_file(path)),
-        lambda: cli.config_from_argv(["two-stage-grid", *flag]),
+        lambda: build_config(experiment, parse_config_file(path)),
+        lambda: cli.config_from_argv([experiment, *flag]),
     ):
         try:
             results.append(build())
@@ -192,14 +196,69 @@ class TestFieldTable:
     @pytest.mark.parametrize("name", sorted(_FIELD_TEXTS))
     def test_file_key_and_flag_build_the_same_config(self, tmp_path, name):
         good, bad = _FIELD_TEXTS[name]
-        from_file, from_flag = _from_file_and_flag(tmp_path, name, good)
+        experiment = _FIELD_EXPERIMENT.get(name, "two-stage-grid")
+        from_file, from_flag = _from_file_and_flag(tmp_path, experiment, name, good)
         assert isinstance(from_file, ExperimentConfig), from_file
         assert from_file == from_flag
-        assert getattr(from_file, name) != getattr(build_config("two-stage-grid"), name)
+        assert getattr(from_file, name) != getattr(build_config(experiment), name)
         if bad is not None:
-            from_file, from_flag = _from_file_and_flag(tmp_path, name, bad)
+            from_file, from_flag = _from_file_and_flag(tmp_path, experiment, name, bad)
             assert isinstance(from_file, str) and from_file.startswith(f"{name}: ")
             assert from_file == from_flag
+
+
+# The experiments that read each field (seed is read by few and refused by
+# none), as the README documents it.
+_TABLES = ("gain-profile", "risk-vs-n", "two-stage-grid", "mask-count", "scaling-slope")
+_DOCUMENTED_READERS = {
+    "p": _TABLES,
+    "n": _TABLES,
+    "m": ("two-stage-grid",),
+    "alpha": _TABLES,
+    "beta_exp": ("gain-profile", "risk-vs-n", "two-stage-grid", "scaling-slope"),
+    "sigma_t_sq": ("risk-vs-n", "two-stage-grid", "scaling-slope"),
+    "sigma_s_sq": ("two-stage-grid",),
+    "trials": ("risk-vs-n", "two-stage-grid"),
+    "kinds": ("risk-vs-n", "scaling-slope"),
+}
+# A config each experiment accepts, and per field a value other than its default.
+_BASES = {
+    "gain-profile": {"p": 50, "n": (5,)},
+    "risk-vs-n": {"p": 50, "n": (5,)},
+    "two-stage-grid": {"p": 50, "n": (5,)},
+    "mask-count": {"p": 50, "n": (5,)},
+    "scaling-slope": {"p": 400, "n": (10, 20, 40)},
+}
+_UNREAD_VALUES = {
+    "p": 50,
+    "n": (5,),
+    "m": (7,),
+    "alpha": (3.0,),
+    "beta_exp": 3.0,
+    "sigma_t_sq": 0.3,
+    "sigma_s_sq": 0.3,
+    "trials": 7,
+    "kinds": ("optimal",),
+}
+
+
+def _assert_unread_is_refused(name, experiment) -> str:
+    """An experiment that does not read field `name` refuses any value but its default.
+
+    Returns the refusal's message.
+    """
+    base = _BASES.get(experiment, {})
+    build_config(experiment, base)
+    readers = _DOCUMENTED_READERS[name]
+    verb = "reads" if len(readers) == 1 else "read"
+    with pytest.raises(ConfigError) as caught:
+        build_config(experiment, {**base, name: _UNREAD_VALUES[name]})
+    message = str(caught.value)
+    assert message == (
+        f"{name}: only {', '.join(readers)} {verb} {name}, "
+        f"got {_UNREAD_VALUES[name]} for {experiment}"
+    )
+    return message
 
 
 class TestValidation:
@@ -230,12 +289,28 @@ class TestValidation:
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "two-stage-grid"])
     def test_m_is_refused_where_it_is_not_read(self, experiment):
-        base = {"p": 50, "n": (5,)}
-        if experiment == "scaling-slope":
-            base = {"p": 400, "n": (10, 20, 40)}
-        build_config(experiment, base)
-        with pytest.raises(ConfigError, match="^m: only two-stage-grid reads m"):
-            build_config(experiment, {**base, "m": (7,)})
+        message = _assert_unread_is_refused("m", experiment)
+        assert message == f"m: only two-stage-grid reads m, got (7,) for {experiment}"
+
+    @pytest.mark.parametrize(
+        "name, experiment",
+        [
+            (name, experiment)
+            for name, readers in _DOCUMENTED_READERS.items()
+            if name != "m"
+            for experiment in EXPERIMENTS
+            if experiment not in readers
+        ],
+    )
+    def test_unread_field_is_refused(self, name, experiment):
+        _assert_unread_is_refused(name, experiment)
+
+    def test_readers_are_the_documented_table(self):
+        assert READERS == _DOCUMENTED_READERS
+
+    def test_seed_is_accepted_everywhere(self):
+        for experiment in EXPERIMENTS:
+            assert build_config(experiment, {**_BASES.get(experiment, {}), "seed": 7}).seed == 7
 
     def test_build_id_without_m_is_unchanged(self):
         assert build_id(build_config("mask-count", {"p": 50, "n": (5,)})) == "52c28407d5b3"
@@ -474,7 +549,7 @@ class TestSmallHelpers:
         truth = surrogate_values_for_kind("ground-truth", stats, beta_star)
         assert np.array_equal(truth, beta_star)
         opt = surrogate_values_for_kind("optimal", stats, beta_star)
-        assert np.array_equal(opt, optimal_surrogate(stats, beta_star).values)
+        assert np.array_equal(opt, optimal_surrogate(stats, beta_star))
         with pytest.raises(ValueError):
             surrogate_values_for_kind("oracle", stats, beta_star)
 

@@ -5,11 +5,9 @@ import pytest
 
 from w2s_lab import (
     ProblemInstance,
-    RiskReport,
     covariance_shift_map,
     empirical_excess_risk,
     gamma_t_sq,
-    monte_carlo_report,
     omniscient_risk,
     one_stage_risk,
     power_law_signal,
@@ -20,6 +18,7 @@ from w2s_lab import (
     two_stage_fit,
     two_stage_risk,
 )
+from w2s_lab.harness.experiments import mean_and_se
 
 
 def _reference_tau(lam, n):
@@ -246,43 +245,15 @@ class TestSpectralCoordinates:
 
 
 class TestMonteCarloReport:
-    def test_decomposition_is_exact(self):
-        rng = np.random.default_rng(23)
-        lam = power_law_spectrum(10, 2.0)
-        beta_star = power_law_signal(10, 2.0, 1.5)
-        fitted = beta_star[None, :] + rng.normal(size=(50, 10))
-        report = monte_carlo_report(lam, beta_star, fitted)
-        assert report.source == "monte-carlo"
-        assert report.trials == 50
-        assert report.total == report.bias + report.variance
-        assert report.se is not None and report.se > 0.0
-
-    def test_single_trial_has_no_standard_error(self):
-        lam = power_law_spectrum(5, 2.0)
-        report = monte_carlo_report(lam, np.ones(5), np.ones((1, 5)))
-        assert report.trials == 1
-        assert report.se is None
-
     def test_tracks_closed_form(self):
+        # min-norm fits by lstsq, a route independent of estimators.fit
         lam = power_law_spectrum(30, 2.0)
         beta = power_law_signal(30, 2.0, 1.6)
         theory = one_stage_risk(solve_tau(lam, 10), beta, beta, 0.1)
-        fitted = np.empty((300, 30))
+        risks = np.empty(300)
         for t in range(300):
             ds = sample_dataset(lam, beta, 0.1, 10, 5000 + t)
-            fitted[t] = np.linalg.lstsq(ds.design, ds.labels, rcond=None)[0]
-        report = monte_carlo_report(lam, beta, fitted)
-        assert abs(report.total - theory.total) <= 4.0 * report.se
-        assert report.bias == pytest.approx(theory.bias, rel=0.25, abs=0.05)
-
-    def test_rejects_flat_input(self):
-        with pytest.raises(ValueError):
-            monte_carlo_report(power_law_spectrum(5, 2.0), np.ones(5), np.ones(5))
-
-
-class TestRiskReport:
-    def test_theory_defaults(self):
-        report = RiskReport(bias=0.1, variance=0.2, total=0.3)
-        assert report.source == "theory"
-        assert report.trials is None
-        assert report.se is None
+            fitted = np.linalg.lstsq(ds.design, ds.labels, rcond=None)[0]
+            risks[t] = empirical_excess_risk(fitted, beta, lam)
+        mean, se = mean_and_se(risks)
+        assert abs(mean - theory.total) <= 4.0 * se
