@@ -14,6 +14,8 @@ recorded in `EstimatorOutput.route`. Label vectors that share a design (a
 (k, p) stack of coefficient vectors in `sample_dataset`, (rows, k) labels in
 `fit`) share its draw, its certified Gram matrix and one multi-column solve,
 so a fitted column matches the one-column fit to rounding, not bit for bit.
+A one-column solve against a mid-size Gram matrix (126 to 500 rows) is padded
+with zero columns so that numpy releases the GIL and trial workers overlap.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
@@ -41,6 +43,16 @@ _MASK64 = (1 << 64) - 1
 # this limit the excess risk stays within about 1e-9 relative of lstsq's.
 GRAM_COND_LIMIT = 1e8
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
+# np.linalg.solve holds the GIL when its output has at most this many entries,
+# so one-column solves in concurrent trial workers run one at a time. A
+# one-column solve with Gram size m in [_WIDEN_MIN_GRAM, _GIL_HELD_ENTRIES]
+# is widened with zero columns past that size. The lower end is measured on
+# one thread: a widened 30-row solve (verify's tiny fits) takes 24 us against
+# 13 us and overlaps no better, while widened 240- and 285-row solves cost
+# what the plain ones do (0.5-1.1 ms).
+_GIL_HELD_ENTRIES = 500
+_WIDEN_MIN_GRAM = 126
 
 
 def _splitmix64(state: int) -> int:
@@ -154,7 +166,12 @@ def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
     """Min-norm solution through the smaller Gram matrix, or None if not certified.
 
     G is formed, certified and factored once for all label columns: labels is
-    (rows,) or (rows, k), as `b` in np.linalg.solve.
+    (rows,) or (rows, k), as `b` in np.linalg.solve. A one-column right-hand
+    side of Gram size m = min(rows, p) with _WIDEN_MIN_GRAM <= m <=
+    _GIL_HELD_ENTRIES is solved as column 0 of an
+    (m, _GIL_HELD_ENTRIES // m + 1) array, zeros elsewhere, so the solve
+    releases the GIL. The choice depends on m alone, never on the worker
+    count, and (rows,) and (rows, 1) labels take the same path.
 
     With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it is
     G^-1 X^T y. The certificate (Rump, "Verification of positive
@@ -177,9 +194,15 @@ def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     np.fill_diagonal(gram, diagonal)
-    if wide:
-        return design.T @ np.linalg.solve(gram, labels)
-    return np.linalg.solve(gram, design.T @ labels)
+    rhs = labels if wide else design.T @ labels
+    size = gram.shape[0]
+    if rhs.size == size and _WIDEN_MIN_GRAM <= size <= _GIL_HELD_ENTRIES:
+        widened = np.zeros((size, _GIL_HELD_ENTRIES // size + 1))
+        widened[:, 0] = rhs.ravel()
+        solved = np.linalg.solve(gram, widened)[:, 0].reshape(rhs.shape)
+    else:
+        solved = np.linalg.solve(gram, rhs)
+    return design.T @ solved if wide else solved
 
 
 def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:

@@ -30,6 +30,8 @@ KINDS = ("ground-truth", "optimal", "masked")
 DEFAULT_SIGMA_SQ = 0.05
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
+# Trial workers are OS threads; more than this would only contend for the GIL.
+MAX_WORKERS = 64
 
 
 # The experiments that read each echoed field, where not all of them do. Any
@@ -158,6 +160,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
         if not 0 <= self.seed < 2**64:
             # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
             raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")

@@ -100,11 +100,15 @@ SLOPE_COLUMNS = (
 
 
 def _fan_out(fn, trials: int, workers: int) -> np.ndarray:
-    """Run fn(0..trials-1), reducing in trial order regardless of worker count."""
-    if workers <= 1:
+    """Run fn(0..trials-1), reducing in trial order regardless of worker count.
+
+    At most min(workers, trials) threads start.
+    """
+    threads = min(workers, trials)
+    if threads <= 1:
         values = [fn(t) for t in range(trials)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(fn, t) for t in range(trials)]
             values = [f.result() for f in futures]
     return np.asarray(values, dtype=np.float64)

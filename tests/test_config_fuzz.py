@@ -22,6 +22,7 @@ from w2s_lab.harness.cli import config_from_argv  # noqa: E402
 from w2s_lab.harness.config import (  # noqa: E402
     EXPERIMENTS,
     KINDS,
+    MAX_WORKERS,
     READERS,
     SETTINGS,
     ConfigError,
@@ -106,7 +107,7 @@ def _assert_in_bounds(cfg):
     assert math.isfinite(cfg.beta_exp) and cfg.beta_exp > 1.0
     for sigma in (cfg.sigma_t_sq, cfg.sigma_s_sq):
         assert math.isfinite(sigma) and sigma >= 0.0
-    assert cfg.trials >= 1 and cfg.workers >= 1
+    assert cfg.trials >= 1 and 1 <= cfg.workers <= MAX_WORKERS
     assert 0 <= cfg.seed < 2**64
     assert cfg.kinds and set(cfg.kinds) <= set(KINDS)
     assert cfg.out is not None or not cfg.json_mirror

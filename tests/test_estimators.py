@@ -218,8 +218,20 @@ class TestFitRoute:
 
 ROUTES = pytest.mark.parametrize(
     "shape,duplicate,route",
-    [((30, 70), False, "gram"), ((90, 30), False, "gram"), ((40, 10), True, "lstsq")],
-    ids=["gram-wide", "gram-tall", "lstsq-duplicated-column"],
+    [
+        ((30, 70), False, "gram"),
+        ((90, 30), False, "gram"),
+        ((40, 10), True, "lstsq"),
+        ((285, 300), False, "gram"),
+        ((600, 300), False, "gram"),
+    ],
+    ids=[
+        "gram-wide",
+        "gram-tall",
+        "lstsq-duplicated-column",
+        "gram-wide-widened",
+        "gram-tall-widened",
+    ],
 )
 
 
@@ -264,6 +276,40 @@ class TestSharedDesignFit:
             vector.rank,
             vector.rank_deficient,
         )
+
+    @pytest.mark.parametrize(
+        "shape,k,widened",
+        [
+            ((240, 300), 1, True),
+            ((285, 300), 1, True),
+            ((600, 300), 1, True),
+            ((30, 80), 1, False),
+            ((100, 500), 3, False),
+        ],
+    )
+    def test_mid_size_one_column_solve_is_widened(self, monkeypatch, shape, k, widened):
+        """One-column Gram solves of 126-500 rows reach np.linalg.solve with > 500 entries.
+
+        numpy holds the GIL for smaller outputs; every other solve is passed as is.
+        """
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            sizes.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        rng = np.random.default_rng(3)
+        design = rng.normal(size=shape)
+        labels = rng.normal(size=shape[0]) if k == 1 else rng.normal(size=(shape[0], k))
+        assert fit(design, labels).route == "gram"
+        gram_size = min(shape)
+        (b_shape,) = sizes
+        if widened:
+            assert b_shape[0] == gram_size and np.prod(b_shape) > 500
+        else:
+            assert b_shape == labels.shape  # both cases are wide: b is the labels
 
     def test_shape_validation(self):
         design = np.ones((4, 6))

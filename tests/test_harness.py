@@ -18,11 +18,12 @@ from w2s_lab import (
     solve_tau,
     two_stage_risk,
 )
-from w2s_lab.harness import cli, verify
+from w2s_lab.harness import cli, experiments, verify
 from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
     EXPERIMENTS,
     KINDS,
+    MAX_WORKERS,
     READERS,
     SETTINGS,
     ConfigError,
@@ -37,6 +38,7 @@ from w2s_lab.harness.experiments import (
     RUNNERS,
     SLOPE_COLUMNS,
     mc_one_stage_risks,
+    mc_two_stage_risks,
     mean_and_se,
     run_gain_profile,
     run_mask_count,
@@ -352,6 +354,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_config("risk-vs-n", {"p": 40, "n": (5,), "beta_exp": 1.0})
 
+    def test_workers_have_a_ceiling(self):
+        """Refused at construction, so no thread is ever asked for."""
+        cfg = build_config("risk-vs-n", {"p": 40, "n": (5,), "workers": MAX_WORKERS})
+        assert cfg.workers == MAX_WORKERS
+        refusal = f"^workers: must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}$"
+        with pytest.raises(ConfigError, match=refusal):
+            build_config("risk-vs-n", {"p": 40, "n": (5,), "workers": MAX_WORKERS + 1})
+        with pytest.raises(ConfigError, match="^workers: must be <= "):
+            replace(cfg, workers=10**6)
+
     def test_seed_must_fit_in_64_bits(self):
         """Seeds are mixed as 64-bit words, so 2**64 + k would alias seed k."""
         with pytest.raises(ConfigError, match="seed"):
@@ -584,6 +596,38 @@ class TestSmallHelpers:
         )
         assert np.array_equal(one, three)
 
+    def test_two_stage_mc_risks_do_not_depend_on_workers(self):
+        """At the widened Gram sizes too: any worker count gives the same bits."""
+        spectrum = power_law_spectrum(300, 2.0)
+        for n in (240, 285):
+            inst = ProblemInstance(
+                spectrum_t=spectrum,
+                spectrum_s=spectrum,
+                beta_star=power_law_signal(300, 2.0, 1.5),
+                sigma_t_sq=0.05,
+                sigma_s_sq=0.05,
+                n=n,
+                m=n,
+            )
+            one, two, three = (mc_two_stage_risks(inst, 4, 11, workers) for workers in (1, 2, 3))
+            assert np.array_equal(one, two) and np.array_equal(one, three)
+
+    @pytest.mark.parametrize("workers,trials,threads", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
+    def test_fan_out_starts_at_most_one_thread_per_trial(
+        self, monkeypatch, workers, trials, threads
+    ):
+        pools = []
+        pool_class = experiments.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording_pool)
+        values = experiments._fan_out(float, trials, workers)
+        assert np.array_equal(values, np.arange(trials, dtype=np.float64))
+        assert pools == ([] if threads is None else [threads])
+
     def test_one_kind_stack_equals_vector_call(self):
         """A (1, p) stack, as risk-vs-n passes for one kind, gives the 1-D call's risks."""
         spectrum, beta, values = self._stack()
@@ -736,6 +780,16 @@ class TestCli:
         assert main(["risk-vs-n", "--config", "/nonexistent/x.cfg"]) == 1
         assert main(["risk-vs-n", "--p", "10", "--n", "10"]) == 1
         capsys.readouterr()
+
+    def test_too_many_workers_is_a_config_error(self, capsys, monkeypatch):
+        def not_run(cfg):
+            raise AssertionError("ran with a refused worker count")
+
+        monkeypatch.setitem(RUNNERS, "two-stage-grid", not_run)
+        argv = ["two-stage-grid", "--workers", "1000000", "--trials", "1000000"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: workers: must be <= {MAX_WORKERS}, got 1000000" in err
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         def boom(cfg):
