@@ -19,7 +19,10 @@ with zero columns so that numpy releases the GIL and trial workers overlap.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
-order-independent and every artifact is reproducible bit for bit.
+order-independent and every artifact is reproducible bit for bit. A seed's
+draw of c rows is a prefix of its draw of more rows, so a sweep draws once
+per trial and stage, at its largest count (`sample_prefixes`,
+`two_stage_sweep`), bit for bit what each count's own draw gives.
 """
 
 from __future__ import annotations
@@ -132,34 +135,61 @@ class ProblemInstance:
         return int(self.spectrum_t.size)
 
 
+def sample_prefixes(spectrum, betas, sigma_sq: float, counts, seed: int) -> list[Dataset]:
+    """Datasets of counts[i] rows labelled by betas[i], all read from one seeded draw.
+
+    The seed's stream of standard normals is drawn once, at the largest count
+    C: a (C, p) design followed by C noise draws. The dataset of count c
+    reads the design's first c rows and the c normals after its first c * p
+    as noise, exactly the draws a single call for c rows makes. Each dataset
+    therefore equals `sample_dataset` with count c and betas[i] alone, bit
+    for bit, and its design is a view of the shared (C, p) design.
+
+    counts may be unsorted and repeat; betas has one (p,) vector or (k, p)
+    stack per count, labelled as in `sample_dataset`.
+    """
+    lam = as_spectrum(spectrum)
+    if len(counts) == 0 or len(betas) != len(counts):
+        raise ValueError(f"need one beta per count, got {len(betas)} and {len(counts)}")
+    if sigma_sq < 0.0:
+        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    if min(counts) < 1:
+        raise ValueError(f"count must be >= 1, got {min(counts)}")
+    p, top = lam.size, max(counts)
+    rng = np.random.default_rng(int(seed) & _MASK64)
+    stream = rng.standard_normal(top * p + top)
+    # a smaller count's noise lies inside the top design: copy it before scaling
+    scale = np.sqrt(sigma_sq)
+    noise = [stream[count * p : count * p + count] * scale for count in counts]
+    design = stream[: top * p].reshape(top, p)
+    design *= np.sqrt(lam)
+    datasets = []
+    for beta, count, count_noise in zip(betas, counts, noise):
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.ndim not in (1, 2) or beta.shape[-1:] != lam.shape or beta.size == 0:
+            raise ValueError(f"beta has shape {beta.shape}, spectrum has {lam.shape}")
+        rows = design[:count]
+        if beta.ndim == 1:
+            labels = rows @ beta + count_noise
+        else:
+            labels = np.stack([rows @ column + count_noise for column in beta], axis=1)
+        datasets.append(Dataset(design=rows, labels=labels))
+    return datasets
+
+
 def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Dataset:
     """Draw `count` rows with independent N(0, lambda_j) features and noisy labels.
 
     Labels are design @ beta + N(0, sigma_sq). With sigma_sq = 0 the noise draw
     still consumes the generator (scaled by exactly 0.0), so labels are exact
-    and seed alignment across noise levels is preserved.
+    and seed alignment across noise levels is preserved. This is the
+    one-count case of `sample_prefixes`.
 
     beta may be one (p,) vector or a (k, p) stack. A stack shares one design
     and one noise draw, and labels is then (count, k) with column j computed
     exactly as the call with beta[j] alone computes its labels, bit for bit.
     """
-    lam = as_spectrum(spectrum)
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim not in (1, 2) or beta.shape[-1:] != lam.shape or beta.size == 0:
-        raise ValueError(f"beta has shape {beta.shape}, spectrum has {lam.shape}")
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    design = rng.standard_normal((count, lam.size))
-    design *= np.sqrt(lam)
-    noise = rng.standard_normal(count) * np.sqrt(sigma_sq)
-    if beta.ndim == 1:
-        labels = design @ beta + noise
-    else:
-        labels = np.stack([design @ column + noise for column in beta], axis=1)
-    return Dataset(design=design, labels=labels)
+    return sample_prefixes(spectrum, [beta], sigma_sq, [count], seed)[0]
 
 
 def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
@@ -256,26 +286,69 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     )
 
 
+def two_stage_sweep(
+    insts, seed: int, trial: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run the surrogate-then-target pipeline of one trial at every sweep point.
+
+    insts are ProblemInstances that differ only in n and m. Stage one fits
+    beta_s on m rows drawn from spectrum_s with ground-truth labels (noise
+    sigma_s_sq), once per distinct m, all m reading prefixes of one draw.
+    That draw is freed before stage two draws once for every point and fits
+    n fresh rows from spectrum_t labelled by the point's beta_s plus fresh
+    noise sigma_t_sq (an instance with sigma_t_sq = 0 distills without
+    noise). Every point gets the vectors its own one-point sweep gets, bit
+    for bit.
+
+    Returns:
+        (beta_s, beta_s_to_t) per instance, the stage-one and stage-two fits.
+    """
+    insts = list(insts)
+    if not insts:
+        raise ValueError("a sweep needs at least one ProblemInstance")
+    first = insts[0]
+    for inst in insts[1:]:
+        if not (
+            np.array_equal(inst.spectrum_s, first.spectrum_s)
+            and np.array_equal(inst.spectrum_t, first.spectrum_t)
+            and np.array_equal(inst.beta_star, first.beta_star)
+            and inst.sigma_s_sq == first.sigma_s_sq
+            and inst.sigma_t_sq == first.sigma_t_sq
+        ):
+            raise ValueError("sweep points must differ only in n and m")
+    ms = sorted({inst.m for inst in insts})
+    stage1 = sample_prefixes(
+        first.spectrum_s,
+        [first.beta_star] * len(ms),
+        first.sigma_s_sq,
+        ms,
+        derive_seed(seed, STAGE_SURROGATE, trial),
+    )
+    beta_s = {m: fit(ds.design, ds.labels).fitted for m, ds in zip(ms, stage1)}
+    del stage1  # free the stage-one draw before stage two allocates its own
+    stage2 = sample_prefixes(
+        first.spectrum_t,
+        [beta_s[inst.m] for inst in insts],
+        first.sigma_t_sq,
+        [inst.n for inst in insts],
+        derive_seed(seed, STAGE_TARGET, trial),
+    )
+    return [(beta_s[inst.m], fit(ds.design, ds.labels).fitted) for inst, ds in zip(insts, stage2)]
+
+
 def two_stage_fit(
     inst: ProblemInstance, seed: int, trial: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full surrogate-then-target pipeline for one trial.
 
-    Stage one fits beta_s on m rows drawn from spectrum_s with ground-truth
-    labels (noise sigma_s_sq). Stage two fits on n fresh rows drawn from
-    spectrum_t with labels produced by beta_s plus fresh noise sigma_t_sq
-    (an instance with sigma_t_sq = 0 distills without noise).
+    The one-point case of `two_stage_sweep`: stage one fits beta_s on m rows
+    drawn from spectrum_s, stage two fits on n fresh rows from spectrum_t
+    labelled by beta_s.
 
     Returns:
         (beta_s, beta_s_to_t), the stage-one and stage-two fitted vectors.
     """
-    seed_s = derive_seed(seed, STAGE_SURROGATE, trial)
-    seed_t = derive_seed(seed, STAGE_TARGET, trial)
-    stage1 = sample_dataset(inst.spectrum_s, inst.beta_star, inst.sigma_s_sq, inst.m, seed_s)
-    beta_s = fit(stage1.design, stage1.labels).fitted
-    del stage1  # free the stage-one design before stage two allocates its own
-    stage2 = sample_dataset(inst.spectrum_t, beta_s, inst.sigma_t_sq, inst.n, seed_t)
-    return beta_s, fit(stage2.design, stage2.labels).fitted
+    return two_stage_sweep([inst], seed, trial)[0]
 
 
 def empirical_excess_risk(beta_hat, beta_star, spectrum) -> float:

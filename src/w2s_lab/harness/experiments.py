@@ -3,7 +3,11 @@
 Each runner returns (columns, rows) ready for the output module. Monte Carlo
 fan-out is trial-level: trial t of a sweep uses the seed derived from
 (config seed, stage, t), results are reduced in trial order, and the worker
-count therefore never changes any output byte.
+count therefore never changes any output byte. Because trial t's stream does
+not depend on the sweep point, one fan-out covers a whole sweep: each trial
+draws each stage's stream once, at the sweep's largest sample count, and every
+point reads its dataset as a prefix of it (`estimators.sample_prefixes`), bit
+for bit what a one-point sweep draws.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from ..estimators import (
     derive_seed,
     empirical_excess_risk,
     fit,
-    sample_dataset,
-    two_stage_fit,
+    sample_prefixes,
+    two_stage_sweep,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
 from ..theory import omniscient_risk, one_stage_risk, two_stage_risk
@@ -116,43 +120,65 @@ def _fan_out(fn, trials: int, workers: int) -> np.ndarray:
 
 def mc_one_stage_risks(
     spectrum, beta_star, surrogate_values, sigma_sq, n, trials, seed, workers=1
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Per-trial empirical excess risks of the fit on surrogate-labeled data.
 
-    The trial seed depends only on (seed, trial), not on the surrogate, so
-    runs with different surrogate kinds at the same seed share their design
-    matrices and noise draws trial for trial (paired comparisons).
+    n is a sweep of sample counts and surrogate_values holds one entry per
+    count: a (p,) surrogate, giving that point (trials,) risks, or a (k, p)
+    stack, giving it (trials, k) risks. Returns one contiguous trial-ordered
+    array per point.
 
-    surrogate_values is one (p,) surrogate, giving (trials,) risks, or a
-    (k, p) stack, giving (trials, k) risks. A stack draws each trial's design
-    once and fits all k label columns in one solve against one certified Gram
-    matrix; column j equals the call with surrogate_values[j] alone to
-    rounding, and a (1, p) stack equals the (p,) call bit for bit.
+    The trial seed depends only on (seed, trial), not on the surrogate or the
+    count, so all points and surrogate kinds at one seed share their design
+    matrices and noise draws trial for trial (paired comparisons), and each
+    trial draws once, at the largest count. A point's risks equal the
+    one-point sweep's bit for bit. A stack fits all k label columns in one
+    solve against one certified Gram matrix; column j equals the call with
+    surrogate_values[j] alone to rounding, and a (1, p) stack equals the (p,)
+    call bit for bit.
     """
     lam = as_spectrum(spectrum)
-    surrogates = np.asarray(surrogate_values, dtype=np.float64)
+    surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
-    def one_trial(t: int):
-        ds = sample_dataset(lam, surrogates, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t))
-        fitted = fit(ds.design, ds.labels).fitted
-        if surrogates.ndim == 1:
-            return empirical_excess_risk(fitted, beta_star, lam)
+    def one_trial(t: int) -> list:
+        datasets = sample_prefixes(
+            lam, surrogates, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t)
+        )
+        risks = []
+        for ds in datasets:
+            fitted = fit(ds.design, ds.labels).fitted
+            if fitted.ndim == 1:
+                risks.append(empirical_excess_risk(fitted, beta_star, lam))
+            else:
+                risks += [empirical_excess_risk(column, beta_star, lam) for column in fitted.T]
+        return risks
+
+    risks = _fan_out(one_trial, trials, workers)
+    widths = [1 if values.ndim == 1 else len(values) for values in surrogates]
+    points = np.split(risks, np.cumsum(widths)[:-1], axis=1)
+    return [
+        point[:, 0].copy() if values.ndim == 1 else point.copy()
+        for values, point in zip(surrogates, points)
+    ]
+
+
+def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
+    """Per-trial empirical excess risks of the two-stage pipeline per sweep point.
+
+    insts are ProblemInstances that differ only in n and m (see
+    `estimators.two_stage_sweep`). Returns one contiguous (trials,) array per
+    instance, equal bit for bit to that instance's one-point sweep.
+    """
+    insts = list(insts)
+
+    def one_trial(t: int) -> list:
         return [
-            empirical_excess_risk(fitted[:, j], beta_star, lam)
-            for j in range(fitted.shape[1])
+            empirical_excess_risk(beta_s2t, inst.beta_star, inst.spectrum_t)
+            for inst, (_, beta_s2t) in zip(insts, two_stage_sweep(insts, seed, trial=t))
         ]
 
-    return _fan_out(one_trial, trials, workers)
-
-
-def mc_two_stage_risks(inst: ProblemInstance, trials, seed, workers=1) -> np.ndarray:
-    """Per-trial empirical excess risks of the full two-stage pipeline."""
-
-    def one_trial(t: int) -> float:
-        _, beta_s2t = two_stage_fit(inst, seed, trial=t)
-        return empirical_excess_risk(beta_s2t, inst.beta_star, inst.spectrum_t)
-
-    return _fan_out(one_trial, trials, workers)
+    risks = _fan_out(one_trial, trials, workers)
+    return [risks[:, i].copy() for i in range(len(insts))]
 
 
 def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:
@@ -198,44 +224,49 @@ def surrogate_values_for_kind(kind: str, stats, beta_star) -> np.ndarray:
 def run_risk_vs_n(cfg: ExperimentConfig):
     """Theory and Monte Carlo excess risk per (n, surrogate kind).
 
-    All kinds at one n run as one Monte Carlo call on shared trial designs,
-    one multi-column fit per trial (see mc_one_stage_risks).
+    The whole sweep runs as one Monte Carlo call on shared trial draws, one
+    multi-column fit per n and trial (see mc_one_stage_risks).
     """
     (alpha,) = cfg.alpha
     spectrum = power_law_spectrum(cfg.p, alpha)
     beta_star = power_law_signal(cfg.p, alpha, cfg.beta_exp)
+    stats = [solve_tau(spectrum, n) for n in cfg.n]
+    values = [
+        [surrogate_values_for_kind(kind, point, beta_star) for kind in cfg.kinds]
+        for point in stats
+    ]
+    risks = mc_one_stage_risks(
+        spectrum,
+        beta_star,
+        [np.stack(point) for point in values],
+        cfg.sigma_t_sq,
+        cfg.n,
+        cfg.trials,
+        cfg.seed,
+        cfg.workers,
+    )
     rows = []
-    for n in cfg.n:
-        stats = solve_tau(spectrum, n)
-        values = [surrogate_values_for_kind(kind, stats, beta_star) for kind in cfg.kinds]
-        risks = mc_one_stage_risks(
-            spectrum,
-            beta_star,
-            np.stack(values),
-            cfg.sigma_t_sq,
-            n,
-            cfg.trials,
-            cfg.seed,
-            cfg.workers,
-        )
+    for n, point, point_values, point_risks in zip(cfg.n, stats, values, risks):
         # one contiguous trial-ordered vector per kind, as a one-kind call returns
-        for kind, kind_values, kind_risks in zip(cfg.kinds, values, risks.T.copy()):
-            report = one_stage_risk(stats, beta_star, kind_values, cfg.sigma_t_sq)
+        for kind, kind_values, kind_risks in zip(cfg.kinds, point_values, point_risks.T.copy()):
+            report = one_stage_risk(point, beta_star, kind_values, cfg.sigma_t_sq)
             rows += _point_rows(cfg, alpha, kind, n, None, report, kind_risks)
     return RESULT_COLUMNS, rows
 
 
 def run_two_stage_grid(cfg: ExperimentConfig):
-    """Theory (two-stage oracle) vs Monte Carlo (two_stage_fit) over an (alpha, n, m) grid.
+    """Theory (two-stage oracle) vs Monte Carlo (two_stage_sweep) over an (alpha, n, m) grid.
 
     Grid points with n >= p or m >= p are outside the fixed-point regime and
-    are skipped with a warning rather than failing the sweep.
+    are skipped with a warning rather than failing the sweep. The points of
+    one alpha share one Monte Carlo call (see mc_two_stage_risks).
     """
     rows = []
     m_grid = cfg.m or cfg.n
     for alpha in cfg.alpha:
         spectrum = power_law_spectrum(cfg.p, alpha)
         signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
+        insts, reports = [], []
         for n, m in zip(cfg.n, m_grid):
             if n >= cfg.p or m >= cfg.p:
                 warnings.warn(
@@ -252,9 +283,13 @@ def run_two_stage_grid(cfg: ExperimentConfig):
                 n=n,
                 m=m,
             )
-            report = two_stage_risk(inst)
-            risks = mc_two_stage_risks(inst, cfg.trials, cfg.seed, cfg.workers)
-            rows += _point_rows(cfg, alpha, "two-stage", n, m, report, risks)
+            insts.append(inst)
+            reports.append(two_stage_risk(inst))
+        if not insts:
+            continue
+        risks = mc_two_stage_risks(insts, cfg.trials, cfg.seed, cfg.workers)
+        for inst, report, point_risks in zip(insts, reports, risks):
+            rows += _point_rows(cfg, alpha, "two-stage", inst.n, inst.m, report, point_risks)
     return RESULT_COLUMNS, rows
 
 

@@ -501,7 +501,7 @@ def _shift_gap(seed: int, transport: bool) -> tuple[float, float]:
     beta_star = power_law_signal(p, 2.5, 1.8)
     mapped = covariance_shift_map(beta_star, lam_s, lam_t)
     trials = _SHIFT_TRIALS
-    model_shift = mc_one_stage_risks(lam_t, beta_star, mapped, sigma_sq, n, trials, seed)
+    (model_shift,) = mc_one_stage_risks(lam_t, beta_star, [mapped], sigma_sq, [n], trials, seed)
     source = _source_design_risks(
         lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=transport
     )

@@ -88,8 +88,8 @@ def test_criterion_02_risk_ordering():
         for kind, v in zip(kinds, values)
     }
     # one stacked call: every kind is fit on the same trial draws (paired)
-    risks = mc_one_stage_risks(
-        spectrum, beta_star, np.stack(values), sigma_sq, n, trials, MASTER_SEED
+    (risks,) = mc_one_stage_risks(
+        spectrum, beta_star, [np.stack(values)], sigma_sq, [n], trials, MASTER_SEED
     )
     mc = {kind: risks[:, j] for j, kind in enumerate(kinds)}
     theory_ok = theory["optimal"] < theory["masked"] < theory["ground-truth"]
@@ -306,8 +306,8 @@ def test_criterion_09_shift_pipeline_equivalence():
     lam_t = power_law_spectrum(p, 2.5)
     beta_star = power_law_signal(p, 2.5, 1.8)
     mapped = covariance_shift_map(beta_star, lam_s, lam_t)
-    model_shift = mc_one_stage_risks(
-        lam_t, beta_star, mapped, sigma_sq, n, trials, MASTER_SEED
+    (model_shift,) = mc_one_stage_risks(
+        lam_t, beta_star, [mapped], sigma_sq, [n], trials, MASTER_SEED
     )
     # independent seed stream: draw from the source covariance, move each
     # column into the target frame, and refit on the transported design

@@ -1,5 +1,8 @@
 """Tests for seeded sampling, least-squares fitting, and the two-stage pipeline."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,14 @@ from w2s_lab import (
     sample_dataset,
     two_stage_fit,
 )
-from w2s_lab.estimators import GRAM_COND_LIMIT, STAGE_ROOT, STAGE_SURROGATE, STAGE_TARGET
+from w2s_lab.estimators import (
+    GRAM_COND_LIMIT,
+    STAGE_ROOT,
+    STAGE_SURROGATE,
+    STAGE_TARGET,
+    sample_prefixes,
+    two_stage_sweep,
+)
 
 
 class TestDeriveSeed:
@@ -89,6 +99,52 @@ class TestSampleDataset:
             sample_dataset(lam, np.ones(5), -0.1, 3, 1)
         with pytest.raises(ValueError):
             sample_dataset(lam, np.ones(5), 0.1, 0, 1)
+
+
+def _own_draw(lam, beta, sigma_sq, count, seed):
+    """A dataset drawn at its own size: (count, p) normals for the design, then count for noise."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((count, lam.size))
+    design *= np.sqrt(lam)
+    noise = rng.standard_normal(count) * np.sqrt(sigma_sq)
+    if beta.ndim == 1:
+        return design, design @ beta + noise
+    return design, np.stack([design @ column + noise for column in beta], axis=1)
+
+
+class TestSamplePrefixes:
+    @pytest.mark.parametrize("sigma_sq", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "counts", [(7,), (3, 11, 7), (11, 3, 11, 5), (30, 4, 12)], ids=str
+    )
+    def test_each_count_equals_its_own_draw(self, counts, sigma_sq):
+        """Unsorted, repeated and > p counts, (p,) and (k, p) betas: bit for bit."""
+        p, seed = 12, 4242
+        lam = power_law_spectrum(p, 2.0)
+        rng = np.random.default_rng(8)
+        betas = [rng.normal(size=(3, p) if i % 2 else p) for i in range(len(counts))]
+        datasets = sample_prefixes(lam, betas, sigma_sq, counts, seed)
+        assert len(datasets) == len(counts)
+        for beta, count, ds in zip(betas, counts, datasets):
+            design, labels = _own_draw(lam, beta, sigma_sq, count, seed)
+            assert np.array_equal(ds.design, design)
+            assert np.array_equal(ds.labels, labels)
+            alone = sample_dataset(lam, beta, sigma_sq, count, seed)
+            assert np.array_equal(alone.design, design)
+            assert np.array_equal(alone.labels, labels)
+            # every count reads the one draw made at the largest count
+            assert np.shares_memory(ds.design, datasets[0].design)
+
+    def test_validation(self):
+        lam = power_law_spectrum(5, 2.0)
+        with pytest.raises(ValueError):
+            sample_prefixes(lam, [], 0.1, [], 1)
+        with pytest.raises(ValueError):
+            sample_prefixes(lam, [np.ones(5)], 0.1, [3, 4], 1)
+        with pytest.raises(ValueError):
+            sample_prefixes(lam, [np.ones(5), np.ones(4)], 0.1, [3, 4], 1)
+        with pytest.raises(ValueError):
+            sample_prefixes(lam, [np.ones(5), np.ones(5)], 0.1, [3, 0], 1)
 
 
 class TestFit:
@@ -356,6 +412,31 @@ class TestPipelines:
             derive_seed(seed, STAGE_TARGET, trial),
         )
         assert np.array_equal(beta_s2t, fit(stage2.design, stage2.labels).fitted)
+
+    def test_sweep_trial_holds_one_stage_draw_at_a_time(self):
+        """Stage one's draw is freed before stage two draws: the peak is one draw plus fits."""
+        p, top = 2000, 100
+        lam = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        insts = [ProblemInstance(lam, lam, beta, 0.05, 0.05, n=c, m=c) for c in (40, top)]
+        draw_bytes = (top * p + top) * 8  # 1.6 MB; the Gram fits' temporaries are ~0.1 MB
+        two_stage_sweep(insts, 5)
+        tracemalloc.start()
+        try:
+            two_stage_sweep(insts, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draw_bytes < peak < 1.5 * draw_bytes
+
+    def test_sweep_points_must_share_all_but_the_counts(self):
+        inst = self._instance()
+        with pytest.raises(ValueError):
+            two_stage_sweep([], 1)
+        with pytest.raises(ValueError):
+            two_stage_sweep([inst, replace(inst, sigma_t_sq=0.0)], 1)
+        with pytest.raises(ValueError):
+            two_stage_sweep([inst, replace(inst, beta_star=2.0 * inst.beta_star)], 1)
 
     def test_instance_validation(self):
         lam = power_law_spectrum(4, 2.0)

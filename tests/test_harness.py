@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -568,8 +569,9 @@ class TestSmallHelpers:
     def test_mc_risks_deterministic(self):
         spectrum = power_law_spectrum(20, 2.0)
         beta = power_law_signal(20, 2.0, 1.5)
-        a = mc_one_stage_risks(spectrum, beta, beta, 0.1, 6, 8, 123)
-        b = mc_one_stage_risks(spectrum, beta, beta, 0.1, 6, 8, 123, workers=3)
+        (a,) = mc_one_stage_risks(spectrum, beta, [beta], 0.1, [6], 8, 123)
+        (b,) = mc_one_stage_risks(spectrum, beta, [beta], 0.1, [6], 8, 123, workers=3)
+        assert a.shape == (8,)
         assert np.array_equal(a, b)
 
     def _stack(self):
@@ -582,16 +584,18 @@ class TestSmallHelpers:
     def test_stacked_mc_risks_match_per_kind_calls(self, workers):
         """One stacked call gives each kind's one-kind risks, to rounding."""
         spectrum, beta, values = self._stack()
-        stacked = mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
+        (stacked,) = mc_one_stage_risks(
+            spectrum, beta, [np.stack(values)], 0.1, [11], 9, 5, workers
+        )
         assert stacked.shape == (9, len(KINDS))
         for j, kind_values in enumerate(values):
-            alone = mc_one_stage_risks(spectrum, beta, kind_values, 0.1, 11, 9, 5, workers)
+            (alone,) = mc_one_stage_risks(spectrum, beta, [kind_values], 0.1, [11], 9, 5, workers)
             np.testing.assert_allclose(stacked[:, j], alone, rtol=1e-12, atol=0.0)
 
     def test_stacked_mc_risks_do_not_depend_on_workers(self):
         spectrum, beta, values = self._stack()
-        one, three = (
-            mc_one_stage_risks(spectrum, beta, np.stack(values), 0.1, 11, 9, 5, workers)
+        (one,), (three,) = (
+            mc_one_stage_risks(spectrum, beta, [np.stack(values)], 0.1, [11], 9, 5, workers)
             for workers in (1, 3)
         )
         assert np.array_equal(one, three)
@@ -599,8 +603,8 @@ class TestSmallHelpers:
     def test_two_stage_mc_risks_do_not_depend_on_workers(self):
         """At the widened Gram sizes too: any worker count gives the same bits."""
         spectrum = power_law_spectrum(300, 2.0)
-        for n in (240, 285):
-            inst = ProblemInstance(
+        insts = [
+            ProblemInstance(
                 spectrum_t=spectrum,
                 spectrum_s=spectrum,
                 beta_star=power_law_signal(300, 2.0, 1.5),
@@ -609,8 +613,11 @@ class TestSmallHelpers:
                 n=n,
                 m=n,
             )
-            one, two, three = (mc_two_stage_risks(inst, 4, 11, workers) for workers in (1, 2, 3))
-            assert np.array_equal(one, two) and np.array_equal(one, three)
+            for n in (240, 285)
+        ]
+        one, two, three = (mc_two_stage_risks(insts, 4, 11, workers) for workers in (1, 2, 3))
+        for a, b, c in zip(one, two, three):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
     @pytest.mark.parametrize("workers,trials,threads", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
     def test_fan_out_starts_at_most_one_thread_per_trial(
@@ -632,10 +639,85 @@ class TestSmallHelpers:
         """A (1, p) stack, as risk-vs-n passes for one kind, gives the 1-D call's risks."""
         spectrum, beta, values = self._stack()
         for kind_values in values:
-            stacked = mc_one_stage_risks(spectrum, beta, kind_values[None, :], 0.1, 11, 9, 5)
-            alone = mc_one_stage_risks(spectrum, beta, kind_values, 0.1, 11, 9, 5)
+            (stacked,) = mc_one_stage_risks(spectrum, beta, [kind_values[None, :]], 0.1, [11], 9, 5)
+            (alone,) = mc_one_stage_risks(spectrum, beta, [kind_values], 0.1, [11], 9, 5)
             assert stacked.shape == (9, 1)
             assert np.array_equal(stacked[:, 0], alone)
+
+
+class TestSweeps:
+    """Every sweep point reads the trial's one draw; its risks equal its one-point sweep's."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_stage_columns_equal_one_point_calls(self, workers):
+        p = 40
+        spectrum = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+
+        def kinds_at(n):
+            stats = solve_tau(spectrum, n)
+            return np.stack([surrogate_values_for_kind(kind, stats, beta) for kind in KINDS])
+
+        # unsorted, a repeated count with another surrogate, and one count past p
+        counts = [25, 8, 60, 8]
+        values = [kinds_at(25), kinds_at(8), beta, 2.0 * beta]
+        sweep = mc_one_stage_risks(spectrum, beta, values, 0.1, counts, 7, 13, workers)
+        assert len(sweep) == len(counts)
+        for n, point_values, column in zip(counts, values, sweep):
+            (alone,) = mc_one_stage_risks(spectrum, beta, [point_values], 0.1, [n], 7, 13)
+            assert column.flags.c_contiguous
+            assert column.shape == alone.shape
+            assert np.array_equal(column, alone)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_two_stage_columns_equal_one_point_calls(self, workers):
+        p = 60
+        spectrum = power_law_spectrum(p, 2.0)
+        insts = [
+            ProblemInstance(spectrum, spectrum, power_law_signal(p, 2.0, 1.5), 0.05, 0.1, n, m)
+            for n, m in ((40, 15), (15, 52), (52, 52), (8, 15))
+        ]
+        sweep = mc_two_stage_risks(insts, 6, 21, workers)
+        assert len(sweep) == len(insts)
+        for inst, column in zip(insts, sweep):
+            (alone,) = mc_two_stage_risks([inst], 6, 21)
+            assert column.flags.c_contiguous
+            assert np.array_equal(column, alone)
+
+    @pytest.mark.parametrize(
+        "experiment,values",
+        [
+            ("risk-vs-n", {"p": 30, "n": (12, 5, 20, 5), "kinds": KINDS}),
+            (
+                "two-stage-grid",
+                {"p": 30, "n": (20, 35, 8, 12), "m": (10, 12, 30, 25), "alpha": (1.5, 2.0)},
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_and_warnings_equal_one_point_runs(self, experiment, values, workers):
+        """Skipped points included: the same rows, and the same warnings in the same order."""
+        cfg = build_config(experiment, dict(values, trials=6, seed=3, workers=workers))
+
+        def run(config):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _, rows = RUNNERS[experiment](config)
+            return rows, [str(w.message) for w in caught]
+
+        rows, messages = run(cfg)
+        expected_rows, expected_messages = [], []
+        m_grid = cfg.m or cfg.n
+        for alpha in cfg.alpha:
+            for i, n in enumerate(cfg.n):
+                m = (m_grid[i],) if cfg.m else ()
+                one_rows, one_messages = run(replace(cfg, alpha=(alpha,), n=(n,), m=m, workers=1))
+                expected_rows += one_rows
+                expected_messages += one_messages
+        assert rows == expected_rows
+        assert messages == expected_messages
+        if experiment == "two-stage-grid":
+            assert len(messages) == 4  # n = 35 and m = 30 are skipped at each alpha
 
 
 class TestOutputFormat:
