@@ -707,11 +707,10 @@ class TestSweeps:
 
         rows, messages = run(cfg)
         expected_rows, expected_messages = [], []
-        m_grid = cfg.m or cfg.n
         for alpha in cfg.alpha:
             for i, n in enumerate(cfg.n):
-                m = (m_grid[i],) if cfg.m else ()
-                one_rows, one_messages = run(replace(cfg, alpha=(alpha,), n=(n,), m=m, workers=1))
+                one = replace(cfg, alpha=(alpha,), n=(n,), m=cfg.m[i : i + 1], workers=1)
+                one_rows, one_messages = run(one)
                 expected_rows += one_rows
                 expected_messages += one_messages
         assert rows == expected_rows
