@@ -16,13 +16,20 @@ recorded in `EstimatorOutput.route`. Label vectors that share a design (a
 so a fitted column matches the one-column fit to rounding, not bit for bit.
 A one-column solve against a mid-size Gram matrix (126 to 500 rows) is padded
 with zero columns so that numpy releases the GIL and trial workers overlap.
+`fit_block` fits a (B, rows, p) stack of designs in stacked numpy calls (one
+Gram product, one certificate Cholesky and one solve for the stack) and gives
+every item the bits, route and rank `fit` gives it alone; `fit` is its
+one-item case.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
 order-independent and every artifact is reproducible bit for bit. A seed's
 draw of c rows is a prefix of its draw of more rows, so a sweep draws once
 per trial and stage, at its largest count (`sample_prefixes`,
-`two_stage_sweep`), bit for bit what each count's own draw gives.
+`two_stage_sweep`), bit for bit what each count's own draw gives. A trial
+block (`trial_blocks`) runs consecutive trials of a small shape together:
+each trial's generator fills one row of a stacked draw (`sample_block`,
+`two_stage_block`), so every trial keeps its own stream and its own bits.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 _GIL_HELD_ENTRIES = 500
 _WIDEN_MIN_GRAM = 126
 
+# A trial block's stacked draw holds at most this many bytes of normals (one
+# trial at least). verify's 30 x 80 trials run 26 to a block; one 285 x 300
+# trial (686 KB) runs alone, with the work and memory of an unblocked trial.
+_TRIAL_BLOCK_BYTES = 512 * 1024
+
 
 def _splitmix64(state: int) -> int:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -74,9 +86,24 @@ def derive_seed(parent_seed: int, stage: int, trial: int) -> int:
     return state
 
 
+def trial_blocks(trials: int, stream: int) -> list[range]:
+    """Consecutive trial ranges covering range(trials), for trials of `stream` normals each.
+
+    A block holds B = max(1, _TRIAL_BLOCK_BYTES // (8 * stream)) trials, the
+    last one fewer. B depends on the stream length alone, and every item of a
+    stacked call gets the bits it gets alone, so no output depends on B.
+    """
+    size = max(1, _TRIAL_BLOCK_BYTES // (8 * max(stream, 1)))
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A sampled design matrix with its labels."""
+    """A sampled design matrix with its labels.
+
+    design is (rows, p) and labels (rows,) or (rows, k); a trial block's
+    datasets put the trial first: (B, rows, p) and (B, rows) or (B, rows, k).
+    """
 
     design: np.ndarray
     labels: np.ndarray
@@ -89,6 +116,16 @@ class EstimatorOutput:
     rank: int
     rank_deficient: bool
     route: str  # "gram" or "lstsq"
+
+
+@dataclass(frozen=True, eq=False)
+class BlockFit:
+    """Per-item results of `fit_block`: item i is what `fit` gives design i alone."""
+
+    fitted: np.ndarray  # (B, p) or (B, p, k)
+    rank: np.ndarray  # (B,) ints
+    rank_deficient: np.ndarray  # (B,) bools
+    route: np.ndarray  # (B,) "gram" or "lstsq"
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,18 +172,42 @@ class ProblemInstance:
         return int(self.spectrum_t.size)
 
 
-def sample_prefixes(spectrum, betas, sigma_sq: float, counts, seed: int) -> list[Dataset]:
-    """Datasets of counts[i] rows labelled by betas[i], all read from one seeded draw.
+def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds):
+    """The stacked draw of a trial block: a (B, top, p) design and each count's noise.
 
-    The seed's stream of standard normals is drawn once, at the largest count
-    C: a (C, p) design followed by C noise draws. The dataset of count c
-    reads the design's first c rows and the c normals after its first c * p
-    as noise, exactly the draws a single call for c rows makes. Each dataset
-    therefore equals `sample_dataset` with count c and betas[i] alone, bit
-    for bit, and its design is a view of the shared (C, p) design.
+    Row b of one (B, top * p + top) buffer is filled by seeds[b]'s generator,
+    the stream a single trial draws: its first top * p normals are the design,
+    scaled in place by sqrt(lam), and count c's noise is the c normals after
+    its first c * p, copied and scaled by sigma before the design is scaled.
+    """
+    p, top = lam.size, max(counts)
+    stream = np.empty((len(seeds), top * p + top))
+    for row, seed in zip(stream, seeds):
+        np.random.default_rng(int(seed) & _MASK64).standard_normal(out=row)
+    scale = np.sqrt(sigma_sq)
+    noise = [stream[:, count * p : count * p + count] * scale for count in counts]
+    design = stream[:, : top * p].reshape(len(seeds), top, p)
+    design *= np.sqrt(lam)
+    return design, noise
 
-    counts may be unsorted and repeat; betas has one (p,) vector or (k, p)
-    stack per count, labelled as in `sample_dataset`.
+
+def _labels(rows: np.ndarray, beta: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """rows @ beta + noise per item: beta is one (p,) vector, or one per item (B, p)."""
+    return (rows @ beta[..., None])[..., 0] + noise
+
+
+def sample_block(spectrum, betas, sigma_sq: float, counts, seeds) -> list[Dataset]:
+    """Datasets of counts[i] rows labelled by betas[i] for a block of trials.
+
+    Trial b reads seeds[b]'s stream, drawn once at the largest count: the
+    dataset of count c takes the design's first c rows and the c normals
+    after its first c * p as noise, so item b equals `sample_dataset` with
+    count c, betas[i] and seeds[b], bit for bit. Designs are (B, c, p) views
+    of one stacked draw.
+
+    counts may be unsorted and repeat. betas has one entry per count, shared
+    by every trial: a (p,) vector gives (B, c) labels, a (k, p) stack gives
+    (B, c, k) labels whose column j is beta[j]'s labels, one noise draw for all.
     """
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
@@ -155,26 +216,34 @@ def sample_prefixes(spectrum, betas, sigma_sq: float, counts, seed: int) -> list
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     if min(counts) < 1:
         raise ValueError(f"count must be >= 1, got {min(counts)}")
-    p, top = lam.size, max(counts)
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    stream = rng.standard_normal(top * p + top)
-    # a smaller count's noise lies inside the top design: copy it before scaling
-    scale = np.sqrt(sigma_sq)
-    noise = [stream[count * p : count * p + count] * scale for count in counts]
-    design = stream[: top * p].reshape(top, p)
-    design *= np.sqrt(lam)
+    if len(seeds) == 0:
+        raise ValueError("a trial block needs at least one seed")
+    design, noise = _draw(lam, sigma_sq, counts, seeds)
     datasets = []
     for beta, count, count_noise in zip(betas, counts, noise):
         beta = np.asarray(beta, dtype=np.float64)
         if beta.ndim not in (1, 2) or beta.shape[-1:] != lam.shape or beta.size == 0:
             raise ValueError(f"beta has shape {beta.shape}, spectrum has {lam.shape}")
-        rows = design[:count]
+        rows = design[:, :count]
         if beta.ndim == 1:
-            labels = rows @ beta + count_noise
+            labels = _labels(rows, beta, count_noise)
         else:
-            labels = np.stack([rows @ column + count_noise for column in beta], axis=1)
+            labels = np.stack([_labels(rows, column, count_noise) for column in beta], axis=-1)
         datasets.append(Dataset(design=rows, labels=labels))
     return datasets
+
+
+def sample_prefixes(spectrum, betas, sigma_sq: float, counts, seed: int) -> list[Dataset]:
+    """Datasets of counts[i] rows labelled by betas[i], all read from one seeded draw.
+
+    The one-seed case of `sample_block`: each dataset equals `sample_dataset`
+    with count c and betas[i] alone, bit for bit, and its design is a view of
+    the one (C, p) design drawn at the largest count C.
+    """
+    return [
+        Dataset(design=ds.design[0], labels=ds.labels[0])
+        for ds in sample_block(spectrum, betas, sigma_sq, counts, [seed])
+    ]
 
 
 def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Dataset:
@@ -192,47 +261,128 @@ def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Da
     return sample_prefixes(spectrum, [beta], sigma_sq, [count], seed)[0]
 
 
-def _gram_solve(design: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    """Min-norm solution through the smaller Gram matrix, or None if not certified.
+def _certify(gram: np.ndarray, dims: int) -> np.ndarray:
+    """Which Gram matrices of a (B, m, m) stack pass the certificate, per item.
 
-    G is formed, certified and factored once for all label columns: labels is
-    (rows,) or (rows, k), as `b` in np.linalg.solve. A one-column right-hand
-    side of Gram size m = min(rows, p) with _WIDEN_MIN_GRAM <= m <=
-    _GIL_HELD_ENTRIES is solved as column 0 of an
-    (m, _GIL_HELD_ENTRIES // m + 1) array, zeros elsewhere, so the solve
-    releases the GIL. The choice depends on m alone, never on the worker
-    count, and (rows,) and (rows, 1) labels take the same path.
-
-    With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it is
-    G^-1 X^T y. The certificate (Rump, "Verification of positive
+    dims is rows + p + 2. The certificate (Rump, "Verification of positive
     definiteness", BIT 2006): forming G and factoring G - shift*I in floating
     point move eigenvalues by at most `slack`, so a Cholesky factorization of
-    G - (floor + slack)*I that completes proves lambda_min(G) >= floor.
+    G - (floor + slack)*I that completes proves lambda_min(G) >= floor, with
+    floor = trace(G) / GRAM_COND_LIMIT. One stacked factorization certifies
+    the block; if it fails, each item is factored alone. The diagonals are
+    shifted in place and restored, so gram comes back as formed.
     """
-    rows, p = design.shape
-    wide = rows < p
-    gram = design @ design.T if wide else design.T @ design
-    trace = float(np.trace(gram))
-    if not (np.isfinite(trace) and trace > 0.0):
-        return None
-    floor = trace / GRAM_COND_LIMIT
-    slack = 2.0 * (rows + p + 2) * _UNIT_ROUNDOFF * trace
-    diagonal = gram.diagonal().copy()
-    np.fill_diagonal(gram, diagonal - (floor + slack))
+    # the diagonals of the C-contiguous stack, as a writable view
+    diagonal = gram.reshape(len(gram), -1)[:, :: gram.shape[-1] + 1]
+    formed = diagonal.copy()
+    trace = formed.sum(axis=1)
+    passed = np.isfinite(trace) & (trace > 0.0)
+    floor, slack = trace / GRAM_COND_LIMIT, 2.0 * dims * _UNIT_ROUNDOFF * trace
+    diagonal -= np.where(passed, floor + slack, 0.0)[:, None]
     try:
-        np.linalg.cholesky(gram)  # only success matters; the factor is dropped
+        np.linalg.cholesky(gram if passed.all() else gram[passed])  # success is all that counts
     except np.linalg.LinAlgError:
-        return None
-    np.fill_diagonal(gram, diagonal)
-    rhs = labels if wide else design.T @ labels
-    size = gram.shape[0]
-    if rhs.size == size and _WIDEN_MIN_GRAM <= size <= _GIL_HELD_ENTRIES:
-        widened = np.zeros((size, _GIL_HELD_ENTRIES // size + 1))
-        widened[:, 0] = rhs.ravel()
-        solved = np.linalg.solve(gram, widened)[:, 0].reshape(rhs.shape)
+        items = np.flatnonzero(passed)
+        passed[items] = False  # a lone item's own factorization has just failed
+        for item in items if items.size > 1 else ():
+            try:
+                np.linalg.cholesky(gram[item])
+                passed[item] = True
+            except np.linalg.LinAlgError:
+                pass
+    diagonal[...] = formed
+    return passed
+
+
+def _gram_fit(design: np.ndarray, labels: np.ndarray, gram: np.ndarray, wide: bool):
+    """Min-norm solution through a certified Gram matrix, for one item or a stack.
+
+    One item: design (rows, p), labels (rows,) or (rows, k), as `b` in
+    np.linalg.solve. A stack: design (B, rows, p) and labels (B, rows, k).
+    With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it
+    is G^-1 X^T y. A one-column right-hand side of Gram size m with
+    _WIDEN_MIN_GRAM <= m <= _GIL_HELD_ENTRIES is solved as column 0 of an
+    (m, _GIL_HELD_ENTRIES // m + 1) array, zeros elsewhere, so the solve
+    releases the GIL. The choice depends on m alone, never on the worker
+    count or the block size, and (rows,) and (rows, 1) labels take the same
+    path.
+    """
+    rhs = labels if wide else design.mT @ labels
+    size = gram.shape[-1]
+    one_column = rhs.ndim < gram.ndim or rhs.shape[-1] == 1
+    if one_column and _WIDEN_MIN_GRAM <= size <= _GIL_HELD_ENTRIES:
+        widened = np.zeros(gram.shape[:-1] + (_GIL_HELD_ENTRIES // size + 1,))
+        widened[..., 0] = rhs.reshape(gram.shape[:-1])
+        solved = np.linalg.solve(gram, widened)[..., 0].reshape(rhs.shape)
     else:
         solved = np.linalg.solve(gram, rhs)
-    return design.T @ solved if wide else solved
+    return design.mT @ solved if wide else solved
+
+
+def _gram_stack(designs: np.ndarray, labels: np.ndarray, gram: np.ndarray, wide: bool):
+    """Gram solutions of a stack of certified items, each with its 2-D call's bits.
+
+    A lone item runs numpy's 2-D calls, the ones `fit` has always made; a
+    stack solves (B, rows, k) column labels in stacked calls.
+    """
+    if len(designs) == 1:
+        return _gram_fit(designs[0], labels[0], gram[0], wide)[None]
+    count, rows = labels.shape[:2]
+    solved = _gram_fit(designs, labels.reshape(count, rows, -1), gram, wide)
+    return solved.reshape((count, -1) + labels.shape[2:])
+
+
+def fit_block(designs: np.ndarray, labels: np.ndarray) -> BlockFit:
+    """Minimum-norm least-squares fits of a (B, rows, p) stack of designs.
+
+    labels is (B, rows) or (B, rows, k); fitted is then (B, p) or (B, p, k).
+    The stack shares one Gram product (syrk per item), one shifted Cholesky
+    that certifies every item, and one solve; an item that fails the
+    certificate alone falls back to lstsq on its own input. Every numpy call
+    here gives each item the bits of its 2-D call, so item i's fitted, rank,
+    rank_deficient and route are what `fit(designs[i], labels[i])` gives,
+    bit for bit, whatever else the block holds. Non-finite labels in any
+    item raise ValueError; a non-finite design never passes the certificate
+    and raises ValueError before the SVD.
+    """
+    designs = np.asarray(designs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if (
+        designs.ndim != 3
+        or labels.ndim not in (2, 3)
+        or labels.shape[:2] != designs.shape[:2]
+        or labels.shape[2:] == (0,)
+    ):
+        raise ValueError(
+            "designs must be (B, rows, p) with one label per row, "
+            f"got {designs.shape} and {labels.shape}"
+        )
+    if not np.isfinite(labels).all():
+        raise ValueError("labels must be finite, got a NaN or inf entry")
+    count, rows, p = designs.shape
+    wide = rows < p
+    gram = designs @ designs.mT if wide else designs.mT @ designs
+    certified = _certify(gram, rows + p + 2)
+    rank = np.full(count, min(rows, p))
+    if certified.all():
+        fitted = _gram_stack(designs, labels, gram, wide)
+    else:
+        fitted = np.empty((count, p) + labels.shape[2:])
+        items = np.flatnonzero(certified)
+        if items.size:
+            fitted[items] = _gram_stack(designs[items], labels[items], gram[items], wide)
+        for item in np.flatnonzero(~certified):
+            if not np.isfinite(designs[item]).all():
+                raise ValueError("design must be finite, got a NaN or inf entry")
+            fitted[item], _, rank[item], _ = np.linalg.lstsq(
+                designs[item], labels[item], rcond=None
+            )
+    return BlockFit(
+        fitted=fitted,
+        rank=rank,
+        rank_deficient=rank < min(rows, p),
+        route=np.where(certified, "gram", "lstsq"),
+    )
 
 
 def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
@@ -244,7 +394,8 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     GRAM_COND_LIMIT (route "gram": full rank by construction). Otherwise it
     falls back to the SVD-based solver with singular values below
     sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
-    deficiency is reported, not fatal.
+    deficiency is reported, not fatal. This is the one-item case of
+    `fit_block`.
 
     labels is (rows,) or (rows, k), as `b` in np.linalg.solve, and fitted is
     then (p,) or (p, k). The route, rank and rank_deficient depend on the
@@ -265,43 +416,33 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
         raise ValueError(
             f"design must be 2-D with one label per row, got {design.shape} and {labels.shape}"
         )
-    if not np.isfinite(labels).all():
-        raise ValueError("labels must be finite, got a NaN or inf entry")
     rows, p = design.shape
-    regime = "min-norm-interpolator" if rows < p else "ordinary-least-squares"
-    fitted = _gram_solve(design, labels)
-    if fitted is not None:
-        route, rank = "gram", min(rows, p)
-    else:
-        if not np.isfinite(design).all():
-            raise ValueError("design must be finite, got a NaN or inf entry")
-        fitted, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
-        route = "lstsq"
+    block = fit_block(design[None], labels[None])
     return EstimatorOutput(
-        fitted=fitted,
-        regime=regime,
-        rank=int(rank),
-        rank_deficient=bool(rank < min(rows, p)),
-        route=route,
+        fitted=block.fitted[0],
+        regime="min-norm-interpolator" if rows < p else "ordinary-least-squares",
+        rank=int(block.rank[0]),
+        rank_deficient=bool(block.rank_deficient[0]),
+        route=str(block.route[0]),
     )
 
 
-def two_stage_sweep(
-    insts, seed: int, trial: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run the surrogate-then-target pipeline of one trial at every sweep point.
+def two_stage_block(insts, seed: int, trials) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run the surrogate-then-target pipeline of a block of trials at every sweep point.
 
-    insts are ProblemInstances that differ only in n and m. Stage one fits
-    beta_s on m rows drawn from spectrum_s with ground-truth labels (noise
-    sigma_s_sq), once per distinct m, all m reading prefixes of one draw.
-    That draw is freed before stage two draws once for every point and fits
-    n fresh rows from spectrum_t labelled by the point's beta_s plus fresh
-    noise sigma_t_sq (an instance with sigma_t_sq = 0 distills without
-    noise). Every point gets the vectors its own one-point sweep gets, bit
-    for bit.
+    insts are ProblemInstances that differ only in n and m; trials is a
+    sequence of trial indices. Stage one fits beta_s on m rows drawn from
+    spectrum_s with ground-truth labels (noise sigma_s_sq), once per distinct
+    m, all m reading prefixes of one stacked draw. That draw is freed before
+    stage two draws once for every point and fits n fresh rows from
+    spectrum_t labelled by the trial's own beta_s plus fresh noise sigma_t_sq
+    (an instance with sigma_t_sq = 0 distills without noise). Row b of every
+    result is what `two_stage_sweep(insts, seed, trials[b])` gives, bit for
+    bit.
 
     Returns:
-        (beta_s, beta_s_to_t) per instance, the stage-one and stage-two fits.
+        (beta_s, beta_s_to_t) per instance, each (B, p): the stage-one and
+        stage-two fits.
     """
     insts = list(insts)
     if not insts:
@@ -317,23 +458,41 @@ def two_stage_sweep(
         ):
             raise ValueError("sweep points must differ only in n and m")
     ms = sorted({inst.m for inst in insts})
-    stage1 = sample_prefixes(
+    stage1 = sample_block(
         first.spectrum_s,
         [first.beta_star] * len(ms),
         first.sigma_s_sq,
         ms,
-        derive_seed(seed, STAGE_SURROGATE, trial),
+        [derive_seed(seed, STAGE_SURROGATE, t) for t in trials],
     )
-    beta_s = {m: fit(ds.design, ds.labels).fitted for m, ds in zip(ms, stage1)}
+    beta_s = {m: fit_block(ds.design, ds.labels).fitted for m, ds in zip(ms, stage1)}
     del stage1  # free the stage-one draw before stage two allocates its own
-    stage2 = sample_prefixes(
+    design, noise = _draw(
         first.spectrum_t,
-        [beta_s[inst.m] for inst in insts],
         first.sigma_t_sq,
         [inst.n for inst in insts],
-        derive_seed(seed, STAGE_TARGET, trial),
+        [derive_seed(seed, STAGE_TARGET, t) for t in trials],
     )
-    return [(beta_s[inst.m], fit(ds.design, ds.labels).fitted) for inst, ds in zip(insts, stage2)]
+    results = []
+    for inst, point_noise in zip(insts, noise):
+        rows = design[:, : inst.n]
+        labels = _labels(rows, beta_s[inst.m], point_noise)
+        results.append((beta_s[inst.m], fit_block(rows, labels).fitted))
+    return results
+
+
+def two_stage_sweep(
+    insts, seed: int, trial: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run the surrogate-then-target pipeline of one trial at every sweep point.
+
+    The one-trial case of `two_stage_block`. Every point gets the vectors its
+    own one-point sweep gets, bit for bit.
+
+    Returns:
+        (beta_s, beta_s_to_t) per instance, the stage-one and stage-two fits.
+    """
+    return [(s[0], t[0]) for s, t in two_stage_block(insts, seed, [trial])]
 
 
 def two_stage_fit(
@@ -351,12 +510,23 @@ def two_stage_fit(
     return two_stage_sweep([inst], seed, trial)[0]
 
 
+def excess_risks(betas: np.ndarray, beta_star: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_i lam_i * (betas_i - beta_star_i)^2 over the last axis of (..., p) betas.
+
+    lam is a validated spectrum. Each vector's sum runs as
+    `empirical_excess_risk` runs it on that vector alone, bit for bit.
+    """
+    if betas.shape[-1:] != lam.shape or beta_star.shape != lam.shape:
+        raise ValueError("betas, beta_star and spectrum must share one length")
+    diff = np.subtract(betas, beta_star, order="C")
+    return np.sum((lam * diff**2)[..., ::-1], axis=-1)
+
+
 def empirical_excess_risk(beta_hat, beta_star, spectrum) -> float:
     """Population excess risk sum_i lambda_i * (beta_hat_i - beta_star_i)^2."""
     lam = as_spectrum(spectrum)
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_hat.shape != lam.shape or beta_star.shape != lam.shape:
+    if beta_hat.shape != lam.shape:
         raise ValueError("beta_hat, beta_star and spectrum must share one length")
-    diff = beta_hat - beta_star
-    return float(np.sum((lam * diff**2)[::-1]))
+    return float(excess_risks(beta_hat, beta_star, lam))

@@ -1,13 +1,15 @@
 """Experiment runners: seeded Monte Carlo sweeps against the theory oracles.
 
 Each runner returns (columns, rows) ready for the output module. Monte Carlo
-fan-out is trial-level: trial t of a sweep uses the seed derived from
+fan-out is over trial blocks: trial t of a sweep uses the seed derived from
 (config seed, stage, t), results are reduced in trial order, and the worker
 count therefore never changes any output byte. Because trial t's stream does
 not depend on the sweep point, one fan-out covers a whole sweep: each trial
 draws each stage's stream once, at the sweep's largest sample count, and every
-point reads its dataset as a prefix of it (`estimators.sample_prefixes`), bit
-for bit what a one-point sweep draws.
+point reads its dataset as a prefix of it, bit for bit what a one-point sweep
+draws. A block (`estimators.trial_blocks`) runs consecutive trials of a small
+shape as stacked draws, stacked certified fits and one risk reduction per
+point; each trial's risks are the bits it gets in a block of one.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from ..estimators import (
     STAGE_TARGET,
     ProblemInstance,
     derive_seed,
-    empirical_excess_risk,
-    fit,
-    sample_prefixes,
-    two_stage_sweep,
+    excess_risks,
+    fit_block,
+    sample_block,
+    trial_blocks,
+    two_stage_block,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
 from ..theory import omniscient_risk, one_stage_risk, two_stage_risk
@@ -103,19 +106,26 @@ SLOPE_COLUMNS = (
 )
 
 
-def _fan_out(fn, trials: int, workers: int) -> np.ndarray:
-    """Run fn(0..trials-1), reducing in trial order regardless of worker count.
+def _fan_out(fn, tasks: int, workers: int) -> list:
+    """[fn(0), ..., fn(tasks - 1)] in task order regardless of worker count.
 
-    At most min(workers, trials) threads start.
+    At most min(workers, tasks) threads start.
     """
-    threads = min(workers, trials)
+    threads = min(workers, tasks)
     if threads <= 1:
-        values = [fn(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, t) for t in range(trials)]
-            values = [f.result() for f in futures]
-    return np.asarray(values, dtype=np.float64)
+        return [fn(i) for i in range(tasks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn, i) for i in range(tasks)]
+        return [f.result() for f in futures]
+
+
+def _fan_out_blocks(block_fn, trials: int, stream: int, workers: int) -> np.ndarray:
+    """Run block_fn on each trial block and stack its (B, ...) risks in trial order.
+
+    stream is one trial's draw in normals, which sets the block size.
+    """
+    blocks = trial_blocks(trials, stream)
+    return np.concatenate(_fan_out(lambda i: block_fn(blocks[i]), len(blocks), workers))
 
 
 def mc_one_stage_risks(
@@ -132,28 +142,25 @@ def mc_one_stage_risks(
     count, so all points and surrogate kinds at one seed share their design
     matrices and noise draws trial for trial (paired comparisons), and each
     trial draws once, at the largest count. A point's risks equal the
-    one-point sweep's bit for bit. A stack fits all k label columns in one
-    solve against one certified Gram matrix; column j equals the call with
-    surrogate_values[j] alone to rounding, and a (1, p) stack equals the (p,)
-    call bit for bit.
+    one-point sweep's bit for bit, at any block size and worker count. A
+    stack fits all k label columns in one solve against one certified Gram
+    matrix; column j equals the call with surrogate_values[j] alone to
+    rounding, and a (1, p) stack equals the (p,) call bit for bit.
     """
     lam = as_spectrum(spectrum)
+    beta_star = np.asarray(beta_star, dtype=np.float64)
     surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
-    def one_trial(t: int) -> list:
-        datasets = sample_prefixes(
-            lam, surrogates, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t)
-        )
+    def one_block(block: range) -> np.ndarray:
+        seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
         risks = []
-        for ds in datasets:
-            fitted = fit(ds.design, ds.labels).fitted
-            if fitted.ndim == 1:
-                risks.append(empirical_excess_risk(fitted, beta_star, lam))
-            else:
-                risks += [empirical_excess_risk(column, beta_star, lam) for column in fitted.T]
-        return risks
+        for ds in sample_block(lam, surrogates, sigma_sq, n, seeds):
+            # (B, p) or (B, p, k) fits; the risk sums run over p, last
+            fitted = np.moveaxis(fit_block(ds.design, ds.labels).fitted, 1, -1)
+            risks.append(excess_risks(fitted, beta_star, lam).reshape(len(block), -1))
+        return np.concatenate(risks, axis=1)
 
-    risks = _fan_out(one_trial, trials, workers)
+    risks = _fan_out_blocks(one_block, trials, max(n) * (lam.size + 1), workers)
     widths = [1 if values.ndim == 1 else len(values) for values in surrogates]
     points = np.split(risks, np.cumsum(widths)[:-1], axis=1)
     return [
@@ -166,18 +173,23 @@ def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
     """Per-trial empirical excess risks of the two-stage pipeline per sweep point.
 
     insts are ProblemInstances that differ only in n and m (see
-    `estimators.two_stage_sweep`). Returns one contiguous (trials,) array per
+    `estimators.two_stage_block`). Returns one contiguous (trials,) array per
     instance, equal bit for bit to that instance's one-point sweep.
     """
     insts = list(insts)
 
-    def one_trial(t: int) -> list:
-        return [
-            empirical_excess_risk(beta_s2t, inst.beta_star, inst.spectrum_t)
-            for inst, (_, beta_s2t) in zip(insts, two_stage_sweep(insts, seed, trial=t))
-        ]
+    def one_block(block: range) -> np.ndarray:
+        fits = two_stage_block(insts, seed, block)
+        return np.stack(
+            [
+                excess_risks(beta_s2t, inst.beta_star, inst.spectrum_t)
+                for inst, (_, beta_s2t) in zip(insts, fits)
+            ],
+            axis=1,
+        )
 
-    risks = _fan_out(one_trial, trials, workers)
+    stream = max((max(inst.n, inst.m) * (inst.p + 1) for inst in insts), default=0)
+    risks = _fan_out_blocks(one_block, trials, stream, workers)
     return [risks[:, i].copy() for i in range(len(insts))]
 
 
@@ -255,7 +267,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
 
 
 def run_two_stage_grid(cfg: ExperimentConfig):
-    """Theory (two-stage oracle) vs Monte Carlo (two_stage_sweep) over an (alpha, n, m) grid.
+    """Theory (two-stage oracle) vs Monte Carlo (two_stage_block) over an (alpha, n, m) grid.
 
     Grid points with n >= p or m >= p are outside the fixed-point regime and
     are skipped with a warning rather than failing the sweep. The points of

@@ -16,12 +16,17 @@ from w2s_lab import (
     sample_dataset,
     two_stage_fit,
 )
+from w2s_lab import estimators
 from w2s_lab.estimators import (
     GRAM_COND_LIMIT,
     STAGE_ROOT,
     STAGE_SURROGATE,
     STAGE_TARGET,
+    fit_block,
+    sample_block,
     sample_prefixes,
+    trial_blocks,
+    two_stage_block,
     two_stage_sweep,
 )
 
@@ -145,6 +150,45 @@ class TestSamplePrefixes:
             sample_prefixes(lam, [np.ones(5), np.ones(4)], 0.1, [3, 4], 1)
         with pytest.raises(ValueError):
             sample_prefixes(lam, [np.ones(5), np.ones(5)], 0.1, [3, 0], 1)
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("sigma_sq", [0.0, 0.3])
+    def test_each_item_equals_its_own_draw(self, sigma_sq):
+        """Unsorted, repeated and > p counts, (p,) and (k, p) betas: item b is seeds[b]'s draw."""
+        p, counts, seeds = 12, (11, 3, 11, 30), [derive_seed(9, STAGE_TARGET, t) for t in range(4)]
+        lam = power_law_spectrum(p, 2.0)
+        rng = np.random.default_rng(8)
+        betas = [rng.normal(size=(3, p) if i % 2 else p) for i in range(len(counts))]
+        block = sample_block(lam, betas, sigma_sq, counts, seeds)
+        for beta, count, ds in zip(betas, counts, block):
+            assert ds.design.shape == (len(seeds), count, p)
+            assert ds.labels.shape == (len(seeds), count) + beta.shape[:-1]
+            assert np.shares_memory(ds.design, block[0].design)
+            for item, seed in enumerate(seeds):
+                alone = sample_dataset(lam, beta, sigma_sq, count, seed)
+                assert np.array_equal(ds.design[item], alone.design)
+                assert np.array_equal(ds.labels[item], alone.labels)
+
+    def test_needs_a_seed(self):
+        with pytest.raises(ValueError):
+            sample_block(power_law_spectrum(5, 2.0), [np.ones(5)], 0.1, [3], [])
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize(
+        "rows,p,size", [(30, 80, 26), (80, 100, 8), (285, 300, 1), (300, 500, 1)]
+    )
+    def test_block_size_follows_the_stream_budget(self, rows, p, size):
+        """verify's 30 x 80 runs 26 trials a block, the benchmark's Monte Carlo shapes one."""
+        blocks = trial_blocks(400, rows * (p + 1))
+        assert len(blocks[0]) == size
+        assert [t for block in blocks for t in block] == list(range(400))
+
+    def test_budget_sets_the_size(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 7 * 8 * 50)
+        assert [len(block) for block in trial_blocks(16, 50)] == [7, 7, 2]
+        assert [len(block) for block in trial_blocks(3, 10**6)] == [1, 1, 1]
 
 
 class TestFit:
@@ -374,6 +418,92 @@ class TestSharedDesignFit:
                 fit(design, labels)
 
 
+def _block_of(shape, count, k=None, duplicate_item=None):
+    rng = np.random.default_rng(29)
+    designs = rng.normal(size=(count,) + shape)
+    if duplicate_item is not None:
+        designs[duplicate_item][:, 7] = designs[duplicate_item][:, 3]
+    labels = rng.normal(size=(count, shape[0]) + (() if k is None else (k,)))
+    return designs, labels
+
+
+def _assert_items_equal_own_fits(block, designs, labels):
+    for item in range(len(designs)):
+        alone = fit(designs[item], labels[item])
+        assert np.array_equal(block.fitted[item], alone.fitted)
+        assert block.route[item] == alone.route
+        assert block.rank[item] == alone.rank
+        assert block.rank_deficient[item] == alone.rank_deficient
+
+
+class TestFitBlock:
+    """Every item of a stacked fit is its own fit, bit for bit, routes included."""
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("shape", [(30, 80), (90, 30), (12, 12)], ids=str)
+    def test_items_equal_their_own_fits(self, shape, k):
+        designs, labels = _block_of(shape, 5, k)
+        block = fit_block(designs, labels)
+        assert block.fitted.shape == (5, shape[1]) + (() if k is None else (k,))
+        _assert_items_equal_own_fits(block, designs, labels)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    @pytest.mark.parametrize("item", [0, 2, 4])
+    def test_duplicated_column_item_alone_takes_lstsq(self, item, k):
+        designs, labels = _block_of((40, 10), 5, k, duplicate_item=item)
+        block = fit_block(designs, labels)
+        assert list(block.route) == ["lstsq" if i == item else "gram" for i in range(5)]
+        assert block.rank[item] == 9 and block.rank_deficient[item]
+        _assert_items_equal_own_fits(block, designs, labels)
+
+    @pytest.mark.parametrize("shape", [(240, 300), (300, 240)], ids=str)
+    def test_mid_size_items_are_widened_as_alone(self, monkeypatch, shape):
+        """Gram size 240 in a block of 2: one widened stacked solve, each item its own fit."""
+        designs, labels = _block_of(shape, 2)
+        expected = [fit(design, item_labels) for design, item_labels in zip(designs, labels)]
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            sizes.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        block = fit_block(designs, labels)
+        assert sizes == [(2, 240, 500 // 240 + 1)]
+        for item, alone in enumerate(expected):
+            assert np.array_equal(block.fitted[item], alone.fitted)
+            assert block.route[item] == alone.route == "gram"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("item", [0, 3])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_non_finite_labels_raise_as_fit_raises(self, item, bad, k):
+        designs, labels = _block_of((5, 12), 4, k)
+        labels[item, 2] = bad
+        with pytest.raises(ValueError, match="labels must be finite") as alone:
+            fit(designs[item], labels[item])
+        with pytest.raises(ValueError, match="labels must be finite") as stacked:
+            fit_block(designs, labels)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_non_finite_design_raises_as_fit_raises(self):
+        designs, labels = _block_of((12, 5), 3)
+        designs[1, 4, 2] = np.nan
+        with pytest.raises(ValueError, match="design must be finite"):
+            fit_block(designs, labels)
+
+    def test_shape_validation(self):
+        for designs, labels in (
+            (np.ones((4, 6)), np.ones((4,))),
+            (np.ones((2, 4, 6)), np.ones((2, 3))),
+            (np.ones((2, 4, 6)), np.ones((3, 4))),
+            (np.ones((2, 4, 6)), np.ones((2, 4, 0))),
+        ):
+            with pytest.raises(ValueError, match="one label per row"):
+                fit_block(designs, labels)
+
+
 class TestPipelines:
     def _instance(self):
         p = 16
@@ -428,6 +558,19 @@ class TestPipelines:
         finally:
             tracemalloc.stop()
         assert draw_bytes < peak < 1.5 * draw_bytes
+
+    def test_block_rows_equal_one_trial_sweeps(self):
+        """A repeated m, m > n and n > m: row b of a block is trial b's own sweep."""
+        inst = self._instance()
+        insts = [replace(inst, n=n, m=m) for n, m in ((6, 9), (12, 9), (4, 14), (9, 4))]
+        trials = [3, 4, 5, 9]
+        block = two_stage_block(insts, 2024, trials)
+        for row, trial in enumerate(trials):
+            for (beta_s, beta_s2t), (one_s, one_s2t) in zip(
+                block, two_stage_sweep(insts, 2024, trial)
+            ):
+                assert np.array_equal(beta_s[row], one_s)
+                assert np.array_equal(beta_s2t[row], one_s2t)
 
     def test_sweep_points_must_share_all_but_the_counts(self):
         inst = self._instance()

@@ -11,6 +11,7 @@ import pytest
 from w2s_lab import (
     NonConvergenceError,
     ProblemInstance,
+    empirical_excess_risk,
     one_stage_risk,
     optimal_mask,
     optimal_surrogate,
@@ -19,6 +20,8 @@ from w2s_lab import (
     solve_tau,
     two_stage_risk,
 )
+from w2s_lab import estimators
+from w2s_lab.estimators import STAGE_SURROGATE, STAGE_TARGET, derive_seed, fit, sample_dataset
 from w2s_lab.harness import cli, experiments, verify
 from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
@@ -717,6 +720,103 @@ class TestSweeps:
         assert messages == expected_messages
         if experiment == "two-stage-grid":
             assert len(messages) == 4  # n = 35 and m = 30 are skipped at each alpha
+
+
+def _one_stage_trial(spectrum, beta, values, sigma_sq, n, seed, t):
+    """Trial t's risks from the public one-trial calls, one trial at a time."""
+    ds = sample_dataset(spectrum, values, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t))
+    fitted = fit(ds.design, ds.labels).fitted
+    columns = [fitted] if fitted.ndim == 1 else list(fitted.T)
+    return [empirical_excess_risk(column, beta, spectrum) for column in columns]
+
+
+def _two_stage_trial(insts, seed, t):
+    """Trial t's two-stage risks from sample_dataset and fit, stage by stage."""
+    risks = []
+    for inst in insts:
+        stage1 = sample_dataset(
+            inst.spectrum_s, inst.beta_star, inst.sigma_s_sq, inst.m,
+            derive_seed(seed, STAGE_SURROGATE, t),
+        )
+        beta_s = fit(stage1.design, stage1.labels).fitted
+        stage2 = sample_dataset(
+            inst.spectrum_t, beta_s, inst.sigma_t_sq, inst.n, derive_seed(seed, STAGE_TARGET, t)
+        )
+        beta_s2t = fit(stage2.design, stage2.labels).fitted
+        risks.append(empirical_excess_risk(beta_s2t, inst.beta_star, inst.spectrum_t))
+    return risks
+
+
+class TestTrialBlocks:
+    """Per-trial risks do not depend on the block size or the worker count."""
+
+    TRIALS = 9
+
+    @pytest.fixture(params=[1, 2, 7, TRIALS], ids=lambda size: f"block{size}")
+    def block_size(self, request, monkeypatch):
+        """Set the byte budget so that a block holds exactly `size` trials of `stream`."""
+
+        def set_stream(stream):
+            budget = request.param * 8 * stream
+            monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", budget)
+
+        return request.param, set_stream
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_stage_risks(self, block_size, workers):
+        size, set_stream = block_size
+        p, sigma_sq, seed = 40, 0.1, 17
+        spectrum = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        stats = solve_tau(spectrum, 12)
+        stack = np.stack([surrogate_values_for_kind(kind, stats, beta) for kind in KINDS])
+        counts, values = [12, 60, 12], [stack, beta, 2.0 * beta]
+        set_stream(max(counts) * (p + 1))
+        assert len(estimators.trial_blocks(self.TRIALS, max(counts) * (p + 1))[0]) == size
+        sweep = mc_one_stage_risks(
+            spectrum, beta, values, sigma_sq, counts, self.TRIALS, seed, workers
+        )
+        for n, point_values, risks in zip(counts, values, sweep):
+            expected = [
+                _one_stage_trial(spectrum, beta, point_values, sigma_sq, n, seed, t)
+                for t in range(self.TRIALS)
+            ]
+            assert np.array_equal(risks, np.asarray(expected).reshape(risks.shape))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_two_stage_risks(self, block_size, workers):
+        """A repeated m and both orders of n and m."""
+        _, set_stream = block_size
+        p, seed = 50, 23
+        spectrum = power_law_spectrum(p, 2.0)
+        signal = power_law_signal(p, 2.0, 1.5)
+        insts = [
+            ProblemInstance(spectrum, spectrum, signal, 0.05, 0.1, n, m)
+            for n, m in ((30, 12), (12, 40), (40, 12))
+        ]
+        set_stream(40 * (p + 1))
+        sweep = mc_two_stage_risks(insts, self.TRIALS, seed, workers)
+        expected = np.array([_two_stage_trial(insts, seed, t) for t in range(self.TRIALS)])
+        for i, risks in enumerate(sweep):
+            assert np.array_equal(risks, expected[:, i])
+
+    def test_shift_property_risks(self, block_size):
+        """verify's source-design trials, transported or not, one trial at a time."""
+        _, set_stream = block_size
+        p, n, sigma_sq, seed = 30, 10, 0.05, 5
+        lam_s, lam_t = power_law_spectrum(p, 1.5), power_law_spectrum(p, 2.5)
+        beta = power_law_signal(p, 2.5, 1.8)
+        set_stream(n * (p + 1))
+        scale = np.sqrt(lam_t / lam_s)
+        for transport in (False, True):
+            risks = verify._source_design_risks(
+                lam_s, lam_t, beta, sigma_sq, n, self.TRIALS, seed, transport
+            )
+            for t, risk in enumerate(risks):
+                ds = sample_dataset(lam_s, beta, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t))
+                design = ds.design * scale if transport else ds.design
+                fitted = fit(design, ds.labels).fitted
+                assert risk == empirical_excess_risk(fitted, beta, lam_t)
 
 
 class TestOutputFormat:
