@@ -30,10 +30,17 @@ per trial and stage, at its largest count (`sample_prefixes`,
 block (`trial_blocks`) runs consecutive trials of a small shape together:
 each trial's generator fills one row of a stacked draw (`sample_block`,
 `two_stage_block`), so every trial keeps its own stream and its own bits.
+
+The Monte Carlo engine gives each worker one `Workspace` per call, whose
+draw and Gram buffers every block of that worker reuses, so large trials
+stop faulting in fresh pages. The public functions allocate inside the call
+(`two_stage_block` makes a workspace of its own), so no array they return
+aliases a buffer that a later call overwrites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +179,42 @@ class ProblemInstance:
         return int(self.spectrum_t.size)
 
 
-def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds):
+class Workspace:
+    """Reusable float64 buffers for the trial blocks one worker runs in one call.
+
+    "draw" holds a block's stacked draw and "gram" its Gram stack. Each grows
+    to the largest block it serves, and the next block overwrites it: arrays
+    that leave a Monte Carlo call are fits and risks, never views of it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        """A C-contiguous view of buffer `name` with `shape`, the buffer grown to fit first."""
+        size = math.prod(shape)
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers.pop(name, None)  # let the old buffer go before its successor allocates
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
+
+
+def _buffer(workspace: Workspace | None, name: str, shape: tuple) -> np.ndarray:
+    """Workspace buffer `name` viewed as `shape`, or a fresh array without a workspace."""
+    return np.empty(shape) if workspace is None else workspace.take(name, shape)
+
+
+def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds, workspace: Workspace | None):
     """The stacked draw of a trial block: a (B, top, p) design and each count's noise.
 
-    Row b of one (B, top * p + top) buffer is filled by seeds[b]'s generator,
-    the stream a single trial draws: its first top * p normals are the design,
-    scaled in place by sqrt(lam), and count c's noise is the c normals after
-    its first c * p, copied and scaled by sigma before the design is scaled.
+    Row b of one (B, top * p + top) buffer, the workspace's "draw" buffer if
+    there is one, is filled by seeds[b]'s generator, the stream a single
+    trial draws: its first top * p normals are the design, scaled in place by
+    sqrt(lam), and count c's noise is the c normals after its first c * p,
+    copied and scaled by sigma before the design is scaled.
     """
     p, top = lam.size, max(counts)
-    stream = np.empty((len(seeds), top * p + top))
+    stream = _buffer(workspace, "draw", (len(seeds), top * p + top))
     for row, seed in zip(stream, seeds):
         np.random.default_rng(int(seed) & _MASK64).standard_normal(out=row)
     scale = np.sqrt(sigma_sq)
@@ -203,12 +236,17 @@ def sample_block(spectrum, betas, sigma_sq: float, counts, seeds) -> list[Datase
     dataset of count c takes the design's first c rows and the c normals
     after its first c * p as noise, so item b equals `sample_dataset` with
     count c, betas[i] and seeds[b], bit for bit. Designs are (B, c, p) views
-    of one stacked draw.
+    of one stacked draw, allocated by this call.
 
     counts may be unsorted and repeat. betas has one entry per count, shared
     by every trial: a (p,) vector gives (B, c) labels, a (k, p) stack gives
     (B, c, k) labels whose column j is beta[j]'s labels, one noise draw for all.
     """
+    return _sample_block(spectrum, betas, sigma_sq, counts, seeds, None)
+
+
+def _sample_block(spectrum, betas, sigma_sq, counts, seeds, workspace) -> list[Dataset]:
+    """`sample_block`, its designs viewing the workspace's draw buffer if one is given."""
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
         raise ValueError(f"need one beta per count, got {len(betas)} and {len(counts)}")
@@ -218,7 +256,7 @@ def sample_block(spectrum, betas, sigma_sq: float, counts, seeds) -> list[Datase
         raise ValueError(f"count must be >= 1, got {min(counts)}")
     if len(seeds) == 0:
         raise ValueError("a trial block needs at least one seed")
-    design, noise = _draw(lam, sigma_sq, counts, seeds)
+    design, noise = _draw(lam, sigma_sq, counts, seeds, workspace)
     datasets = []
     for beta, count, count_noise in zip(betas, counts, noise):
         beta = np.asarray(beta, dtype=np.float64)
@@ -345,6 +383,14 @@ def fit_block(designs: np.ndarray, labels: np.ndarray) -> BlockFit:
     item raise ValueError; a non-finite design never passes the certificate
     and raises ValueError before the SVD.
     """
+    return _fit_block(designs, labels, None)
+
+
+def _fit_block(designs, labels, workspace: Workspace | None) -> BlockFit:
+    """`fit_block`, its Gram stack formed in the workspace's gram buffer if one is given.
+
+    Every returned array is computed from the Gram stack, never a view of it.
+    """
     designs = np.asarray(designs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if (
@@ -361,7 +407,9 @@ def fit_block(designs: np.ndarray, labels: np.ndarray) -> BlockFit:
         raise ValueError("labels must be finite, got a NaN or inf entry")
     count, rows, p = designs.shape
     wide = rows < p
-    gram = designs @ designs.mT if wide else designs.mT @ designs
+    factor = designs if wide else designs.mT  # G = factor @ factor^T, syrk per item
+    size = factor.shape[1]
+    gram = np.matmul(factor, factor.mT, out=_buffer(workspace, "gram", (count, size, size)))
     certified = _certify(gram, rows + p + 2)
     rank = np.full(count, min(rows, p))
     if certified.all():
@@ -433,17 +481,22 @@ def two_stage_block(insts, seed: int, trials) -> list[tuple[np.ndarray, np.ndarr
     insts are ProblemInstances that differ only in n and m; trials is a
     sequence of trial indices. Stage one fits beta_s on m rows drawn from
     spectrum_s with ground-truth labels (noise sigma_s_sq), once per distinct
-    m, all m reading prefixes of one stacked draw. That draw is freed before
-    stage two draws once for every point and fits n fresh rows from
+    m, all m reading prefixes of one stacked draw. Stage two then draws once
+    for every point, into the same buffer, and fits n fresh rows from
     spectrum_t labelled by the trial's own beta_s plus fresh noise sigma_t_sq
     (an instance with sigma_t_sq = 0 distills without noise). Row b of every
     result is what `two_stage_sweep(insts, seed, trials[b])` gives, bit for
-    bit.
+    bit. The call's workspace is its own and dies with it.
 
     Returns:
         (beta_s, beta_s_to_t) per instance, each (B, p): the stage-one and
         stage-two fits.
     """
+    return _two_stage_block(insts, seed, trials, Workspace())
+
+
+def _two_stage_block(insts, seed: int, trials, workspace: Workspace):
+    """`two_stage_block` on the workspace's buffers: both stages draw into its one draw buffer."""
     insts = list(insts)
     if not insts:
         raise ValueError("a sweep needs at least one ProblemInstance")
@@ -458,26 +511,34 @@ def two_stage_block(insts, seed: int, trials) -> list[tuple[np.ndarray, np.ndarr
         ):
             raise ValueError("sweep points must differ only in n and m")
     ms = sorted({inst.m for inst in insts})
-    stage1 = sample_block(
-        first.spectrum_s,
-        [first.beta_star] * len(ms),
-        first.sigma_s_sq,
-        ms,
-        [derive_seed(seed, STAGE_SURROGATE, t) for t in trials],
-    )
-    beta_s = {m: fit_block(ds.design, ds.labels).fitted for m, ds in zip(ms, stage1)}
-    del stage1  # free the stage-one draw before stage two allocates its own
+    # stage one's datasets live only inside this comprehension, so a larger
+    # stage-two draw replaces the draw buffer instead of joining it
+    beta_s = {
+        m: _fit_block(ds.design, ds.labels, workspace).fitted
+        for m, ds in zip(
+            ms,
+            _sample_block(
+                first.spectrum_s,
+                [first.beta_star] * len(ms),
+                first.sigma_s_sq,
+                ms,
+                [derive_seed(seed, STAGE_SURROGATE, t) for t in trials],
+                workspace,
+            ),
+        )
+    }
     design, noise = _draw(
         first.spectrum_t,
         first.sigma_t_sq,
         [inst.n for inst in insts],
         [derive_seed(seed, STAGE_TARGET, t) for t in trials],
+        workspace,
     )
     results = []
     for inst, point_noise in zip(insts, noise):
         rows = design[:, : inst.n]
         labels = _labels(rows, beta_s[inst.m], point_noise)
-        results.append((beta_s[inst.m], fit_block(rows, labels).fitted))
+        results.append((beta_s[inst.m], _fit_block(rows, labels, workspace).fitted))
     return results
 
 

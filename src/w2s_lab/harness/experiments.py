@@ -9,12 +9,16 @@ draws each stage's stream once, at the sweep's largest sample count, and every
 point reads its dataset as a prefix of it, bit for bit what a one-point sweep
 draws. A block (`estimators.trial_blocks`) runs consecutive trials of a small
 shape as stacked draws, stacked certified fits and one risk reduction per
-point; each trial's risks are the bits it gets in a block of one.
+point; each trial's risks are the bits it gets in a block of one. Every
+worker owns one `estimators.Workspace` for the call: its blocks draw into
+one reused draw buffer and form their Gram stacks in one reused Gram buffer,
+and the workspaces are dropped when the call returns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,12 +35,13 @@ from ..design import (
 from ..estimators import (
     STAGE_TARGET,
     ProblemInstance,
+    Workspace,
+    _fit_block,
+    _sample_block,
+    _two_stage_block,
     derive_seed,
     excess_risks,
-    fit_block,
-    sample_block,
     trial_blocks,
-    two_stage_block,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
 from ..theory import omniscient_risk, one_stage_risk, two_stage_risk
@@ -120,12 +125,24 @@ def _fan_out(fn, tasks: int, workers: int) -> list:
 
 
 def _fan_out_blocks(block_fn, trials: int, stream: int, workers: int) -> np.ndarray:
-    """Run block_fn on each trial block and stack its (B, ...) risks in trial order.
+    """Run block_fn(block, workspace) on each trial block; stack its (B, ...) risks in trial order.
 
-    stream is one trial's draw in normals, which sets the block size.
+    stream is one trial's draw in normals, which sets the block size. Each
+    worker thread makes one Workspace at its first block and passes it to
+    every block it runs; the workspaces live in a thread-local made for this
+    call, so they die when it returns.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     blocks = trial_blocks(trials, stream)
-    return np.concatenate(_fan_out(lambda i: block_fn(blocks[i]), len(blocks), workers))
+    local = threading.local()
+
+    def run(i: int) -> np.ndarray:
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
+        return block_fn(blocks[i], local.workspace)
+
+    return np.concatenate(_fan_out(run, len(blocks), workers))
 
 
 def mc_one_stage_risks(
@@ -145,18 +162,19 @@ def mc_one_stage_risks(
     one-point sweep's bit for bit, at any block size and worker count. A
     stack fits all k label columns in one solve against one certified Gram
     matrix; column j equals the call with surrogate_values[j] alone to
-    rounding, and a (1, p) stack equals the (p,) call bit for bit.
+    rounding, and a (1, p) stack equals the (p,) call bit for bit. trials
+    below 1 raise ValueError.
     """
     lam = as_spectrum(spectrum)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
-    def one_block(block: range) -> np.ndarray:
+    def one_block(block: range, workspace: Workspace) -> np.ndarray:
         seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
         risks = []
-        for ds in sample_block(lam, surrogates, sigma_sq, n, seeds):
+        for ds in _sample_block(lam, surrogates, sigma_sq, n, seeds, workspace):
             # (B, p) or (B, p, k) fits; the risk sums run over p, last
-            fitted = np.moveaxis(fit_block(ds.design, ds.labels).fitted, 1, -1)
+            fitted = np.moveaxis(_fit_block(ds.design, ds.labels, workspace).fitted, 1, -1)
             risks.append(excess_risks(fitted, beta_star, lam).reshape(len(block), -1))
         return np.concatenate(risks, axis=1)
 
@@ -174,12 +192,13 @@ def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
 
     insts are ProblemInstances that differ only in n and m (see
     `estimators.two_stage_block`). Returns one contiguous (trials,) array per
-    instance, equal bit for bit to that instance's one-point sweep.
+    instance, equal bit for bit to that instance's one-point sweep. trials
+    below 1 raise ValueError.
     """
     insts = list(insts)
 
-    def one_block(block: range) -> np.ndarray:
-        fits = two_stage_block(insts, seed, block)
+    def one_block(block: range, workspace: Workspace) -> np.ndarray:
+        fits = _two_stage_block(insts, seed, block, workspace)
         return np.stack(
             [
                 excess_risks(beta_s2t, inst.beta_star, inst.spectrum_t)

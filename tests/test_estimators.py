@@ -436,6 +436,50 @@ def _assert_items_equal_own_fits(block, designs, labels):
         assert block.rank_deficient[item] == alone.rank_deficient
 
 
+class TestWorkspace:
+    """A reused workspace gives every block the bits of fresh buffers; results never alias it."""
+
+    def test_buffer_grows_then_is_reused(self):
+        workspace = estimators.Workspace()
+        large = workspace.take("draw", (2, 5, 7))
+        small = workspace.take("draw", (3, 4))
+        assert small.flags.c_contiguous and small.shape == (3, 4)
+        assert np.shares_memory(large, small)
+        grown = workspace.take("draw", (9, 9))
+        assert not np.shares_memory(large, grown)
+        assert not np.shares_memory(grown, workspace.take("gram", (2, 2)))
+
+    def test_reused_buffers_across_shapes_give_fresh_bits(self):
+        """Shrinking and growing blocks, wide and tall, one item on lstsq: each block as fresh."""
+        p = 12
+        lam = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        workspace = estimators.Workspace()
+        for counts, trials, duplicate in [
+            ((30, 8), 4, 1), ((5,), 2, None), ((30, 12), 3, 0), ((40,), 6, 5)
+        ]:
+            seeds = [derive_seed(3, STAGE_TARGET, t) for t in range(trials)]
+            reused = estimators._sample_block(lam, [beta] * len(counts), 0.1, counts, seeds, workspace)
+            fresh = sample_block(lam, [beta] * len(counts), 0.1, counts, seeds)
+            draw = workspace._buffers["draw"]
+            for ds, alone in zip(reused, fresh):
+                assert np.shares_memory(ds.design, draw)
+                assert not np.shares_memory(ds.labels, draw)
+                assert np.array_equal(ds.design, alone.design)
+                assert np.array_equal(ds.labels, alone.labels)
+                designs = ds.design.copy()
+                if duplicate is not None:
+                    designs[duplicate][:, 7] = designs[duplicate][:, 3]
+                block = estimators._fit_block(designs, ds.labels, workspace)
+                expected = fit_block(designs, ds.labels)
+                for name in ("fitted", "rank", "rank_deficient", "route"):
+                    assert np.array_equal(getattr(block, name), getattr(expected, name))
+                    for buffer in workspace._buffers.values():
+                        assert not np.shares_memory(getattr(block, name), buffer)
+                if duplicate is not None and len(ds.design[0]) >= p:  # tall: rank p - 1
+                    assert block.route[duplicate] == "lstsq"
+
+
 class TestFitBlock:
     """Every item of a stacked fit is its own fit, bit for bit, routes included."""
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -817,6 +819,97 @@ class TestTrialBlocks:
                 design = ds.design * scale if transport else ds.design
                 fitted = fit(design, ds.labels).fitted
                 assert risk == empirical_excess_risk(fitted, beta, lam_t)
+
+
+class TestWorkspaces:
+    """Per-worker workspaces: one per worker per call, never aliased by a returned array."""
+
+    @staticmethod
+    def _two_stage_insts(p, alpha, pairs):
+        spectrum = power_law_spectrum(p, alpha)
+        signal = power_law_signal(p, alpha, 1.5)
+        return [ProblemInstance(spectrum, spectrum, signal, 0.05, 0.1, n, m) for n, m in pairs]
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_monte_carlo_calls_refuse_fewer_than_one_trial(self, trials):
+        spectrum = power_law_spectrum(20, 2.0)
+        beta = power_law_signal(20, 2.0, 1.5)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_one_stage_risks(spectrum, beta, [beta], 0.1, [8], trials, 3)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_two_stage_risks(self._two_stage_insts(20, 2.0, [(8, 6)]), trials, 3)
+
+    def test_returned_arrays_outlive_later_monte_carlo_calls(self):
+        """Public results keep their values through later same-shape Monte Carlo calls."""
+        p, n, sigma_sq = 60, 40, 0.1
+        spectrum = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        seeds = [derive_seed(4, STAGE_TARGET, t) for t in range(3)]
+        (block,) = estimators.sample_block(spectrum, [beta], sigma_sq, [n], seeds)
+        single = sample_dataset(spectrum, beta, sigma_sq, n, seeds[0])
+        fitted = estimators.fit_block(block.design, block.labels)
+        kept = [
+            array.copy()
+            for array in (block.design, block.labels, single.design, single.labels, fitted.fitted)
+        ]
+        mc_one_stage_risks(spectrum, beta, [beta], sigma_sq, [n], 7, 5)
+        mc_two_stage_risks(self._two_stage_insts(p, 2.0, [(n, n)]), 7, 5)
+        after = (block.design, block.labels, single.design, single.labels, fitted.fitted)
+        for before, now in zip(kept, after):
+            assert np.array_equal(before, now)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_workspace_per_worker_dies_with_the_call(self, monkeypatch, workers):
+        made = []
+
+        class RecordingWorkspace(estimators.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(experiments, "Workspace", RecordingWorkspace)
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
+        insts = self._two_stage_insts(30, 2.0, [(12, 20), (25, 8)])
+        mc_two_stage_risks(insts, 6, 9, workers)
+        assert 1 <= len(made) <= workers
+        assert all(ref() is None for ref in made)
+
+    def test_workers_never_share_a_workspace(self, monkeypatch):
+        """More workers than cores, one trial a block, frequent switches: serial bits."""
+        insts = self._two_stage_insts(40, 2.0, [(30, 12), (12, 35)])
+        serial = mc_two_stage_risks(insts, 16, 3, 1)
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mc_two_stage_risks(insts, 16, 3, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block", [None, 4], ids=["default-block", "block4"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lstsq_fallbacks_in_uneven_blocks(self, monkeypatch, block, workers):
+        """m = p - 1 at alpha 3 sends some stage-one fits to lstsq; 9 trials leave a short block."""
+        p, seed, trials = 40, 23, 9
+        insts = self._two_stage_insts(p, 3.0, [(30, 12), (20, p - 1), (35, p - 1)])
+        stream = (p - 1) * (p + 1)  # the largest count, m = p - 1, sets the block size
+        if block is not None:
+            monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", block * 8 * stream)
+        sizes = [len(b) for b in estimators.trial_blocks(trials, stream)]
+        assert sizes == ([trials] if block is None else [4, 4, 1])
+        seeds = [derive_seed(seed, STAGE_SURROGATE, t) for t in range(trials)]
+        inst = insts[1]
+        (stage1,) = estimators.sample_block(
+            inst.spectrum_s, [inst.beta_star], inst.sigma_s_sq, [inst.m], seeds
+        )
+        route = estimators.fit_block(stage1.design, stage1.labels).route
+        assert "lstsq" in route and "gram" in route
+        sweep = mc_two_stage_risks(insts, trials, seed, workers)
+        expected = np.array([_two_stage_trial(insts, seed, t) for t in range(trials)])
+        for i, risks in enumerate(sweep):
+            assert np.array_equal(risks, expected[:, i])
 
 
 class TestOutputFormat:
