@@ -11,6 +11,7 @@ from .design import (
     brute_force_mask,
     cutoff_indices,
     gain_profile,
+    mask_size,
     masked_surrogate,
     optimal_mask,
     optimal_surrogate,
@@ -70,6 +71,7 @@ __all__ = [
     "fit",
     "fixed_point_residual",
     "gain_profile",
+    "mask_size",
     "gamma_t_sq",
     "masked_surrogate",
     "omega_asymptotic",

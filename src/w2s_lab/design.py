@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .spectrum import SpectralStats, _omega_window, _tolerance, as_spectrum, solve_tau
-from .theory import _check_stats, _one_stage_terms
+from .theory import _check_stats, _column_blocks, _one_stage_terms
 
 # Candidate supports scored per kernel call in brute_force_mask.
 _CHUNK_ROWS = 1024
@@ -32,12 +32,18 @@ def gain_profile(stats: SpectralStats) -> np.ndarray:
     """Optimal per-coordinate gains beta_opt_i / beta_star_i, independent of the signal.
 
     gain_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
-    zeta_i < 1 - stats.omega.
+    zeta_i < 1 - stats.omega. The gains are written into the returned array
+    block by block of columns, so the call holds one p-length array and
+    block-sized temporaries, with the bits of the unblocked formula.
     """
     _check_stats(stats)
-    one_minus = stats.one_minus_zeta()
     ratio = stats.omega / (1.0 - stats.omega)
-    return one_minus / (one_minus**2 + ratio * stats.zeta**2)
+    gains = np.empty(stats.p)
+    for one_minus, zeta, block in _column_blocks(stats.one_minus_zeta(), stats.zeta, gains):
+        np.square(one_minus, out=block)
+        block += ratio * zeta**2
+        np.divide(one_minus, block, out=block)
+    return gains
 
 
 def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
@@ -48,13 +54,30 @@ def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
 
     For an isotropic spectrum the fixed point gives Omega = 1 - zeta exactly,
     every gain collapses to 1, and the optimal surrogate is beta_star itself;
-    anisotropy is what creates room for improvement.
+    anisotropy is what creates room for improvement. The gains are scaled in
+    place, so the result is the call's one p-length allocation.
     """
     gains = gain_profile(stats)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     if beta_star.shape != stats.eigenvalues.shape:
         raise ValueError("beta_star must match the spectrum length")
-    return gains * beta_star
+    gains *= beta_star
+    return gains
+
+
+def _kept(stats: SpectralStats) -> np.ndarray:
+    """Boolean (p,) verdict of optimal_mask's keep rule, tie band included.
+
+    The rule's one implementation, filled block by block of columns, so it
+    holds one byte per coordinate.
+    """
+    _check_stats(stats)
+    rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
+    threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
+    keep = np.empty(stats.p, dtype=bool)
+    for zeta, block in _column_blocks(stats.zeta, keep):
+        np.less(zeta**2, threshold, out=block)
+    return keep
 
 
 def optimal_mask(stats: SpectralStats) -> frozenset:
@@ -76,11 +99,12 @@ def optimal_mask(stats: SpectralStats) -> frozenset:
     can still be kept or dropped by the last digits of tau. Indices are 0-based
     positions into the spectrum.
     """
-    _check_stats(stats)
-    rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
-    threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
-    keep = np.flatnonzero(stats.zeta**2 < threshold)
-    return frozenset(keep.tolist())
+    return frozenset(np.flatnonzero(_kept(stats)).tolist())
+
+
+def mask_size(stats: SpectralStats) -> int:
+    """len(optimal_mask(stats)), counted without building the set."""
+    return int(np.count_nonzero(_kept(stats)))
 
 
 def masked_surrogate(beta_star, support) -> np.ndarray:

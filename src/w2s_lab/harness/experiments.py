@@ -27,6 +27,7 @@ import numpy as np
 from ..design import (
     cutoff_indices,
     gain_profile,
+    mask_size,
     masked_surrogate,
     optimal_mask,
     optimal_surrogate,
@@ -366,7 +367,7 @@ def run_mask_count(cfg: ExperimentConfig):
     for alpha in cfg.alpha:
         spectrum = power_law_spectrum(cfg.p, alpha)
         for n in cfg.n:
-            size = len(optimal_mask(solve_tau(spectrum, n)))
+            size = mask_size(solve_tau(spectrum, n))
             _, i_mask = cutoff_indices(alpha, n)
             abs_error = abs(size - i_mask)
             tolerance = 0.05 * n + 5.0
@@ -386,6 +387,21 @@ def run_mask_count(cfg: ExperimentConfig):
     return MASK_COLUMNS, rows
 
 
+def _slope_point(spectrum, beta_star, n, sigma_sq, want_target, want_optimal):
+    """(ground-truth total, optimal total) at one n, None where not wanted.
+
+    The point's stats and optimal surrogate die with the call, so a sweep
+    holds one point's p-length arrays at a time.
+    """
+    stats = solve_tau(spectrum, n)
+    target = omniscient_risk(stats, beta_star, sigma_sq).total if want_target else None
+    optimal = None
+    if want_optimal:
+        values = optimal_surrogate(stats, beta_star)
+        optimal = one_stage_risk(stats, beta_star, values, sigma_sq).total
+    return target, optimal
+
+
 def run_scaling_slope(cfg: ExperimentConfig):
     """Theory-only risk decay series plus fitted and predicted log-log slopes.
 
@@ -399,40 +415,34 @@ def run_scaling_slope(cfg: ExperimentConfig):
     want_optimal = "optimal" in cfg.kinds
 
     n_values = sorted(cfg.n)
-    target_totals = []
-    optimal_totals = []
-    for n in n_values:
-        stats = solve_tau(spectrum, n)
-        if want_target:
-            target_totals.append(omniscient_risk(stats, beta_star, cfg.sigma_t_sq).total)
-        if want_optimal:
-            values = optimal_surrogate(stats, beta_star)
-            optimal_totals.append(one_stage_risk(stats, beta_star, values, cfg.sigma_t_sq).total)
+    points = [
+        _slope_point(spectrum, beta_star, n, cfg.sigma_t_sq, want_target, want_optimal)
+        for n in n_values
+    ]
 
     def fitted_slope(totals):
         return float(np.polyfit(np.log(n_values), np.log(totals), 1)[0])
 
-    slope_target = fitted_slope(target_totals) if want_target else None
-    slope_optimal = fitted_slope(optimal_totals) if want_optimal else None
+    slope_target = fitted_slope([target for target, _ in points]) if want_target else None
+    slope_optimal = fitted_slope([optimal for _, optimal in points]) if want_optimal else None
     predicted = -scaling_exponent(alpha, cfg.beta_exp)
 
-    rows = []
-    for idx, n in enumerate(n_values):
-        rows.append(
-            (
-                cfg.experiment,
-                cfg.p,
-                alpha,
-                cfg.beta_exp,
-                cfg.sigma_t_sq,
-                n,
-                target_totals[idx] if want_target else None,
-                optimal_totals[idx] if want_optimal else None,
-                slope_target,
-                slope_optimal,
-                predicted,
-            )
+    rows = [
+        (
+            cfg.experiment,
+            cfg.p,
+            alpha,
+            cfg.beta_exp,
+            cfg.sigma_t_sq,
+            n,
+            target,
+            optimal,
+            slope_target,
+            slope_optimal,
+            predicted,
         )
+        for n, (target, optimal) in zip(n_values, points)
+    ]
     return SLOPE_COLUMNS, rows
 
 

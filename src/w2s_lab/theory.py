@@ -61,15 +61,42 @@ def _check_stats(stats: SpectralStats) -> None:
         raise RuntimeError(f"internal inconsistency: Omega={stats.omega} outside (0, 1)")
 
 
-def _noise_energy(stats: SpectralStats, beta_s: np.ndarray, sigma_sq: float) -> np.ndarray:
+# Columns per block of the elementwise work on p-length formulas: one block of
+# a row is 128 KiB, so no formula holds a p-length temporary at large p. The
+# width changes no bit of any result.
+_CHUNK_COLUMNS = 2**14
+
+
+def _column_blocks(*arrays):
+    """Yield the arrays cut into matching blocks of _CHUNK_COLUMNS columns, in order.
+
+    Each array is cut along its last axis, which has the same length p in all
+    of them; when p fits one block the arrays are yielded whole, uncut.
+    """
+    p = arrays[0].shape[-1]
+    if p <= _CHUNK_COLUMNS:
+        yield arrays
+        return
+    for start in range(0, p, _CHUNK_COLUMNS):
+        cols = slice(start, start + _CHUNK_COLUMNS)
+        yield tuple(a[..., cols] for a in arrays)
+
+
+def _noise_energy(
+    stats: SpectralStats, beta_s: np.ndarray, sigma_sq: float, terms: np.ndarray | None = None
+) -> np.ndarray:
     """sigma^2 + sum_i lambda_i zeta_i^2 beta_s_i^2 for each row of a (k, p) stack.
 
-    Each row is summed tail first. Spectral vectors enter as (1, p) rows so
-    that at k = 1 every operand has the result's shape and numpy reuses
-    temporaries in place; mixed (p,) and (1, p) operands allocated a fresh
-    array per operation, measurably slower at p = 1e6.
+    The terms are written block by block of columns into `terms`, a (k, p)
+    scratch (fresh when None), so the only other memory is one block of
+    lambda zeta^2. Each row is then summed tail first over the whole scratch,
+    as one unblocked expression would be, so the blocking changes no bit.
     """
-    terms = stats.eigenvalues[None, :] * stats.zeta[None, :] ** 2 * beta_s**2
+    if terms is None:
+        terms = np.empty(beta_s.shape)
+    for lam, zeta, beta, block in _column_blocks(stats.eigenvalues, stats.zeta, beta_s, terms):
+        np.square(beta, out=block)
+        block *= lam * zeta**2
     return sigma_sq + np.sum(terms[:, ::-1], axis=1)
 
 
@@ -81,14 +108,21 @@ def _one_stage_terms(
     The one implementation of the one-stage formula: one_stage_risk calls it
     with k = 1 after validating its inputs, brute_force_mask with a block of
     candidate masks. Inputs are trusted: stats solved, Omega in (0, 1), shapes
-    checked by the caller.
+    checked by the caller. The bias terms, then the noise-energy terms, are
+    written block by block of columns into one (k, p) scratch, the call's
+    only (k, p) allocation, and each is summed tail first per row.
     """
-    shrink = stats.one_minus_zeta()[None, :]
-    bias_terms = stats.eigenvalues[None, :] * (shrink * surrogates - beta_star[None, :]) ** 2
-    bias = np.sum(bias_terms[:, ::-1], axis=1)
-    del bias_terms  # freed before the variance terms allocate theirs
-    variance = stats.omega * _noise_energy(stats, surrogates, sigma_sq) / (1.0 - stats.omega)
-    return bias, variance
+    terms = np.empty(surrogates.shape)
+    for lam, shrink, surrogate, beta, block in _column_blocks(
+        stats.eigenvalues, stats.one_minus_zeta(), surrogates, beta_star, terms
+    ):
+        np.multiply(shrink, surrogate, out=block)
+        block -= beta
+        np.square(block, out=block)
+        block *= lam
+    bias = np.sum(terms[:, ::-1], axis=1)
+    energy = _noise_energy(stats, surrogates, sigma_sq, terms)
+    return bias, stats.omega * energy / (1.0 - stats.omega)
 
 
 def gamma_t_sq(stats: SpectralStats, beta_s, sigma_sq: float) -> float:

@@ -14,6 +14,8 @@ from w2s_lab import (
     omega_asymptotic,
     omega_lower_bound,
     one_stage_risk,
+    optimal_mask,
+    optimal_surrogate,
     power_law_signal,
     power_law_spectrum,
     solve_tau,
@@ -21,6 +23,8 @@ from w2s_lab import (
     tau_bounds_nonasymptotic,
 )
 from w2s_lab import spectrum
+from w2s_lab.harness.config import build_config
+from w2s_lab.harness.experiments import run_scaling_slope
 from w2s_lab.spectrum import TAU_ATOL, TAU_RTOL, as_spectrum
 
 
@@ -162,6 +166,37 @@ class TestMemory:
         surrogate = 0.9 * beta
         peak = self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05))
         assert peak <= self.BOUND
+
+    # The p-length formulas run in blocks of columns, so the calls below hold
+    # at most their one (k, p) scratch or their p-length result.
+    ARRAY = 8 * P  # bytes of one float64 array of length p
+
+    def test_one_stage_risk_holds_one_array(self, problem):
+        lam, beta, stats = problem
+        surrogate = 0.9 * beta
+        peak = self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05))
+        assert peak <= self.ARRAY + 2**20
+
+    def test_optimal_surrogate_holds_one_array(self, problem):
+        _, beta, stats = problem
+        assert self._peak_bytes(lambda: optimal_surrogate(stats, beta)) <= self.ARRAY + 2**20
+
+    def test_optimal_mask_holds_a_quarter_array(self, problem):
+        # at n = 1000 the mask keeps about a thousand indices, whose list,
+        # ints and set fit in the 1 MiB
+        _, _, stats = problem
+        assert len(optimal_mask(stats)) < 2_000
+        assert self._peak_bytes(lambda: optimal_mask(stats)) <= self.ARRAY // 4 + 2**20
+
+    def test_scaling_slope_holds_one_point_at_a_time(self):
+        # spectrum, signal, the point's stats (two arrays), its optimal
+        # surrogate and one oracle scratch: six arrays, whatever the n count
+        p = 200_000
+        cfg = build_config(
+            "scaling-slope",
+            {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
+        )
+        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 6 * 8 * p + 2**20
 
 
 class TestSpectralStats:

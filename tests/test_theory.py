@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from w2s_lab import design, theory
 from w2s_lab import (
     ProblemInstance,
+    brute_force_mask,
     covariance_shift_map,
     empirical_excess_risk,
+    gain_profile,
     gamma_t_sq,
+    mask_size,
     omniscient_risk,
     one_stage_risk,
+    optimal_mask,
+    optimal_surrogate,
     power_law_signal,
     power_law_spectrum,
     sample_dataset,
@@ -19,6 +25,7 @@ from w2s_lab import (
     two_stage_risk,
 )
 from w2s_lab.harness.experiments import mean_and_se
+from w2s_lab.spectrum import _tolerance
 
 
 def _reference_tau(lam, n):
@@ -257,3 +264,72 @@ class TestMonteCarloReport:
             risks[t] = empirical_excess_risk(fitted, beta, lam)
         mean, se = mean_and_se(risks)
         assert abs(mean - theory.total) <= 4.0 * se
+
+
+def _inline_energy(st, surrogates, sigma_sq):
+    """Noise energy per row of a (k, p) stack, as one unblocked expression."""
+    terms = st.eigenvalues[None, :] * st.zeta[None, :] ** 2 * surrogates**2
+    return sigma_sq + np.sum(terms[:, ::-1], axis=1)
+
+
+def _inline_one_stage(st, beta_star, surrogates, sigma_sq):
+    """Bias and variance rows of a (k, p) stack, each formula one unblocked expression."""
+    bias_terms = st.eigenvalues[None, :] * (
+        st.one_minus_zeta()[None, :] * surrogates - beta_star[None, :]
+    ) ** 2
+    energy = _inline_energy(st, surrogates, sigma_sq)
+    return np.sum(bias_terms[:, ::-1], axis=1), st.omega * energy / (1.0 - st.omega)
+
+
+class TestColumnBlocks:
+    """Blocking the p-length formulas by columns changes no bit of any result."""
+
+    P = 100_003  # 7 blocks of the default width, 14,287 of width 7
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        lam = power_law_spectrum(self.P, 1.5)
+        beta = power_law_signal(self.P, 1.5, 1.3)
+        surrogate = beta * np.random.default_rng(3).uniform(0.0, 2.0, self.P)
+        return lam, beta, surrogate, solve_tau(lam, 2_000)
+
+    @pytest.fixture(params=["width-7", "width-p+1"])
+    def width(self, request, monkeypatch):
+        width = 7 if request.param == "width-7" else self.P + 1
+        monkeypatch.setattr(theory, "_CHUNK_COLUMNS", width)
+        return width
+
+    def test_one_stage_risk(self, problem, width):
+        _, beta, surrogate, st = problem
+        bias, variance = _inline_one_stage(st, beta, surrogate[None, :], 0.05)
+        report = one_stage_risk(st, beta, surrogate, 0.05)
+        assert report.bias == bias[0]
+        assert report.variance == variance[0]
+        energy = _inline_energy(st, surrogate[None, :], 0.05)[0]
+        assert gamma_t_sq(st, surrogate, 0.05) == st.p / st.n * energy / (1.0 - st.omega)
+
+    def test_designers(self, problem, width):
+        _, beta, _, st = problem
+        one_minus = st.one_minus_zeta()
+        gains = one_minus / (one_minus**2 + st.omega / (1.0 - st.omega) * st.zeta**2)
+        assert np.array_equal(gain_profile(st), gains)
+        assert np.array_equal(optimal_surrogate(st, beta), gains * beta)
+        rel = _tolerance(st.n) / (st.n * (1.0 - st.omega))
+        threshold = ((1.0 - st.omega) - 2.0 * st.omega * rel) / (1.0 + 2.0 * rel)
+        keep = np.flatnonzero(st.zeta**2 < threshold)
+        assert optimal_mask(st) == frozenset(keep.tolist())
+        assert mask_size(st) == keep.size
+
+    @pytest.mark.parametrize("patched", [7, 15])
+    def test_brute_force_mask(self, monkeypatch, patched):
+        lam = power_law_spectrum(14, 2.0)
+        beta = power_law_signal(14, 2.0, 1.5)
+        expected = brute_force_mask(lam, beta, 5, 0.05)
+        monkeypatch.setattr(theory, "_CHUNK_COLUMNS", patched)
+        st = solve_tau(lam, 5)
+        for _, keep in design._support_blocks(14):
+            stack = np.where(keep, beta, 0.0)
+            kernel = theory._one_stage_terms(st, beta, stack, 0.05)
+            for got, want in zip(kernel, _inline_one_stage(st, beta, stack, 0.05)):
+                assert np.array_equal(got, want)
+        assert brute_force_mask(lam, beta, 5, 0.05) == expected
