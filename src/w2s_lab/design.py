@@ -21,8 +21,15 @@ import math
 
 import numpy as np
 
-from .spectrum import SpectralStats, _omega_window, _tolerance, as_spectrum, solve_tau
-from .theory import _check_stats, _column_blocks, _one_stage_terms
+from .spectrum import (
+    SpectralStats,
+    _column_blocks,
+    _omega_window,
+    _tolerance,
+    as_spectrum,
+    solve_tau,
+)
+from .theory import _check_stats, _one_stage_terms
 
 # Candidate supports scored per kernel call in brute_force_mask.
 _CHUNK_ROWS = 1024
@@ -33,15 +40,22 @@ def gain_profile(stats: SpectralStats) -> np.ndarray:
 
     gain_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
     zeta_i < 1 - stats.omega. The gains are written into the returned array
-    block by block of columns, so the call holds one p-length array and
-    block-sized temporaries, with the bits of the unblocked formula.
+    block by block of columns, each block recomputing zeta and 1 - zeta from
+    (lambda, tau), so the call holds one p-length array and block-sized
+    temporaries, with the bits of the unblocked formula.
     """
     _check_stats(stats)
     ratio = stats.omega / (1.0 - stats.omega)
+    tau = stats.tau
     gains = np.empty(stats.p)
-    for one_minus, zeta, block in _column_blocks(stats.one_minus_zeta(), stats.zeta, gains):
+    for lam, block in _column_blocks(stats.eigenvalues, gains):
+        shifted = lam + tau
+        one_minus = lam / shifted
+        weight = np.divide(tau, shifted, out=shifted)  # zeta
+        np.square(weight, out=weight)
+        weight *= ratio
         np.square(one_minus, out=block)
-        block += ratio * zeta**2
+        block += weight
         np.divide(one_minus, block, out=block)
     return gains
 
@@ -68,14 +82,16 @@ def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
 def _kept(stats: SpectralStats) -> np.ndarray:
     """Boolean (p,) verdict of optimal_mask's keep rule, tie band included.
 
-    The rule's one implementation, filled block by block of columns, so it
-    holds one byte per coordinate.
+    The rule's one implementation, filled block by block of columns from
+    zeta recomputed per block, so it holds one byte per coordinate.
     """
     _check_stats(stats)
     rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
     threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
+    tau = stats.tau
     keep = np.empty(stats.p, dtype=bool)
-    for zeta, block in _column_blocks(stats.zeta, keep):
+    for lam, block in _column_blocks(stats.eigenvalues, keep):
+        zeta = tau / (lam + tau)
         np.less(zeta**2, threshold, out=block)
     return keep
 

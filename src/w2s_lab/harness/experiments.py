@@ -333,6 +333,7 @@ def run_gain_profile(cfg: ExperimentConfig):
     signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
 
     stats = solve_tau(lam, n)
+    zeta = stats.zeta  # computed on each read, so read once
     gains = gain_profile(stats)
     mask = optimal_mask(stats)
     optimal = optimal_surrogate(stats, signal)
@@ -349,7 +350,7 @@ def run_gain_profile(cfg: ExperimentConfig):
                 n,
                 i + 1,
                 float(lam[i]),
-                float(stats.zeta[i]),
+                float(zeta[i]),
                 float(signal[i]),
                 float(optimal[i]),
                 float(gains[i]),

@@ -133,12 +133,10 @@ def _prop_shrinkage_ordering(rng) -> Verdict:
     ok = True
     min_diff = math.inf
     for lam, n in [(power_law_spectrum(500, 2.0), 100), (_random_spectrum(rng, 250), 30)]:
-        st = solve_tau(lam, n)
-        diffs = np.diff(st.zeta)
+        zeta = solve_tau(lam, n).zeta
+        diffs = np.diff(zeta)
         min_diff = min(min_diff, float(diffs.min()) if diffs.size else 0.0)
-        ok = ok and bool(np.all(diffs >= 0.0)) and bool(
-            np.all((st.zeta > 0.0) & (st.zeta < 1.0))
-        )
+        ok = ok and bool(np.all(diffs >= 0.0)) and bool(np.all((zeta > 0.0) & (zeta < 1.0)))
     return _bool_result(
         ok, f"zeta non-decreasing and in (0,1); min successive diff {min_diff:.3e}"
     )

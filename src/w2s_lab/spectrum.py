@@ -12,16 +12,19 @@ The left side is continuous and strictly decreasing in tau, from p (tau -> 0)
 to 0 (tau -> infinity), so for n < p the root exists and is unique. From tau
 we derive the shrinkage factors zeta_i = tau/(lambda_i + tau) and the
 variance-inflation statistic Omega = (1/n) * sum_i (1 - zeta_i)^2, which
-together parameterize every closed-form risk in this package.
+together parameterize every closed-form risk in this package. The statistics
+store only scalars: zeta and 1 - zeta are exact functions of (lambda_i, tau),
+so every consumer recomputes them block by block of columns (_column_blocks),
+and a division gives the same bits in any block order.
 
 All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
 (alpha 1.5 or 3, n from 1e3 to 1e5) takes 3-4 full-spectrum passes, plus
 the start's read-only sum over the tail, and 0.32-0.52 s on one core of a
-2-CPU x86 VM (numpy 2.4). It holds two p-length work buffers, which it
-returns as zeta and 1 - zeta, so the statistics add no third array. Sums
-over the spectrum accumulate the tail first (smallest eigenvalues first) for
-reproducible floating-point results when the tail is near the denormal range.
+2-CPU x86 VM (numpy 2.4). It holds one p-length work buffer, freed on
+return. Sums over the spectrum accumulate the tail first (smallest
+eigenvalues first) for reproducible floating-point results when the tail is
+near the denormal range.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ TAU_MAX_ITER = 200
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = math.ulp(0.0)  # smallest positive (denormal) float
+
+# Columns per block of the elementwise work on p-length formulas: one block of
+# a row is 128 KiB, so no formula holds a p-length temporary at large p. The
+# width changes no bit of any result.
+_CHUNK_COLUMNS = 2**14
 
 
 class NonConvergenceError(RuntimeError):
@@ -56,20 +64,38 @@ def as_spectrum(eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a non-empty 1-D sequence")
-    if not np.isfinite(lam).all() or not (lam > 0.0).all():
-        raise ValueError("spectrum entries must be finite and > 0")
-    if (lam[1:] > lam[:-1]).any():
-        raise ValueError("spectrum must be sorted non-increasing")
+    # One pass: non-increasing from a finite head to a positive tail bounds
+    # every entry, and a NaN anywhere fails the comparison. A spectrum that
+    # fails it goes through the separate checks, which name the fault.
+    if not (math.isfinite(lam[0]) and lam[-1] > 0.0 and (lam[1:] <= lam[:-1]).all()):
+        if not np.isfinite(lam).all() or not (lam > 0.0).all():
+            raise ValueError("spectrum entries must be finite and > 0")
+        if (lam[1:] > lam[:-1]).any():
+            raise ValueError("spectrum must be sorted non-increasing")
     return lam
+
+
+def _column_blocks(*arrays):
+    """Yield the arrays cut into matching blocks of _CHUNK_COLUMNS columns, in order.
+
+    Each array is cut along its last axis, which has the same length p in all
+    of them; when p fits one block the arrays are yielded whole, uncut.
+    """
+    p = arrays[0].shape[-1]
+    if p <= _CHUNK_COLUMNS:
+        yield arrays
+        return
+    for start in range(0, p, _CHUNK_COLUMNS):
+        cols = slice(start, start + _CHUNK_COLUMNS)
+        yield tuple(a[..., cols] for a in arrays)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralStats:
-    """Fixed-point statistics (tau, zeta, Omega) of a spectrum at sample count n.
+    """Fixed-point statistics (tau, Omega) of a spectrum at sample count n.
 
     Attributes:
         tau: effective regularization, the positive fixed-point root.
-        zeta: per-coordinate shrinkage tau/(lambda_i + tau), non-decreasing.
         omega: (1/n) * sum (1 - zeta_i)^2, in (0, 1) whenever n < p.
         n: sample count the fixed point was solved at.
         eigenvalues: the spectrum the statistics belong to.
@@ -78,34 +104,44 @@ class SpectralStats:
             when a bisection relies on them).
         residual: the certified signed residual sum lambda/(lambda+tau) - n,
             bit-identical to fixed_point_residual(eigenvalues, tau, n).
-        zeta_complement: 1 - zeta_i, held as lambda/(lambda+tau) so a tiny tail
-            suffers no cancellation; read it through one_minus_zeta().
 
-    zeta and zeta_complement are the solver's two work buffers, kept
-    read-only: the statistics hold two p-length arrays, and an oracle call
-    allocates neither. The oracles take these statistics in place of a
-    spectrum. Only solve_tau marks its statistics as built from a validated
-    spectrum; the oracles validate the eigenvalues of statistics built any
-    other way.
+    The statistics hold no p-length array of their own. The shrinkage
+    zeta_i = tau/(lambda_i + tau) and its complement lambda_i/(lambda_i + tau)
+    are exact functions of (lambda_i, tau): the oracles recompute them block
+    by block of columns, and zeta and one_minus_zeta() compute a fresh
+    read-only array on every read, so no loop should read them per element.
+    The oracles take these statistics in place of a spectrum. Only solve_tau
+    marks its statistics as built from a validated spectrum; the oracles
+    validate the eigenvalues of statistics built any other way.
     """
 
     tau: float
-    zeta: np.ndarray
     omega: float
     n: int
     eigenvalues: np.ndarray
     iterations: int
     residual: float
-    zeta_complement: np.ndarray = field(repr=False)
     _validated: bool = field(default=False, repr=False)
 
     @property
     def p(self) -> int:
         return int(self.eigenvalues.size)
 
+    @property
+    def zeta(self) -> np.ndarray:
+        """Per-coordinate shrinkage tau/(lambda_i + tau), non-decreasing; read-only."""
+        zeta = self.tau / (self.eigenvalues + self.tau)
+        zeta.flags.writeable = False
+        return zeta
+
     def one_minus_zeta(self) -> np.ndarray:
-        """1 - zeta_i = lambda_i/(lambda_i + tau), bit for bit; read-only."""
-        return self.zeta_complement
+        """1 - zeta_i as lambda_i/(lambda_i + tau), so a tiny tail suffers no cancellation.
+
+        Read-only, like zeta.
+        """
+        one_minus = self.eigenvalues / (self.eigenvalues + self.tau)
+        one_minus.flags.writeable = False
+        return one_minus
 
 
 def _tolerance(n: int) -> float:
@@ -114,22 +150,26 @@ def _tolerance(n: int) -> float:
 
 
 def _residual_into(lam: np.ndarray, tau: float, n: int, shifted, ratio) -> float:
-    """Signed residual S(tau) - n, leaving lambda+tau and lambda/(lambda+tau) in buffers.
+    """Signed residual S(tau) - n, leaving lambda/(lambda+tau) in a p-length buffer.
 
-    Both p-length buffers are filled tail first (smallest eigenvalue first), so
-    S is a contiguous tail-first sum. solve_tau certifies with this helper and
-    fixed_point_residual reports with it, so the two agree bit for bit.
+    ratio is filled tail first (smallest eigenvalue first), block by block of
+    columns, each block's lambda+tau held in shifted, a one-block buffer, so
+    S is a contiguous tail-first sum and no second p-length array is needed.
+    solve_tau certifies with this helper and fixed_point_residual reports
+    with it, so the two agree bit for bit.
     """
-    tail_first = lam[::-1]
-    np.add(tail_first, tau, out=shifted)
-    np.divide(tail_first, shifted, out=ratio)
+    for tail, block in _column_blocks(lam[::-1], ratio):
+        denominator = shifted[: tail.size]
+        np.add(tail, tau, out=denominator)
+        np.divide(tail, denominator, out=block)
     return float(np.sum(ratio)) - n
 
 
 def fixed_point_residual(spectrum, tau: float, n: int) -> float:
     """Signed residual sum_i lambda_i/(lambda_i + tau) - n at a candidate tau."""
     lam = as_spectrum(spectrum)
-    return _residual_into(lam, float(tau), n, np.empty_like(lam), np.empty_like(lam))
+    shifted = np.empty(min(lam.size, _CHUNK_COLUMNS))
+    return _residual_into(lam, float(tau), n, shifted, np.empty_like(lam))
 
 
 def _split(lo: float, hi: float) -> float | None:
@@ -212,9 +252,10 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     the returned tau, which is certified by its own residual, and every
     bisection runs inside a certified bracket. A flat spectrum takes 1 pass
     and a power-law spectrum at p = 1e6 takes 2-5, end checks included when
-    they run (plus the start's tail sum in each case). The passes reuse two
-    p-length buffers, which after the accepted pass become the returned zeta
-    and 1 - zeta, and identical inputs always reproduce bit-identical tau.
+    they run (plus the start's tail sum in each case). The passes reuse one
+    p-length buffer, which after the accepted pass is squared in place for
+    Omega and then freed: the statistics hold no p-length array of their
+    own. Identical inputs always reproduce bit-identical tau.
     """
     lam = as_spectrum(spectrum)
     p = lam.size
@@ -224,7 +265,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     if n >= p:
         raise ValueError(f"no solution: need n < p, got n={n}, p={p}")
 
-    shifted = np.empty_like(lam)
+    shifted = np.empty(min(p, _CHUNK_COLUMNS))  # one block of lambda + tau
     ratio = np.empty_like(lam)
     lo = float(lam[-1]) * _EPS
     hi = float(lam[0]) * p / n
@@ -275,23 +316,15 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
             f"residual tolerance {tol:g} unreachable within {TAU_MAX_ITER} iterations"
         )
 
-    # ratio holds lambda/(lambda+tau) tail first at the accepted tau, so its
-    # reversed view is 1 - zeta; shifted is free for r^2 and then for zeta
-    omega = float(np.sum(np.square(ratio, out=shifted))) / n
-    np.add(lam, tau, out=shifted)
-    zeta = np.divide(tau, shifted, out=shifted)
-    zeta.flags.writeable = False
-    ratio.flags.writeable = False  # before the view, which inherits the flag
-    one_minus_zeta = ratio[::-1]
+    # ratio holds lambda/(lambda+tau) = 1 - zeta tail first at the accepted tau
+    omega = float(np.sum(np.square(ratio, out=ratio))) / n
     return SpectralStats(
         tau=float(tau),
-        zeta=zeta,
         omega=omega,
         n=n,
         eigenvalues=lam,
         iterations=passes,
         residual=residual,
-        zeta_complement=one_minus_zeta,
         _validated=True,
     )
 
@@ -306,7 +339,8 @@ def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     idx = np.arange(1, p + 1, dtype=np.float64)
-    return idx ** (-alpha)
+    idx **= -alpha  # in place: numpy's scalar-power path, the bits of idx ** (-alpha)
+    return idx
 
 
 def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
@@ -323,7 +357,8 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
     if not beta_exp > 1.0:
         raise ValueError(f"beta_exp must be > 1, got {beta_exp}")
     idx = np.arange(1, p + 1, dtype=np.float64)
-    return idx ** (0.5 * (alpha - beta_exp))
+    idx **= 0.5 * (alpha - beta_exp)
+    return idx
 
 
 def tau_asymptotic(alpha: float, n: int) -> float:

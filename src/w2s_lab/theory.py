@@ -7,8 +7,11 @@ beta_star under the target covariance:
     R = E || Sigma_t^(1/2) (beta_hat - beta_star) ||^2.
 
 The closed forms live entirely in spectral coordinates. Each oracle takes
-the stats (tau, zeta, Omega) of the fixed point at sample count n, as
-solve_tau returns them, in place of the spectrum:
+the stats (tau, Omega) of the fixed point at sample count n, as solve_tau
+returns them, in place of the spectrum, and recomputes zeta_i =
+tau/(lambda_i + tau) and 1 - zeta_i = lambda_i/(lambda_i + tau) block by block
+of columns (spectrum._column_blocks), so a call holds at most one p-length
+scratch or result:
 
   one stage, labels from a fixed surrogate beta_s with noise sigma^2:
       bias     = sum_i lambda_i ((1 - zeta_i) beta_s_i - beta_star_i)^2
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ProblemInstance
-from .spectrum import SpectralStats, as_spectrum, solve_tau
+from .spectrum import SpectralStats, _column_blocks, as_spectrum, solve_tau
 
 
 @dataclass(frozen=True)
@@ -61,27 +64,6 @@ def _check_stats(stats: SpectralStats) -> None:
         raise RuntimeError(f"internal inconsistency: Omega={stats.omega} outside (0, 1)")
 
 
-# Columns per block of the elementwise work on p-length formulas: one block of
-# a row is 128 KiB, so no formula holds a p-length temporary at large p. The
-# width changes no bit of any result.
-_CHUNK_COLUMNS = 2**14
-
-
-def _column_blocks(*arrays):
-    """Yield the arrays cut into matching blocks of _CHUNK_COLUMNS columns, in order.
-
-    Each array is cut along its last axis, which has the same length p in all
-    of them; when p fits one block the arrays are yielded whole, uncut.
-    """
-    p = arrays[0].shape[-1]
-    if p <= _CHUNK_COLUMNS:
-        yield arrays
-        return
-    for start in range(0, p, _CHUNK_COLUMNS):
-        cols = slice(start, start + _CHUNK_COLUMNS)
-        yield tuple(a[..., cols] for a in arrays)
-
-
 def _noise_energy(
     stats: SpectralStats, beta_s: np.ndarray, sigma_sq: float, terms: np.ndarray | None = None
 ) -> np.ndarray:
@@ -94,9 +76,14 @@ def _noise_energy(
     """
     if terms is None:
         terms = np.empty(beta_s.shape)
-    for lam, zeta, beta, block in _column_blocks(stats.eigenvalues, stats.zeta, beta_s, terms):
+    tau = stats.tau
+    for lam, beta, block in _column_blocks(stats.eigenvalues, beta_s, terms):
+        weight = lam + tau
+        np.divide(tau, weight, out=weight)  # zeta
+        np.square(weight, out=weight)
+        weight *= lam  # lambda zeta^2
         np.square(beta, out=block)
-        block *= lam * zeta**2
+        block *= weight
     return sigma_sq + np.sum(terms[:, ::-1], axis=1)
 
 
@@ -110,12 +97,16 @@ def _one_stage_terms(
     candidate masks. Inputs are trusted: stats solved, Omega in (0, 1), shapes
     checked by the caller. The bias terms, then the noise-energy terms, are
     written block by block of columns into one (k, p) scratch, the call's
-    only (k, p) allocation, and each is summed tail first per row.
+    only (k, p) allocation, and each is summed tail first per row. Each pass
+    recomputes its block of 1 - zeta or zeta from (lambda, tau).
     """
     terms = np.empty(surrogates.shape)
-    for lam, shrink, surrogate, beta, block in _column_blocks(
-        stats.eigenvalues, stats.one_minus_zeta(), surrogates, beta_star, terms
+    tau = stats.tau
+    for lam, surrogate, beta, block in _column_blocks(
+        stats.eigenvalues, surrogates, beta_star, terms
     ):
+        shrink = lam + tau
+        np.divide(lam, shrink, out=shrink)  # 1 - zeta
         np.multiply(shrink, surrogate, out=block)
         block -= beta
         np.square(block, out=block)
@@ -197,6 +188,10 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
 
     Note (1-zeta_s_i)^2/lambda_s_i = lambda_s_i/(lambda_s_i+tau_s)^2; the
     latter form is used so denormal tail eigenvalues never divide by zero.
+    The bias, label-energy and carry terms are written in turn, block by
+    block of columns, into one p-length scratch and each is summed tail first
+    over the whole of it, so the call holds one p-length array beyond its
+    inputs, with the bits of the unblocked formulas.
     """
     if inst.n >= inst.p or inst.m >= inst.p:
         raise ValueError(
@@ -206,33 +201,42 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
     st_t = solve_tau(inst.spectrum_t, inst.n)
     _check_stats(st_s)
     _check_stats(st_t)
-
-    lam_s = inst.spectrum_s
-    lam_t = inst.spectrum_t
-    beta_sq = inst.beta_star**2
-    p = inst.p
-    one_minus_zeta_s = st_s.one_minus_zeta()
-    one_minus_zeta_t = st_t.one_minus_zeta()
-    zeta_t = st_t.zeta
-    shrink_s = lam_s / (lam_s + st_s.tau) ** 2  # (1-zeta_s)^2 / lambda_s
-
-    bias_terms = lam_t * (1.0 - one_minus_zeta_t * one_minus_zeta_s) ** 2 * beta_sq
-    bias = float(np.sum(bias_terms[::-1]))
-
     gamma_s_sq = gamma_t_sq(st_s, inst.beta_star, inst.sigma_s_sq)
 
-    label_energy = lam_t * zeta_t**2 * (
-        one_minus_zeta_s**2 * beta_sq + (gamma_s_sq / p) * shrink_s
-    )
-    exp_gamma_t = (
-        (p / inst.n)
-        * (inst.sigma_t_sq + float(np.sum(label_energy[::-1])))
-        / (1.0 - st_t.omega)
-    )
+    p = inst.p
+    tau_s, tau_t = st_s.tau, st_t.tau
+    carry = gamma_s_sq / p
+    terms = np.empty(p)
 
+    def tail_first_sum(fill) -> float:
+        """Sum over i of one term, filled block by block of columns into terms."""
+        for lam_s, lam_t, beta, block in _column_blocks(
+            inst.spectrum_s, inst.spectrum_t, inst.beta_star, terms
+        ):
+            fill(lam_s, lam_t, beta, block)
+        return float(np.sum(terms[::-1]))
+
+    # Each term recomputes its blocks of zeta_s, zeta_t and their complements
+    # from (lambda, tau); shrink_s = (1-zeta_s)^2 / lambda_s.
+    def bias_terms(lam_s, lam_t, beta, out):
+        both = lam_t / (lam_t + tau_t) * (lam_s / (lam_s + tau_s))
+        np.multiply(lam_t * (1.0 - both) ** 2, beta**2, out=out)
+
+    def label_energy(lam_s, lam_t, beta, out):
+        zeta_t = tau_t / (lam_t + tau_t)
+        one_minus_s = lam_s / (lam_s + tau_s)
+        shrink_s = lam_s / (lam_s + tau_s) ** 2
+        np.multiply(lam_t * zeta_t**2, one_minus_s**2 * beta**2 + carry * shrink_s, out=out)
+
+    def carry_terms(lam_s, lam_t, beta, out):
+        one_minus_t = lam_t / (lam_t + tau_t)
+        np.multiply(lam_t * one_minus_t**2, lam_s / (lam_s + tau_s) ** 2, out=out)
+
+    bias = tail_first_sum(bias_terms)
+    label_sum = tail_first_sum(label_energy)
+    exp_gamma_t = (p / inst.n) * (inst.sigma_t_sq + label_sum) / (1.0 - st_t.omega)
     variance_stage2 = exp_gamma_t * inst.n * st_t.omega / p
-    carry_terms = lam_t * one_minus_zeta_t**2 * shrink_s
-    variance_carry = (gamma_s_sq / p) * float(np.sum(carry_terms[::-1]))
+    variance_carry = carry * tail_first_sum(carry_terms)
     variance = variance_stage2 + variance_carry
     return RiskReport(bias=bias, variance=variance, total=bias + variance)
 

@@ -30,13 +30,11 @@ def _stats_at(lam, n, tau):
     one_minus = lam / (lam + tau)
     return SpectralStats(
         tau=tau,
-        zeta=tau / (lam + tau),
         omega=float(np.sum(one_minus[::-1] ** 2)) / n,
         n=n,
         eigenvalues=lam,
         iterations=0,
         residual=float(np.sum(one_minus[::-1])) - n,
-        zeta_complement=one_minus,
     )
 
 

@@ -1,6 +1,8 @@
 """Tests for the fixed-point solver, spectrum builders, and finite-sample bounds."""
 
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from w2s_lab import (
     HypothesisViolatedError,
     NonConvergenceError,
+    ProblemInstance,
     SpectralStats,
     fixed_point_residual,
     omega_asymptotic,
@@ -21,10 +24,11 @@ from w2s_lab import (
     solve_tau,
     tau_asymptotic,
     tau_bounds_nonasymptotic,
+    two_stage_risk,
 )
 from w2s_lab import spectrum
 from w2s_lab.harness.config import build_config
-from w2s_lab.harness.experiments import run_scaling_slope
+from w2s_lab.harness.experiments import run_mask_count, run_scaling_slope
 from w2s_lab.spectrum import TAU_ATOL, TAU_RTOL, as_spectrum
 
 
@@ -198,6 +202,33 @@ class TestMemory:
         )
         assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 6 * 8 * p + 2**20
 
+    # The statistics hold no p-length array: a solve holds its one work
+    # buffer, and two-stage theory one scratch beyond what its solves hold.
+    def test_solve_tau_holds_one_array(self, problem):
+        lam, _, _ = problem
+        assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.ARRAY + 2**20
+
+    def test_two_stage_risk_holds_two_arrays(self, problem):
+        lam, beta, _ = problem
+        inst = ProblemInstance(lam, lam, beta, 0.05, 0.1, 1_000, 2_000)
+        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= 2 * self.ARRAY + 2**20
+
+    def test_scaling_slope_holds_four_arrays(self):
+        # spectrum, signal, one point's optimal surrogate and one oracle scratch
+        p = 200_000
+        cfg = build_config(
+            "scaling-slope",
+            {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
+        )
+        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 4 * 8 * p + 2**20
+
+    def test_mask_count_holds_two_arrays(self):
+        # a spectrum and a solve's work buffer, or the next alpha's spectrum
+        # while the last one is still held
+        p = 200_000
+        cfg = build_config("mask-count", {"p": p, "alpha": (1.5, 3.0), "n": (1000, 10000)})
+        assert self._peak_bytes(lambda: run_mask_count(cfg)) <= 2 * 8 * p + 2**20
+
 
 class TestSpectralStats:
     def test_shrinkage_complement(self):
@@ -220,6 +251,71 @@ class TestSpectralStats:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
+    def test_hold_no_array_but_the_spectrum(self):
+        lam = power_law_spectrum(1_000, 2.0)
+        stats = solve_tau(lam, 100)
+        arrays = {
+            f.name
+            for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), np.ndarray)
+        }
+        assert arrays == {"eigenvalues"}
+        assert stats.eigenvalues is lam
+
+    @pytest.mark.parametrize("solved", [True, False], ids=["solve_tau", "constructed"])
+    def test_shrinkage_is_computed_bit_for_bit_on_each_read(self, solved):
+        lam = power_law_spectrum(500, 1.5)
+        if solved:
+            stats = solve_tau(lam, 100)
+        else:
+            stats = SpectralStats(
+                tau=0.01, omega=0.5, n=100, eigenvalues=lam, iterations=0, residual=0.0
+            )
+        tau = stats.tau
+        pairs = ((stats.zeta, tau / (lam + tau)), (stats.one_minus_zeta(), lam / (lam + tau)))
+        for array, expected in pairs:
+            assert np.array_equal(array, expected)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[-1] = 0.5
+        assert stats.zeta is not stats.zeta
+
+
+class TestAsSpectrumMessages:
+    """The one-pass check accepts what the separate checks accept, and every
+    refused spectrum raises the message the separate checks give."""
+
+    FINITE = "spectrum entries must be finite and > 0"
+    SORTED = "spectrum must be sorted non-increasing"
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([math.nan, 2.0, 1.0], FINITE),
+            ([3.0, math.nan, 1.0], FINITE),
+            ([3.0, 2.0, math.nan], FINITE),
+            ([math.inf, 2.0, 1.0], FINITE),
+            ([3.0, 2.0, 0.0], FINITE),
+            ([3.0, 2.0, -1.0], FINITE),
+            ([math.nan], FINITE),
+            ([0.0], FINITE),
+            ([1.0, 2.0, 0.5], SORTED),
+            ([3.0, 1.0, 2.0], SORTED),
+            ([1.0, 2.0, math.nan, 0.5], FINITE),
+            ([2.0, math.nan, 3.0, 0.5], FINITE),
+        ],
+    )
+    def test_bad_spectrum_raises_its_message(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_spectrum(values)
+
+    @pytest.mark.parametrize(
+        "values", [[1.0], [5e-324], [2.0, 2.0, 1.0], [1e308, 1.0, 5e-324], [3.0, 1.0, 1.0]]
+    )
+    def test_good_spectrum_passes(self, values):
+        lam = as_spectrum(values)
+        assert np.array_equal(lam, np.asarray(values))
+
 
 class TestBuilders:
     def test_power_law_spectrum_values(self):
@@ -239,6 +335,19 @@ class TestBuilders:
         beta = power_law_signal(p, alpha, beta_exp)
         idx = np.arange(1, p + 1, dtype=np.float64)
         assert lam * beta**2 == pytest.approx(idx**-beta_exp, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 3.0, 4.5])
+    def test_power_law_spectrum_is_the_plain_power(self, alpha):
+        idx = np.arange(1, 10_001, dtype=np.float64)
+        assert np.array_equal(power_law_spectrum(10_000, alpha), idx ** (-alpha))
+
+    @pytest.mark.parametrize(
+        "alpha, beta_exp", [(2.0, 1.5), (1.5, 2.5), (3.0, 1.0 + 1e-9), (2.0, 4.0), (3.0, 2.0)]
+    )
+    def test_power_law_signal_is_the_plain_power(self, alpha, beta_exp):
+        idx = np.arange(1, 10_001, dtype=np.float64)
+        expected = idx ** (0.5 * (alpha - beta_exp))
+        assert np.array_equal(power_law_signal(10_000, alpha, beta_exp), expected)
 
     def test_as_spectrum_normalizes(self):
         lam = as_spectrum([2.0, 1.0, 0.5])

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from w2s_lab import design, theory
+from w2s_lab import design, spectrum, theory
 from w2s_lab import (
     ProblemInstance,
     brute_force_mask,
     covariance_shift_map,
     empirical_excess_risk,
+    fixed_point_residual,
     gain_profile,
     gamma_t_sq,
     mask_size,
@@ -281,6 +282,26 @@ def _inline_one_stage(st, beta_star, surrogates, sigma_sq):
     return np.sum(bias_terms[:, ::-1], axis=1), st.omega * energy / (1.0 - st.omega)
 
 
+def _inline_two_stage(inst):
+    """Bias and variance of two_stage_risk, each term one unblocked expression."""
+    st_s, st_t = solve_tau(inst.spectrum_s, inst.m), solve_tau(inst.spectrum_t, inst.n)
+    lam_s, lam_t, p = inst.spectrum_s, inst.spectrum_t, inst.p
+    beta_sq = inst.beta_star**2
+    one_minus_s, one_minus_t = st_s.one_minus_zeta(), st_t.one_minus_zeta()
+    shrink_s = lam_s / (lam_s + st_s.tau) ** 2
+    bias_terms = lam_t * (1.0 - one_minus_t * one_minus_s) ** 2 * beta_sq
+    gamma_s_sq = gamma_t_sq(st_s, inst.beta_star, inst.sigma_s_sq)
+    label = lam_t * st_t.zeta**2 * (one_minus_s**2 * beta_sq + (gamma_s_sq / p) * shrink_s)
+    exp_gamma_t = (
+        (p / inst.n) * (inst.sigma_t_sq + float(np.sum(label[::-1]))) / (1.0 - st_t.omega)
+    )
+    carry_terms = lam_t * one_minus_t**2 * shrink_s
+    variance = exp_gamma_t * inst.n * st_t.omega / p + (gamma_s_sq / p) * float(
+        np.sum(carry_terms[::-1])
+    )
+    return float(np.sum(bias_terms[::-1])), variance
+
+
 class TestColumnBlocks:
     """Blocking the p-length formulas by columns changes no bit of any result."""
 
@@ -296,7 +317,7 @@ class TestColumnBlocks:
     @pytest.fixture(params=["width-7", "width-p+1"])
     def width(self, request, monkeypatch):
         width = 7 if request.param == "width-7" else self.P + 1
-        monkeypatch.setattr(theory, "_CHUNK_COLUMNS", width)
+        monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", width)
         return width
 
     def test_one_stage_risk(self, problem, width):
@@ -320,12 +341,35 @@ class TestColumnBlocks:
         assert optimal_mask(st) == frozenset(keep.tolist())
         assert mask_size(st) == keep.size
 
+    def test_solve_tau(self, problem, width, monkeypatch):
+        lam = problem[0]
+        st = solve_tau(lam, 2_000)
+        monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", self.P + 1)
+        unblocked = solve_tau(lam, 2_000)
+        assert (st.tau, st.omega, st.residual, st.iterations) == (
+            unblocked.tau,
+            unblocked.omega,
+            unblocked.residual,
+            unblocked.iterations,
+        )
+        one_minus = lam[::-1] / (lam[::-1] + st.tau)
+        assert st.residual == float(np.sum(one_minus)) - 2_000
+        assert st.omega == float(np.sum(one_minus**2)) / 2_000
+        assert fixed_point_residual(lam, st.tau, 2_000) == st.residual
+
+    def test_two_stage_risk(self, problem, width):
+        lam, beta, _, _ = problem
+        inst = ProblemInstance(lam, lam**1.2, beta, 0.05, 0.2, 2_000, 3_000)
+        bias, variance = _inline_two_stage(inst)
+        report = two_stage_risk(inst)
+        assert (report.bias, report.variance, report.total) == (bias, variance, bias + variance)
+
     @pytest.mark.parametrize("patched", [7, 15])
     def test_brute_force_mask(self, monkeypatch, patched):
         lam = power_law_spectrum(14, 2.0)
         beta = power_law_signal(14, 2.0, 1.5)
         expected = brute_force_mask(lam, beta, 5, 0.05)
-        monkeypatch.setattr(theory, "_CHUNK_COLUMNS", patched)
+        monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", patched)
         st = solve_tau(lam, 5)
         for _, keep in design._support_blocks(14):
             stack = np.where(keep, beta, 0.0)
