@@ -9,10 +9,12 @@ exhaustive search, and power-law asymptotics predict where the thresholds
 land and how fast the optimal risks decay. The designers take the fixed-point
 stats from solve_tau, as the risk oracles do, and return plain (p,) float64
 vectors: the gains, the optimal surrogate and the masked surrogate (a mask is
-a frozenset of 0-based indices). The brute-force oracle alone takes the raw
-problem and solves its fixed point itself. It scores blocks of candidate
-supports with the array kernel behind one_stage_risk, so its memory stays
-bounded up to its limit p = 20.
+a frozenset of 0-based indices). The gains are written leaf by leaf of the
+column tree with theory's gains formula, the one copy of it; the optimal
+mask is always a prefix of the coordinates, whose length a bisection finds.
+The brute-force oracle alone takes the raw problem and solves its fixed
+point itself. It scores blocks of candidate supports with the array kernel
+behind one_stage_risk, so its memory stays bounded up to its limit p = 20.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 
 from .spectrum import (
     SpectralStats,
-    _column_blocks,
+    _leaves,
     _omega_window,
     _tolerance,
     as_spectrum,
     solve_tau,
 )
-from .theory import _check_stats, _one_stage_terms
+from .theory import _check_stats, _gains, _one_stage_terms, _shrinkage
 
 # Candidate supports scored per kernel call in brute_force_mask.
 _CHUNK_ROWS = 1024
@@ -40,23 +42,16 @@ def gain_profile(stats: SpectralStats) -> np.ndarray:
 
     gain_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
     zeta_i < 1 - stats.omega. The gains are written into the returned array
-    block by block of columns, each block recomputing zeta and 1 - zeta from
-    (lambda, tau), so the call holds one p-length array and block-sized
-    temporaries, with the bits of the unblocked formula.
+    leaf by leaf of the column tree, each leaf recomputing zeta and 1 - zeta
+    from (lambda, tau), so the call holds one p-length array and leaf-sized
+    temporaries, with the bits of the whole-array formula.
     """
     _check_stats(stats)
     ratio = stats.omega / (1.0 - stats.omega)
-    tau = stats.tau
     gains = np.empty(stats.p)
-    for lam, block in _column_blocks(stats.eigenvalues, gains):
-        shifted = lam + tau
-        one_minus = lam / shifted
-        weight = np.divide(tau, shifted, out=shifted)  # zeta
-        np.square(weight, out=weight)
-        weight *= ratio
-        np.square(one_minus, out=block)
-        block += weight
-        np.divide(one_minus, block, out=block)
+    for cols in _leaves(stats.p):
+        one_minus, zeta_sq = _shrinkage(stats.eigenvalues[cols], stats.tau)
+        _gains(one_minus, zeta_sq, ratio, out=gains[cols])
     return gains
 
 
@@ -79,23 +74,6 @@ def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
     return gains
 
 
-def _kept(stats: SpectralStats) -> np.ndarray:
-    """Boolean (p,) verdict of optimal_mask's keep rule, tie band included.
-
-    The rule's one implementation, filled block by block of columns from
-    zeta recomputed per block, so it holds one byte per coordinate.
-    """
-    _check_stats(stats)
-    rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
-    threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
-    tau = stats.tau
-    keep = np.empty(stats.p, dtype=bool)
-    for lam, block in _column_blocks(stats.eigenvalues, keep):
-        zeta = tau / (lam + tau)
-        np.less(zeta**2, threshold, out=block)
-    return keep
-
-
 def optimal_mask(stats: SpectralStats) -> frozenset:
     """Risk-optimal support for a masked surrogate: keep i iff zeta_i^2 < 1 - Omega.
 
@@ -113,14 +91,37 @@ def optimal_mask(stats: SpectralStats) -> frozenset:
     the certificate allows. The band moves the point where the mask flips; it
     does not remove it: a coordinate whose margin is close to the band width
     can still be kept or dropped by the last digits of tau. Indices are 0-based
-    positions into the spectrum.
+    positions into the spectrum. The kept coordinates are always a prefix
+    (see mask_size).
     """
-    return frozenset(np.flatnonzero(_kept(stats)).tolist())
+    return frozenset(range(mask_size(stats)))
 
 
 def mask_size(stats: SpectralStats) -> int:
-    """len(optimal_mask(stats)), counted without building the set."""
-    return int(np.count_nonzero(_kept(stats)))
+    """len(optimal_mask(stats)): the length of the prefix the keep rule holds on.
+
+    The rule's one implementation. On a non-increasing spectrum lambda_i + tau
+    is non-increasing, so zeta_i = tau/(lambda_i + tau) and its square are
+    non-decreasing in i, rounding included (correctly rounded operations are
+    monotone): the rule holds on a prefix, and a bisection finds its length
+    from O(log p) coordinates, each evaluated by the same float operations as
+    the vectorised rule zeta**2 < threshold.
+    """
+    _check_stats(stats)
+    rel = _tolerance(stats.n) / (stats.n * (1.0 - stats.omega))
+    threshold = ((1.0 - stats.omega) - 2.0 * stats.omega * rel) / (1.0 + 2.0 * rel)
+    tau = stats.tau
+    lam = stats.eigenvalues
+
+    kept, dropped = 0, stats.p  # the rule holds below kept and fails from dropped on
+    while kept < dropped:
+        i = (kept + dropped) // 2
+        zeta = tau / (float(lam[i]) + tau)
+        if zeta * zeta < threshold:
+            kept = i + 1
+        else:
+            dropped = i
+    return kept
 
 
 def masked_surrogate(beta_star, support) -> np.ndarray:

@@ -45,7 +45,7 @@ from ..estimators import (
     trial_blocks,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
-from ..theory import omniscient_risk, one_stage_risk, two_stage_risk
+from ..theory import _gains, _one_stage_terms, one_stage_risk, two_stage_risk
 from .config import ExperimentConfig
 
 RESULT_COLUMNS = (
@@ -391,16 +391,32 @@ def run_mask_count(cfg: ExperimentConfig):
 def _slope_point(spectrum, beta_star, n, sigma_sq, want_target, want_optimal):
     """(ground-truth total, optimal total) at one n, None where not wanted.
 
-    The point's stats and optimal surrogate die with the call, so a sweep
-    holds one point's p-length arrays at a time.
+    Both totals come from one streamed pass of the one-stage kernel, whose
+    rows (beta_star, then the optimal surrogate gains * beta_star) are filled
+    leaf by leaf from the leaf's own 1 - zeta and zeta^2: the bits of
+    omniscient_risk and of one_stage_risk on optimal_surrogate, with no
+    p-length array beyond the point's solve.
     """
     stats = solve_tau(spectrum, n)
-    target = omniscient_risk(stats, beta_star, sigma_sq).total if want_target else None
-    optimal = None
-    if want_optimal:
-        values = optimal_surrogate(stats, beta_star)
-        optimal = one_stage_risk(stats, beta_star, values, sigma_sq).total
-    return target, optimal
+    ratio = stats.omega / (1.0 - stats.omega)
+    rows = int(want_target) + int(want_optimal)
+
+    def fill(cols, one_minus, zeta_sq):
+        beta = beta_star[cols]
+        values = np.empty((rows, beta.size))
+        if want_target:
+            values[0] = beta
+        if want_optimal:
+            _gains(one_minus, zeta_sq, ratio, out=values[-1])
+            values[-1] *= beta
+        return values
+
+    bias, variance = _one_stage_terms(stats, beta_star, fill, sigma_sq)
+    totals = iter((bias + variance).tolist())
+    return (
+        next(totals) if want_target else None,
+        next(totals) if want_optimal else None,
+    )
 
 
 def run_scaling_slope(cfg: ExperimentConfig):

@@ -14,8 +14,15 @@ we derive the shrinkage factors zeta_i = tau/(lambda_i + tau) and the
 variance-inflation statistic Omega = (1/n) * sum_i (1 - zeta_i)^2, which
 together parameterize every closed-form risk in this package. The statistics
 store only scalars: zeta and 1 - zeta are exact functions of (lambda_i, tau),
-so every consumer recomputes them block by block of columns (_column_blocks),
-and a division gives the same bits in any block order.
+so every consumer recomputes them leaf by leaf of one column tree (_leaves),
+and a division gives the same bits in any leaf order.
+
+Every p-length formula runs on that tree: numpy's pairwise-summation tree
+over the columns taken tail first, cut off at leaves of at most
+_CHUNK_COLUMNS columns. A formula fills its terms one leaf at a time, sums
+each leaf with np.sum, and _tail_first_sum adds the leaf sums in the tree's
+order, so every sum has the bits of np.sum(terms[..., ::-1], axis=-1) over
+the whole p-length terms, which are never held.
 
 All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
@@ -41,10 +48,14 @@ TAU_MAX_ITER = 200
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = math.ulp(0.0)  # smallest positive (denormal) float
 
-# Columns per block of the elementwise work on p-length formulas: one block of
-# a row is 128 KiB, so no formula holds a p-length temporary at large p. The
-# width changes no bit of any result.
+# Longest leaf of the column tree every p-length formula runs on (_leaves,
+# _tail_first_sum): one leaf of a row is at most 128 KiB, so no formula holds a
+# p-length temporary at large p. The width changes no bit of any result.
 _CHUNK_COLUMNS = 2**14
+
+# numpy's pairwise summation sums a run of at most this many elements without
+# splitting it (PW_BLOCKSIZE), so no leaf is cut shorter.
+_PAIRWISE_RUN = 128
 
 
 class NonConvergenceError(RuntimeError):
@@ -75,19 +86,54 @@ def as_spectrum(eigenvalues) -> np.ndarray:
     return lam
 
 
-def _column_blocks(*arrays):
-    """Yield the arrays cut into matching blocks of _CHUNK_COLUMNS columns, in order.
+def _leaf_width(p: int) -> int:
+    """Longest leaf of the column tree over p columns: the size of a leaf buffer."""
+    return min(p, max(_CHUNK_COLUMNS, _PAIRWISE_RUN))
 
-    Each array is cut along its last axis, which has the same length p in all
-    of them; when p fits one block the arrays are yielded whole, uncut.
+
+def _tree_split(n: int) -> int:
+    """Columns in the tail-first child of a tree node of n columns; 0 for a leaf.
+
+    The rule of numpy's pairwise summation: a run longer than 128 splits
+    at n2 = n//2 - (n//2) % 8 into [0, n2) and [n2, n), summed in that order.
     """
-    p = arrays[0].shape[-1]
-    if p <= _CHUNK_COLUMNS:
-        yield arrays
+    if n <= _CHUNK_COLUMNS or n <= _PAIRWISE_RUN:
+        return 0
+    half = n // 2
+    return half - half % 8
+
+
+def _leaves(p: int, stop: int | None = None):
+    """Yield the column slices of the tree's leaves over columns [stop - p, stop), tail first.
+
+    The tree is numpy's pairwise-summation tree over the columns taken tail
+    first (reversed), cut off at leaves of at most _leaf_width(p) columns.
+    When p fits one leaf the one slice is all p columns.
+    """
+    stop = p if stop is None else stop
+    half = _tree_split(p)
+    if not half:
+        yield slice(stop - p, stop)
         return
-    for start in range(0, p, _CHUNK_COLUMNS):
-        cols = slice(start, start + _CHUNK_COLUMNS)
-        yield tuple(a[..., cols] for a in arrays)
+    yield from _leaves(half, stop)  # the last `half` columns come first
+    yield from _leaves(p - half, stop - half)
+
+
+def _tail_first_sum(p: int, leaf_sum, stop: int | None = None):
+    """Sum p columns of terms tail first, one leaf at a time.
+
+    leaf_sum(cols) returns np.sum(terms[..., cols][..., ::-1], axis=-1) for a
+    leaf slice of _leaves, or any stack of such sums. Adding the leaf sums in
+    the tree's order gives np.sum(terms[..., ::-1], axis=-1) over all p
+    columns bit for bit, without the p-length terms: numpy's add reduction
+    starts from -0.0 and sums the reduced axis along the same tree, whose
+    shape depends on its length alone.
+    """
+    stop = p if stop is None else stop
+    half = _tree_split(p)
+    if not half:
+        return leaf_sum(slice(stop - p, stop))
+    return _tail_first_sum(half, leaf_sum, stop) + _tail_first_sum(p - half, leaf_sum, stop - half)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +153,8 @@ class SpectralStats:
 
     The statistics hold no p-length array of their own. The shrinkage
     zeta_i = tau/(lambda_i + tau) and its complement lambda_i/(lambda_i + tau)
-    are exact functions of (lambda_i, tau): the oracles recompute them block
-    by block of columns, and zeta and one_minus_zeta() compute a fresh
+    are exact functions of (lambda_i, tau): the oracles recompute them leaf
+    by leaf of the column tree, and zeta and one_minus_zeta() compute a fresh
     read-only array on every read, so no loop should read them per element.
     The oracles take these statistics in place of a spectrum. Only solve_tau
     marks its statistics as built from a validated spectrum; the oracles
@@ -152,23 +198,27 @@ def _tolerance(n: int) -> float:
 def _residual_into(lam: np.ndarray, tau: float, n: int, shifted, ratio) -> float:
     """Signed residual S(tau) - n, leaving lambda/(lambda+tau) in a p-length buffer.
 
-    ratio is filled tail first (smallest eigenvalue first), block by block of
-    columns, each block's lambda+tau held in shifted, a one-block buffer, so
-    S is a contiguous tail-first sum and no second p-length array is needed.
-    solve_tau certifies with this helper and fixed_point_residual reports
-    with it, so the two agree bit for bit.
+    ratio is filled tail first (smallest eigenvalue first), leaf by leaf of
+    the column tree, each leaf's lambda+tau held in shifted, a one-leaf
+    buffer, and S is the whole tail-first sum of ratio, so no second p-length
+    array is needed. solve_tau certifies with this helper and
+    fixed_point_residual reports with it, so the two agree bit for bit.
     """
-    for tail, block in _column_blocks(lam[::-1], ratio):
-        denominator = shifted[: tail.size]
-        np.add(tail, tau, out=denominator)
-        np.divide(tail, denominator, out=block)
+    p = lam.size
+    tail = lam[::-1]
+    for cols in _leaves(p):
+        places = slice(p - cols.stop, p - cols.start)  # the leaf's places tail first
+        block = tail[places]
+        denominator = shifted[: block.size]
+        np.add(block, tau, out=denominator)
+        np.divide(block, denominator, out=ratio[places])
     return float(np.sum(ratio)) - n
 
 
 def fixed_point_residual(spectrum, tau: float, n: int) -> float:
     """Signed residual sum_i lambda_i/(lambda_i + tau) - n at a candidate tau."""
     lam = as_spectrum(spectrum)
-    shifted = np.empty(min(lam.size, _CHUNK_COLUMNS))
+    shifted = np.empty(_leaf_width(lam.size))
     return _residual_into(lam, float(tau), n, shifted, np.empty_like(lam))
 
 
@@ -265,7 +315,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     if n >= p:
         raise ValueError(f"no solution: need n < p, got n={n}, p={p}")
 
-    shifted = np.empty(min(p, _CHUNK_COLUMNS))  # one block of lambda + tau
+    shifted = np.empty(_leaf_width(p))  # one leaf of lambda + tau
     ratio = np.empty_like(lam)
     lo = float(lam[-1]) * _EPS
     hi = float(lam[0]) * p / n

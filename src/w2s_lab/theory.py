@@ -8,10 +8,12 @@ beta_star under the target covariance:
 
 The closed forms live entirely in spectral coordinates. Each oracle takes
 the stats (tau, Omega) of the fixed point at sample count n, as solve_tau
-returns them, in place of the spectrum, and recomputes zeta_i =
-tau/(lambda_i + tau) and 1 - zeta_i = lambda_i/(lambda_i + tau) block by block
-of columns (spectrum._column_blocks), so a call holds at most one p-length
-scratch or result:
+returns them, in place of the spectrum. Each sum runs in one pass over the
+leaves of the column tree (spectrum._tail_first_sum): a leaf recomputes
+zeta_i = tau/(lambda_i + tau) and 1 - zeta_i = lambda_i/(lambda_i + tau) once,
+fills all of its terms into a leaf-sized buffer and sums them, so an oracle
+holds no p-length array, and every sum has the bits of one tail-first np.sum
+over the whole terms:
 
   one stage, labels from a fixed surrogate beta_s with noise sigma^2:
       bias     = sum_i lambda_i ((1 - zeta_i) beta_s_i - beta_star_i)^2
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ProblemInstance
-from .spectrum import SpectralStats, _column_blocks, as_spectrum, solve_tau
+from .spectrum import SpectralStats, _tail_first_sum, as_spectrum, solve_tau
 
 
 @dataclass(frozen=True)
@@ -64,55 +66,78 @@ def _check_stats(stats: SpectralStats) -> None:
         raise RuntimeError(f"internal inconsistency: Omega={stats.omega} outside (0, 1)")
 
 
-def _noise_energy(
-    stats: SpectralStats, beta_s: np.ndarray, sigma_sq: float, terms: np.ndarray | None = None
-) -> np.ndarray:
-    """sigma^2 + sum_i lambda_i zeta_i^2 beta_s_i^2 for each row of a (k, p) stack.
+def _shrinkage(lam: np.ndarray, tau: float, complement: bool = True):
+    """1 - zeta = lambda/(lambda + tau) (None unless complement) and zeta^2 for one leaf."""
+    shifted = lam + tau
+    one_minus = lam / shifted if complement else None
+    zeta_sq = np.divide(tau, shifted, out=shifted)
+    return one_minus, np.square(zeta_sq, out=zeta_sq)
 
-    The terms are written block by block of columns into `terms`, a (k, p)
-    scratch (fresh when None), so the only other memory is one block of
-    lambda zeta^2. Each row is then summed tail first over the whole scratch,
-    as one unblocked expression would be, so the blocking changes no bit.
+
+def _gains(one_minus: np.ndarray, zeta_sq: np.ndarray, ratio: float, out: np.ndarray):
+    """Optimal gains (1 - zeta)/((1 - zeta)^2 + zeta^2 Omega/(1 - Omega)) of a leaf, into out.
+
+    ratio is Omega/(1 - Omega); zeta_sq is scaled by it in place. The one
+    implementation of the gains formula: design.gain_profile writes it leaf
+    by leaf, and the optimal surrogate is the gains times beta_star.
     """
-    if terms is None:
-        terms = np.empty(beta_s.shape)
+    zeta_sq *= ratio
+    np.square(one_minus, out=out)
+    out += zeta_sq
+    return np.divide(one_minus, out, out=out)
+
+
+def _one_stage_sums(stats: SpectralStats, beta_star: np.ndarray | None, surrogates):
+    """Tail-first sums of the one-stage bias and noise-energy terms per surrogate row.
+
+    Returns a (2, k) array: row 0 sums lambda_i ((1 - zeta_i) s_i -
+    beta_star_i)^2 and row 1 sums lambda_i zeta_i^2 s_i^2, for each surrogate
+    row s. With beta_star None only the energy row is computed, as a (1, k)
+    array. The surrogates are a (k, p) stack, or a function rows(cols,
+    one_minus, zeta_sq) that returns the (k, len) rows of one leaf of columns
+    from that leaf's 1 - zeta and zeta^2 (which it may overwrite), so no row
+    need be held whole. One pass per leaf of the column tree computes 1 - zeta
+    and zeta^2 once and all terms into one leaf-sized buffer, so the call
+    holds no p-length array.
+    """
     tau = stats.tau
-    for lam, beta, block in _column_blocks(stats.eigenvalues, beta_s, terms):
-        weight = lam + tau
-        np.divide(tau, weight, out=weight)  # zeta
-        np.square(weight, out=weight)
-        weight *= lam  # lambda zeta^2
-        np.square(beta, out=block)
-        block *= weight
-    return sigma_sq + np.sum(terms[:, ::-1], axis=1)
+    lam_all = stats.eigenvalues
+    complement = beta_star is not None or callable(surrogates)
+
+    def leaf(cols: slice) -> np.ndarray:
+        lam = lam_all[cols]
+        one_minus, zeta_sq = _shrinkage(lam, tau, complement)
+        lam_zeta_sq = zeta_sq * lam
+        if callable(surrogates):
+            rows = surrogates(cols, one_minus, zeta_sq)
+        else:
+            rows = surrogates[..., cols]
+        terms = np.empty((1 if beta_star is None else 2,) + rows.shape)
+        energy = np.square(rows, out=terms[-1])
+        energy *= lam_zeta_sq
+        if beta_star is not None:
+            bias = np.multiply(one_minus, rows, out=terms[0])
+            bias -= beta_star[cols]
+            np.square(bias, out=bias)
+            bias *= lam
+        return np.sum(terms[..., ::-1], axis=-1)
+
+    return _tail_first_sum(stats.p, leaf)
 
 
 def _one_stage_terms(
-    stats: SpectralStats, beta_star: np.ndarray, surrogates: np.ndarray, sigma_sq: float
+    stats: SpectralStats, beta_star: np.ndarray, surrogates, sigma_sq: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bias and variance arrays of the one-stage risk for a (k, p) surrogate stack.
+    """Bias and variance arrays of the one-stage risk per surrogate row.
 
     The one implementation of the one-stage formula: one_stage_risk calls it
     with k = 1 after validating its inputs, brute_force_mask with a block of
-    candidate masks. Inputs are trusted: stats solved, Omega in (0, 1), shapes
-    checked by the caller. The bias terms, then the noise-energy terms, are
-    written block by block of columns into one (k, p) scratch, the call's
-    only (k, p) allocation, and each is summed tail first per row. Each pass
-    recomputes its block of 1 - zeta or zeta from (lambda, tau).
+    candidate masks, and the scaling-slope sweep with rows filled per leaf
+    (see _one_stage_sums for the forms of surrogates). Inputs are trusted:
+    stats solved, Omega in (0, 1), shapes checked by the caller.
     """
-    terms = np.empty(surrogates.shape)
-    tau = stats.tau
-    for lam, surrogate, beta, block in _column_blocks(
-        stats.eigenvalues, surrogates, beta_star, terms
-    ):
-        shrink = lam + tau
-        np.divide(lam, shrink, out=shrink)  # 1 - zeta
-        np.multiply(shrink, surrogate, out=block)
-        block -= beta
-        np.square(block, out=block)
-        block *= lam
-    bias = np.sum(terms[:, ::-1], axis=1)
-    energy = _noise_energy(stats, surrogates, sigma_sq, terms)
+    bias, energy = _one_stage_sums(stats, beta_star, surrogates)
+    energy = sigma_sq + energy
     return bias, stats.omega * energy / (1.0 - stats.omega)
 
 
@@ -132,7 +157,7 @@ def gamma_t_sq(stats: SpectralStats, beta_s, sigma_sq: float) -> float:
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     kappa = stats.p / stats.n
-    energy = float(_noise_energy(stats, beta_s[None, :], sigma_sq)[0])
+    energy = sigma_sq + float(_one_stage_sums(stats, None, beta_s[None, :])[0, 0])
     return kappa * energy / (1.0 - stats.omega)
 
 
@@ -188,10 +213,10 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
 
     Note (1-zeta_s_i)^2/lambda_s_i = lambda_s_i/(lambda_s_i+tau_s)^2; the
     latter form is used so denormal tail eigenvalues never divide by zero.
-    The bias, label-energy and carry terms are written in turn, block by
-    block of columns, into one p-length scratch and each is summed tail first
-    over the whole of it, so the call holds one p-length array beyond its
-    inputs, with the bits of the unblocked formulas.
+    After gamma_s^2's pass, one pass per leaf of the column tree computes the
+    bias, label-energy and carry terms into one leaf-sized buffer and sums
+    each tail first, so beyond its two solves the call holds no p-length
+    array, with the bits of the whole-array formulas.
     """
     if inst.n >= inst.p or inst.m >= inst.p:
         raise ValueError(
@@ -206,37 +231,25 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
     p = inst.p
     tau_s, tau_t = st_s.tau, st_t.tau
     carry = gamma_s_sq / p
-    terms = np.empty(p)
 
-    def tail_first_sum(fill) -> float:
-        """Sum over i of one term, filled block by block of columns into terms."""
-        for lam_s, lam_t, beta, block in _column_blocks(
-            inst.spectrum_s, inst.spectrum_t, inst.beta_star, terms
-        ):
-            fill(lam_s, lam_t, beta, block)
-        return float(np.sum(terms[::-1]))
+    def leaf(cols: slice) -> np.ndarray:
+        """The leaf's bias, label-energy and carry terms, each summed tail first."""
+        lam_s, lam_t = inst.spectrum_s[cols], inst.spectrum_t[cols]
+        beta_sq = inst.beta_star[cols] ** 2
+        shifted_s, shifted_t = lam_s + tau_s, lam_t + tau_t
+        one_minus_s, one_minus_t = lam_s / shifted_s, lam_t / shifted_t
+        shrink_s = lam_s / shifted_s**2  # (1-zeta_s)^2 / lambda_s
+        zeta_t = tau_t / shifted_t
+        terms = np.empty((3, lam_t.size))
+        np.multiply(lam_t * (1.0 - one_minus_t * one_minus_s) ** 2, beta_sq, out=terms[0])
+        np.multiply(lam_t * zeta_t**2, one_minus_s**2 * beta_sq + carry * shrink_s, out=terms[1])
+        np.multiply(lam_t * one_minus_t**2, shrink_s, out=terms[2])
+        return np.sum(terms[:, ::-1], axis=-1)
 
-    # Each term recomputes its blocks of zeta_s, zeta_t and their complements
-    # from (lambda, tau); shrink_s = (1-zeta_s)^2 / lambda_s.
-    def bias_terms(lam_s, lam_t, beta, out):
-        both = lam_t / (lam_t + tau_t) * (lam_s / (lam_s + tau_s))
-        np.multiply(lam_t * (1.0 - both) ** 2, beta**2, out=out)
-
-    def label_energy(lam_s, lam_t, beta, out):
-        zeta_t = tau_t / (lam_t + tau_t)
-        one_minus_s = lam_s / (lam_s + tau_s)
-        shrink_s = lam_s / (lam_s + tau_s) ** 2
-        np.multiply(lam_t * zeta_t**2, one_minus_s**2 * beta**2 + carry * shrink_s, out=out)
-
-    def carry_terms(lam_s, lam_t, beta, out):
-        one_minus_t = lam_t / (lam_t + tau_t)
-        np.multiply(lam_t * one_minus_t**2, lam_s / (lam_s + tau_s) ** 2, out=out)
-
-    bias = tail_first_sum(bias_terms)
-    label_sum = tail_first_sum(label_energy)
+    bias, label_sum, carry_sum = _tail_first_sum(p, leaf).tolist()
     exp_gamma_t = (p / inst.n) * (inst.sigma_t_sq + label_sum) / (1.0 - st_t.omega)
     variance_stage2 = exp_gamma_t * inst.n * st_t.omega / p
-    variance_carry = carry * tail_first_sum(carry_terms)
+    variance_carry = carry * carry_sum
     variance = variance_stage2 + variance_carry
     return RiskReport(bias=bias, variance=variance, total=bias + variance)
 
