@@ -25,17 +25,17 @@ Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
 order-independent and every artifact is reproducible bit for bit. A seed's
 draw of c rows is a prefix of its draw of more rows, so a sweep draws once
-per trial and stage, at its largest count (`sample_prefixes`,
-`two_stage_sweep`), bit for bit what each count's own draw gives. A trial
-block (`trial_blocks`) runs consecutive trials of a small shape together:
-each trial's generator fills one row of a stacked draw (`sample_block`,
-`two_stage_block`), so every trial keeps its own stream and its own bits.
+per trial and stage, at its largest count, bit for bit what each count's own
+draw gives. A trial block (`trial_blocks`) runs consecutive trials of a
+small shape together: each trial's generator fills one row of a stacked draw
+(`sample_block`, `two_stage_block`; `sample_dataset` and `two_stage_fit` are
+their one-trial cases), so every trial keeps its own stream and its own bits.
 
-The Monte Carlo engine gives each worker one `Workspace` per call, whose
-draw and Gram buffers every block of that worker reuses, so large trials
-stop faulting in fresh pages. The public functions allocate inside the call
-(`two_stage_block` makes a workspace of its own), so no array they return
-aliases a buffer that a later call overwrites.
+`sample_block`, `fit_block` and `two_stage_block` draw and form Gram stacks
+in an optional `Workspace`. The Monte Carlo engine gives each worker one per
+call, whose buffers every block of that worker reuses, so large trials stop
+faulting in fresh pages. Without one a call makes its own, so no array a
+one-off call returns aliases a buffer that a later call overwrites.
 """
 
 from __future__ import annotations
@@ -199,22 +199,17 @@ class Workspace:
         return self._buffers[name][:size].reshape(shape)
 
 
-def _buffer(workspace: Workspace | None, name: str, shape: tuple) -> np.ndarray:
-    """Workspace buffer `name` viewed as `shape`, or a fresh array without a workspace."""
-    return np.empty(shape) if workspace is None else workspace.take(name, shape)
-
-
-def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds, workspace: Workspace | None):
+def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds, workspace: Workspace):
     """The stacked draw of a trial block: a (B, top, p) design and each count's noise.
 
-    Row b of one (B, top * p + top) buffer, the workspace's "draw" buffer if
-    there is one, is filled by seeds[b]'s generator, the stream a single
-    trial draws: its first top * p normals are the design, scaled in place by
-    sqrt(lam), and count c's noise is the c normals after its first c * p,
-    copied and scaled by sigma before the design is scaled.
+    Row b of a (B, top * p + top) view of the workspace's "draw" buffer is
+    filled by seeds[b]'s generator, the stream a single trial draws: its
+    first top * p normals are the design, scaled in place by sqrt(lam), and
+    count c's noise is the c normals after its first c * p, copied and
+    scaled by sigma before the design is scaled.
     """
     p, top = lam.size, max(counts)
-    stream = _buffer(workspace, "draw", (len(seeds), top * p + top))
+    stream = workspace.take("draw", (len(seeds), top * p + top))
     for row, seed in zip(stream, seeds):
         np.random.default_rng(int(seed) & _MASK64).standard_normal(out=row)
     scale = np.sqrt(sigma_sq)
@@ -229,24 +224,22 @@ def _labels(rows: np.ndarray, beta: np.ndarray, noise: np.ndarray) -> np.ndarray
     return (rows @ beta[..., None])[..., 0] + noise
 
 
-def sample_block(spectrum, betas, sigma_sq: float, counts, seeds) -> list[Dataset]:
+def sample_block(
+    spectrum, betas, sigma_sq: float, counts, seeds, workspace: Workspace | None = None
+) -> list[Dataset]:
     """Datasets of counts[i] rows labelled by betas[i] for a block of trials.
 
     Trial b reads seeds[b]'s stream, drawn once at the largest count: the
     dataset of count c takes the design's first c rows and the c normals
     after its first c * p as noise, so item b equals `sample_dataset` with
     count c, betas[i] and seeds[b], bit for bit. Designs are (B, c, p) views
-    of one stacked draw, allocated by this call.
+    of one stacked draw in the workspace's draw buffer (a workspace of the
+    call's own without one), which the workspace's next draw overwrites.
 
     counts may be unsorted and repeat. betas has one entry per count, shared
     by every trial: a (p,) vector gives (B, c) labels, a (k, p) stack gives
     (B, c, k) labels whose column j is beta[j]'s labels, one noise draw for all.
     """
-    return _sample_block(spectrum, betas, sigma_sq, counts, seeds, None)
-
-
-def _sample_block(spectrum, betas, sigma_sq, counts, seeds, workspace) -> list[Dataset]:
-    """`sample_block`, its designs viewing the workspace's draw buffer if one is given."""
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
         raise ValueError(f"need one beta per count, got {len(betas)} and {len(counts)}")
@@ -256,7 +249,7 @@ def _sample_block(spectrum, betas, sigma_sq, counts, seeds, workspace) -> list[D
         raise ValueError(f"count must be >= 1, got {min(counts)}")
     if len(seeds) == 0:
         raise ValueError("a trial block needs at least one seed")
-    design, noise = _draw(lam, sigma_sq, counts, seeds, workspace)
+    design, noise = _draw(lam, sigma_sq, counts, seeds, workspace or Workspace())
     datasets = []
     for beta, count, count_noise in zip(betas, counts, noise):
         beta = np.asarray(beta, dtype=np.float64)
@@ -271,32 +264,20 @@ def _sample_block(spectrum, betas, sigma_sq, counts, seeds, workspace) -> list[D
     return datasets
 
 
-def sample_prefixes(spectrum, betas, sigma_sq: float, counts, seed: int) -> list[Dataset]:
-    """Datasets of counts[i] rows labelled by betas[i], all read from one seeded draw.
-
-    The one-seed case of `sample_block`: each dataset equals `sample_dataset`
-    with count c and betas[i] alone, bit for bit, and its design is a view of
-    the one (C, p) design drawn at the largest count C.
-    """
-    return [
-        Dataset(design=ds.design[0], labels=ds.labels[0])
-        for ds in sample_block(spectrum, betas, sigma_sq, counts, [seed])
-    ]
-
-
 def sample_dataset(spectrum, beta, sigma_sq: float, count: int, seed: int) -> Dataset:
     """Draw `count` rows with independent N(0, lambda_j) features and noisy labels.
 
     Labels are design @ beta + N(0, sigma_sq). With sigma_sq = 0 the noise draw
     still consumes the generator (scaled by exactly 0.0), so labels are exact
-    and seed alignment across noise levels is preserved. This is the
-    one-count case of `sample_prefixes`.
+    and seed alignment across noise levels is preserved. This is item 0 of
+    the one-count, one-seed `sample_block`.
 
     beta may be one (p,) vector or a (k, p) stack. A stack shares one design
     and one noise draw, and labels is then (count, k) with column j computed
     exactly as the call with beta[j] alone computes its labels, bit for bit.
     """
-    return sample_prefixes(spectrum, [beta], sigma_sq, [count], seed)[0]
+    (ds,) = sample_block(spectrum, [beta], sigma_sq, [count], [seed])
+    return Dataset(design=ds.design[0], labels=ds.labels[0])
 
 
 def _certify(gram: np.ndarray, dims: int) -> np.ndarray:
@@ -370,7 +351,7 @@ def _gram_stack(designs: np.ndarray, labels: np.ndarray, gram: np.ndarray, wide:
     return solved.reshape((count, -1) + labels.shape[2:])
 
 
-def fit_block(designs: np.ndarray, labels: np.ndarray) -> BlockFit:
+def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
     """Minimum-norm least-squares fits of a (B, rows, p) stack of designs.
 
     labels is (B, rows) or (B, rows, k); fitted is then (B, p) or (B, p, k).
@@ -381,15 +362,8 @@ def fit_block(designs: np.ndarray, labels: np.ndarray) -> BlockFit:
     rank_deficient and route are what `fit(designs[i], labels[i])` gives,
     bit for bit, whatever else the block holds. Non-finite labels in any
     item raise ValueError; a non-finite design never passes the certificate
-    and raises ValueError before the SVD.
-    """
-    return _fit_block(designs, labels, None)
-
-
-def _fit_block(designs, labels, workspace: Workspace | None) -> BlockFit:
-    """`fit_block`, its Gram stack formed in the workspace's gram buffer if one is given.
-
-    Every returned array is computed from the Gram stack, never a view of it.
+    and raises ValueError before the SVD. The Gram stack is formed in the
+    workspace's gram buffer (or the call's own); no returned array views it.
     """
     designs = np.asarray(designs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -409,7 +383,8 @@ def _fit_block(designs, labels, workspace: Workspace | None) -> BlockFit:
     wide = rows < p
     factor = designs if wide else designs.mT  # G = factor @ factor^T, syrk per item
     size = factor.shape[1]
-    gram = np.matmul(factor, factor.mT, out=_buffer(workspace, "gram", (count, size, size)))
+    gram = (workspace or Workspace()).take("gram", (count, size, size))
+    np.matmul(factor, factor.mT, out=gram)
     certified = _certify(gram, rows + p + 2)
     rank = np.full(count, min(rows, p))
     if certified.all():
@@ -475,7 +450,9 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     )
 
 
-def two_stage_block(insts, seed: int, trials) -> list[tuple[np.ndarray, np.ndarray]]:
+def two_stage_block(
+    insts, seed: int, trials, workspace: Workspace | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Run the surrogate-then-target pipeline of a block of trials at every sweep point.
 
     insts are ProblemInstances that differ only in n and m; trials is a
@@ -485,18 +462,14 @@ def two_stage_block(insts, seed: int, trials) -> list[tuple[np.ndarray, np.ndarr
     for every point, into the same buffer, and fits n fresh rows from
     spectrum_t labelled by the trial's own beta_s plus fresh noise sigma_t_sq
     (an instance with sigma_t_sq = 0 distills without noise). Row b of every
-    result is what `two_stage_sweep(insts, seed, trials[b])` gives, bit for
-    bit. The call's workspace is its own and dies with it.
+    result is what the one-trial block [trials[b]] gives, and every point
+    what its own one-point sweep gives, bit for bit. Both stages draw into
+    the workspace's one draw buffer (or the call's own); no result views it.
 
     Returns:
         (beta_s, beta_s_to_t) per instance, each (B, p): the stage-one and
         stage-two fits.
     """
-    return _two_stage_block(insts, seed, trials, Workspace())
-
-
-def _two_stage_block(insts, seed: int, trials, workspace: Workspace):
-    """`two_stage_block` on the workspace's buffers: both stages draw into its one draw buffer."""
     insts = list(insts)
     if not insts:
         raise ValueError("a sweep needs at least one ProblemInstance")
@@ -510,14 +483,15 @@ def _two_stage_block(insts, seed: int, trials, workspace: Workspace):
             and inst.sigma_t_sq == first.sigma_t_sq
         ):
             raise ValueError("sweep points must differ only in n and m")
+    workspace = workspace or Workspace()
     ms = sorted({inst.m for inst in insts})
     # stage one's datasets live only inside this comprehension, so a larger
     # stage-two draw replaces the draw buffer instead of joining it
     beta_s = {
-        m: _fit_block(ds.design, ds.labels, workspace).fitted
+        m: fit_block(ds.design, ds.labels, workspace).fitted
         for m, ds in zip(
             ms,
-            _sample_block(
+            sample_block(
                 first.spectrum_s,
                 [first.beta_star] * len(ms),
                 first.sigma_s_sq,
@@ -538,22 +512,8 @@ def _two_stage_block(insts, seed: int, trials, workspace: Workspace):
     for inst, point_noise in zip(insts, noise):
         rows = design[:, : inst.n]
         labels = _labels(rows, beta_s[inst.m], point_noise)
-        results.append((beta_s[inst.m], _fit_block(rows, labels, workspace).fitted))
+        results.append((beta_s[inst.m], fit_block(rows, labels, workspace).fitted))
     return results
-
-
-def two_stage_sweep(
-    insts, seed: int, trial: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run the surrogate-then-target pipeline of one trial at every sweep point.
-
-    The one-trial case of `two_stage_block`. Every point gets the vectors its
-    own one-point sweep gets, bit for bit.
-
-    Returns:
-        (beta_s, beta_s_to_t) per instance, the stage-one and stage-two fits.
-    """
-    return [(s[0], t[0]) for s, t in two_stage_block(insts, seed, [trial])]
 
 
 def two_stage_fit(
@@ -561,14 +521,15 @@ def two_stage_fit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full surrogate-then-target pipeline for one trial.
 
-    The one-point case of `two_stage_sweep`: stage one fits beta_s on m rows
-    drawn from spectrum_s, stage two fits on n fresh rows from spectrum_t
-    labelled by beta_s.
+    Row 0 of the one-instance, one-trial `two_stage_block`: stage one fits
+    beta_s on m rows drawn from spectrum_s, stage two fits on n fresh rows
+    from spectrum_t labelled by beta_s.
 
     Returns:
         (beta_s, beta_s_to_t), the stage-one and stage-two fitted vectors.
     """
-    return two_stage_sweep([inst], seed, trial)[0]
+    ((beta_s, beta_s_to_t),) = two_stage_block([inst], seed, [trial])
+    return beta_s[0], beta_s_to_t[0]
 
 
 def excess_risks(betas: np.ndarray, beta_star: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -37,12 +37,12 @@ from ..estimators import (
     STAGE_TARGET,
     ProblemInstance,
     Workspace,
-    _fit_block,
-    _sample_block,
-    _two_stage_block,
     derive_seed,
     excess_risks,
+    fit_block,
+    sample_block,
     trial_blocks,
+    two_stage_block,
 )
 from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
 from ..theory import _gains, _one_stage_terms, one_stage_risk, two_stage_risk
@@ -112,38 +112,30 @@ SLOPE_COLUMNS = (
 )
 
 
-def _fan_out(fn, tasks: int, workers: int) -> list:
-    """[fn(0), ..., fn(tasks - 1)] in task order regardless of worker count.
-
-    At most min(workers, tasks) threads start.
-    """
-    threads = min(workers, tasks)
-    if threads <= 1:
-        return [fn(i) for i in range(tasks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i) for i in range(tasks)]
-        return [f.result() for f in futures]
-
-
 def _fan_out_blocks(block_fn, trials: int, stream: int, workers: int) -> np.ndarray:
     """Run block_fn(block, workspace) on each trial block; stack its (B, ...) risks in trial order.
 
-    stream is one trial's draw in normals, which sets the block size. Each
-    worker thread makes one Workspace at its first block and passes it to
-    every block it runs; the workspaces live in a thread-local made for this
-    call, so they die when it returns.
+    stream is one trial's draw in normals, which sets the block size. At most
+    min(workers, blocks) threads start, and the result is in trial order
+    whatever their number. Each worker thread makes one Workspace at its
+    first block and passes it to every block it runs; the workspaces live in
+    a thread-local made for this call, so they die when it returns.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     blocks = trial_blocks(trials, stream)
     local = threading.local()
 
-    def run(i: int) -> np.ndarray:
+    def run(block: range) -> np.ndarray:
         if not hasattr(local, "workspace"):
             local.workspace = Workspace()
-        return block_fn(blocks[i], local.workspace)
+        return block_fn(block, local.workspace)
 
-    return np.concatenate(_fan_out(run, len(blocks), workers))
+    threads = min(workers, len(blocks))
+    if threads <= 1:
+        return np.concatenate([run(block) for block in blocks])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(run, blocks)))
 
 
 def mc_one_stage_risks(
@@ -173,9 +165,9 @@ def mc_one_stage_risks(
     def one_block(block: range, workspace: Workspace) -> np.ndarray:
         seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
         risks = []
-        for ds in _sample_block(lam, surrogates, sigma_sq, n, seeds, workspace):
+        for ds in sample_block(lam, surrogates, sigma_sq, n, seeds, workspace):
             # (B, p) or (B, p, k) fits; the risk sums run over p, last
-            fitted = np.moveaxis(_fit_block(ds.design, ds.labels, workspace).fitted, 1, -1)
+            fitted = np.moveaxis(fit_block(ds.design, ds.labels, workspace).fitted, 1, -1)
             risks.append(excess_risks(fitted, beta_star, lam).reshape(len(block), -1))
         return np.concatenate(risks, axis=1)
 
@@ -199,7 +191,7 @@ def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
     insts = list(insts)
 
     def one_block(block: range, workspace: Workspace) -> np.ndarray:
-        fits = _two_stage_block(insts, seed, block, workspace)
+        fits = two_stage_block(insts, seed, block, workspace)
         return np.stack(
             [
                 excess_risks(beta_s2t, inst.beta_star, inst.spectrum_t)

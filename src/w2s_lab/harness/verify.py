@@ -33,14 +33,12 @@ from ..design import (
 from ..estimators import (
     STAGE_TARGET,
     ProblemInstance,
-    Workspace,
-    _fit_block,
-    _sample_block,
     derive_seed,
     excess_risks,
     fit,
+    fit_block,
+    sample_block,
     sample_dataset,
-    trial_blocks,
 )
 from ..reference import one_stage_risk_dense, random_orthogonal, two_stage_risk_dense
 from ..spectrum import (
@@ -64,7 +62,7 @@ from ..theory import (
     two_stage_risk,
 )
 from .config import ExperimentConfig
-from .experiments import mc_one_stage_risks, mean_and_se, run_risk_vs_n
+from .experiments import _fan_out_blocks, mc_one_stage_risks, mean_and_se, run_risk_vs_n
 from .output import build_id, config_echo, render_csv, schema_tag
 
 
@@ -485,18 +483,17 @@ def _source_design_risks(
     fit runs on the raw source design, which is a genuinely different estimator
     (a minimum-norm fit does not commute with a non-orthogonal column scaling).
     Trial t draws from derive_seed(seed, STAGE_TARGET, t), and the trials run
-    in blocks on one workspace, as one Monte Carlo worker runs them.
+    in blocks on the Monte Carlo engine's one-worker loop.
     """
     scale = np.sqrt(lam_t / lam_s)
-    workspace = Workspace()
 
-    def block_risks(block: range) -> np.ndarray:
+    def block_risks(block: range, workspace) -> np.ndarray:
         seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
-        (ds,) = _sample_block(lam_s, [beta_star], sigma_sq, [n], seeds, workspace)
+        (ds,) = sample_block(lam_s, [beta_star], sigma_sq, [n], seeds, workspace)
         designs = ds.design * scale if transport else ds.design
-        return excess_risks(_fit_block(designs, ds.labels, workspace).fitted, beta_star, lam_t)
+        return excess_risks(fit_block(designs, ds.labels, workspace).fitted, beta_star, lam_t)
 
-    return np.concatenate([block_risks(b) for b in trial_blocks(trials, n * (lam_s.size + 1))])
+    return _fan_out_blocks(block_risks, trials, n * (lam_s.size + 1), 1)
 
 
 _SHIFT_TRIALS = 400

@@ -24,10 +24,8 @@ from w2s_lab.estimators import (
     STAGE_TARGET,
     fit_block,
     sample_block,
-    sample_prefixes,
     trial_blocks,
     two_stage_block,
-    two_stage_sweep,
 )
 
 
@@ -128,12 +126,13 @@ class TestSamplePrefixes:
         lam = power_law_spectrum(p, 2.0)
         rng = np.random.default_rng(8)
         betas = [rng.normal(size=(3, p) if i % 2 else p) for i in range(len(counts))]
-        datasets = sample_prefixes(lam, betas, sigma_sq, counts, seed)
+        datasets = sample_block(lam, betas, sigma_sq, counts, [seed])
         assert len(datasets) == len(counts)
         for beta, count, ds in zip(betas, counts, datasets):
             design, labels = _own_draw(lam, beta, sigma_sq, count, seed)
-            assert np.array_equal(ds.design, design)
-            assert np.array_equal(ds.labels, labels)
+            assert ds.design.shape == (1, count, p)
+            assert np.array_equal(ds.design[0], design)
+            assert np.array_equal(ds.labels[0], labels)
             alone = sample_dataset(lam, beta, sigma_sq, count, seed)
             assert np.array_equal(alone.design, design)
             assert np.array_equal(alone.labels, labels)
@@ -143,13 +142,13 @@ class TestSamplePrefixes:
     def test_validation(self):
         lam = power_law_spectrum(5, 2.0)
         with pytest.raises(ValueError):
-            sample_prefixes(lam, [], 0.1, [], 1)
+            sample_block(lam, [], 0.1, [], [1])
         with pytest.raises(ValueError):
-            sample_prefixes(lam, [np.ones(5)], 0.1, [3, 4], 1)
+            sample_block(lam, [np.ones(5)], 0.1, [3, 4], [1])
         with pytest.raises(ValueError):
-            sample_prefixes(lam, [np.ones(5), np.ones(4)], 0.1, [3, 4], 1)
+            sample_block(lam, [np.ones(5), np.ones(4)], 0.1, [3, 4], [1])
         with pytest.raises(ValueError):
-            sample_prefixes(lam, [np.ones(5), np.ones(5)], 0.1, [3, 0], 1)
+            sample_block(lam, [np.ones(5), np.ones(5)], 0.1, [3, 0], [1])
 
 
 class TestSampleBlock:
@@ -459,7 +458,7 @@ class TestWorkspace:
             ((30, 8), 4, 1), ((5,), 2, None), ((30, 12), 3, 0), ((40,), 6, 5)
         ]:
             seeds = [derive_seed(3, STAGE_TARGET, t) for t in range(trials)]
-            reused = estimators._sample_block(lam, [beta] * len(counts), 0.1, counts, seeds, workspace)
+            reused = sample_block(lam, [beta] * len(counts), 0.1, counts, seeds, workspace=workspace)
             fresh = sample_block(lam, [beta] * len(counts), 0.1, counts, seeds)
             draw = workspace._buffers["draw"]
             for ds, alone in zip(reused, fresh):
@@ -470,7 +469,7 @@ class TestWorkspace:
                 designs = ds.design.copy()
                 if duplicate is not None:
                     designs[duplicate][:, 7] = designs[duplicate][:, 3]
-                block = estimators._fit_block(designs, ds.labels, workspace)
+                block = fit_block(designs, ds.labels, workspace=workspace)
                 expected = fit_block(designs, ds.labels)
                 for name in ("fitted", "rank", "rank_deficient", "route"):
                     assert np.array_equal(getattr(block, name), getattr(expected, name))
@@ -478,6 +477,35 @@ class TestWorkspace:
                         assert not np.shares_memory(getattr(block, name), buffer)
                 if duplicate is not None and len(ds.design[0]) >= p:  # tall: rank p - 1
                     assert block.route[duplicate] == "lstsq"
+
+    def test_two_stage_block_on_a_reused_workspace_gives_fresh_bits(self):
+        """Growing and shrinking sweeps on one workspace, m = p - 1 items on lstsq: fresh bits."""
+        p, seed = 40, 23
+        lam = power_law_spectrum(p, 3.0)
+        inst = ProblemInstance(lam, lam, power_law_signal(p, 3.0, 1.5), 0.05, 0.1, n=30, m=12)
+        seeds = [derive_seed(seed, STAGE_SURROGATE, t) for t in range(9)]
+        (stage1,) = sample_block(lam, [inst.beta_star], inst.sigma_s_sq, [p - 1], seeds)
+        route = fit_block(stage1.design, stage1.labels).route
+        assert "lstsq" in route and "gram" in route
+        workspace = estimators.Workspace()
+        kept = []
+        for pairs, trials in [
+            ([(30, 12)], range(2)),
+            ([(20, p - 1), (35, p - 1), (30, 12)], range(9)),
+            ([(6, 5)], range(3, 5)),
+            ([(45, 20), (12, 30)], range(4)),
+        ]:
+            insts = [replace(inst, n=n, m=m) for n, m in pairs]
+            reused = two_stage_block(insts, seed, trials, workspace=workspace)
+            fresh = two_stage_block(insts, seed, trials)
+            for fits, expected in zip(reused, fresh):
+                for got, want in zip(fits, expected):
+                    assert np.array_equal(got, want)
+                    for buffer in workspace._buffers.values():
+                        assert not np.shares_memory(got, buffer)
+                    kept.append((got, want.copy()))
+        for got, want in kept:  # later sweeps on the workspace left earlier results alone
+            assert np.array_equal(got, want)
 
 
 class TestFitBlock:
@@ -594,36 +622,36 @@ class TestPipelines:
         beta = power_law_signal(p, 2.0, 1.5)
         insts = [ProblemInstance(lam, lam, beta, 0.05, 0.05, n=c, m=c) for c in (40, top)]
         draw_bytes = (top * p + top) * 8  # 1.6 MB; the Gram fits' temporaries are ~0.1 MB
-        two_stage_sweep(insts, 5)
+        two_stage_block(insts, 5, [0])
         tracemalloc.start()
         try:
-            two_stage_sweep(insts, 5)
+            two_stage_block(insts, 5, [0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert draw_bytes < peak < 1.5 * draw_bytes
 
     def test_block_rows_equal_one_trial_sweeps(self):
-        """A repeated m, m > n and n > m: row b of a block is trial b's own sweep."""
+        """A repeated m, m > n and n > m: row b of a block is trial b's block of one."""
         inst = self._instance()
         insts = [replace(inst, n=n, m=m) for n, m in ((6, 9), (12, 9), (4, 14), (9, 4))]
         trials = [3, 4, 5, 9]
         block = two_stage_block(insts, 2024, trials)
         for row, trial in enumerate(trials):
             for (beta_s, beta_s2t), (one_s, one_s2t) in zip(
-                block, two_stage_sweep(insts, 2024, trial)
+                block, two_stage_block(insts, 2024, [trial])
             ):
-                assert np.array_equal(beta_s[row], one_s)
-                assert np.array_equal(beta_s2t[row], one_s2t)
+                assert np.array_equal(beta_s[row], one_s[0])
+                assert np.array_equal(beta_s2t[row], one_s2t[0])
 
     def test_sweep_points_must_share_all_but_the_counts(self):
         inst = self._instance()
         with pytest.raises(ValueError):
-            two_stage_sweep([], 1)
+            two_stage_block([], 1, [0])
         with pytest.raises(ValueError):
-            two_stage_sweep([inst, replace(inst, sigma_t_sq=0.0)], 1)
+            two_stage_block([inst, replace(inst, sigma_t_sq=0.0)], 1, [0])
         with pytest.raises(ValueError):
-            two_stage_sweep([inst, replace(inst, beta_star=2.0 * inst.beta_star)], 1)
+            two_stage_block([inst, replace(inst, beta_star=2.0 * inst.beta_star)], 1, [0])
 
     def test_instance_validation(self):
         lam = power_law_spectrum(4, 2.0)

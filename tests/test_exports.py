@@ -1,12 +1,17 @@
-"""The public surface: each package's __all__ is exactly the names its __init__ imports."""
+"""The public surface: each package's __all__ is exactly the names its __init__ imports,
+and no module keeps a private twin `_name` of a name it defines."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
+import w2s_lab
+
 PACKAGES = ("w2s_lab", "w2s_lab.harness")
+SOURCE = pathlib.Path(w2s_lab.__file__).parent
 
 
 def _imported_names(module) -> set:
@@ -32,3 +37,26 @@ def test_exports_equal_the_imports(package):
     # a stale export and a forgotten one both fail
     module = importlib.import_module(package)
     assert set(module.__all__) == _imported_names(module)
+
+
+def _top_level_names(path: pathlib.Path) -> set:
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_no_module_defines_a_name_and_its_private_twin():
+    # one implementation per concept: a public `f` beside a private `_f` is a
+    # wrapper pair, and the public function should take the private one's arguments
+    twins = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        names = _top_level_names(path)
+        pairs = sorted(name for name in names if "_" + name in names)
+        if pairs:
+            twins[str(path.relative_to(SOURCE))] = pairs
+    assert twins == {}

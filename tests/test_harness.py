@@ -636,7 +636,10 @@ class TestSmallHelpers:
             return pool_class(max_workers=max_workers)
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording_pool)
-        values = experiments._fan_out(float, trials, workers)
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
+        values = experiments._fan_out_blocks(
+            lambda block, workspace: np.array(block, dtype=np.float64), trials, 1, workers
+        )
         assert np.array_equal(values, np.arange(trials, dtype=np.float64))
         assert pools == ([] if threads is None else [threads])
 
