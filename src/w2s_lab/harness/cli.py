@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -104,6 +105,11 @@ def _table(cfg):
     return renders, 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a runner's warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv)
@@ -113,7 +119,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        renders, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)  # one line per skipped point
+            warnings.showwarning = _print_warning
+            renders, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
         for path in write_outputs(cfg, renders):
             print(f"wrote {path}", file=sys.stderr)
         return code

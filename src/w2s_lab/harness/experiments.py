@@ -377,6 +377,7 @@ def run_mask_count(cfg: ExperimentConfig):
                     1 if abs_error <= tolerance else 0,
                 )
             )
+        del spectrum  # released before the next alpha's is built
     return MASK_COLUMNS, rows
 
 

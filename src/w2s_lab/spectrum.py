@@ -28,10 +28,11 @@ All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
 (alpha 1.5 or 3, n from 1e3 to 1e5) takes 3-4 full-spectrum passes, plus
 the start's read-only sum over the tail, and 0.32-0.52 s on one core of a
-2-CPU x86 VM (numpy 2.4). It holds one p-length work buffer, freed on
-return. Sums over the spectrum accumulate the tail first (smallest
-eigenvalues first) for reproducible floating-point results when the tail is
-near the denormal range.
+2-CPU x86 VM (numpy 2.4). Each pass streams over the column tree through one
+(2, leaf) buffer, so a solve holds no p-length work array. Sums over the
+spectrum accumulate the tail first (smallest eigenvalues first) for
+reproducible floating-point results when the tail is near the denormal
+range.
 """
 
 from __future__ import annotations
@@ -195,31 +196,34 @@ def _tolerance(n: int) -> float:
     return TAU_ATOL + TAU_RTOL * n
 
 
-def _residual_into(lam: np.ndarray, tau: float, n: int, shifted, ratio) -> float:
-    """Signed residual S(tau) - n, leaving lambda/(lambda+tau) in a p-length buffer.
+def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tuple[float, float]:
+    """Signed residual S(tau) - n and sum r^2, with r = lambda/(lambda+tau), in one pass.
 
-    ratio is filled tail first (smallest eigenvalue first), leaf by leaf of
-    the column tree, each leaf's lambda+tau held in shifted, a one-leaf
-    buffer, and S is the whole tail-first sum of ratio, so no second p-length
-    array is needed. solve_tau certifies with this helper and
+    The pass streams over the leaves of the column tree through rows, one
+    (2, leaf) buffer: per leaf, row 1 takes lambda+tau and row 0 the leaf's r
+    tail first, row 1 is then overwritten with r^2, and both rows are summed.
+    _tail_first_sum adds the leaf sums in the tree's order, so S and sum r^2
+    have the bits of the whole tail-first np.sum of r and of r^2, and no
+    p-length array is held. solve_tau certifies with this helper and
     fixed_point_residual reports with it, so the two agree bit for bit.
     """
-    p = lam.size
-    tail = lam[::-1]
-    for cols in _leaves(p):
-        places = slice(p - cols.stop, p - cols.start)  # the leaf's places tail first
-        block = tail[places]
-        denominator = shifted[: block.size]
-        np.add(block, tau, out=denominator)
-        np.divide(block, denominator, out=ratio[places])
-    return float(np.sum(ratio)) - n
+
+    def leaf(cols: slice) -> np.ndarray:
+        block = lam[cols][::-1]  # the leaf's eigenvalues, tail first
+        terms = rows[:, : block.size]
+        np.add(block, tau, out=terms[1])
+        np.divide(block, terms[1], out=terms[0])
+        np.square(terms[0], out=terms[1])
+        return terms.sum(axis=-1)
+
+    total, sum_sq = _tail_first_sum(lam.size, leaf).tolist()
+    return total - n, sum_sq
 
 
 def fixed_point_residual(spectrum, tau: float, n: int) -> float:
     """Signed residual sum_i lambda_i/(lambda_i + tau) - n at a candidate tau."""
     lam = as_spectrum(spectrum)
-    shifted = np.empty(_leaf_width(lam.size))
-    return _residual_into(lam, float(tau), n, shifted, np.empty_like(lam))
+    return _residual_into(lam, float(tau), n, np.empty((2, _leaf_width(lam.size))))[0]
 
 
 def _split(lo: float, hi: float) -> float | None:
@@ -238,7 +242,7 @@ def _split(lo: float, hi: float) -> float | None:
     return None
 
 
-def _certified_split(lam, n, lo, hi, lo_open, hi_open, shifted, ratio):
+def _certified_split(lam, n, lo, hi, lo_open, hi_open, rows):
     """Bisection point of (lo, hi) and the passes spent certifying its ends.
 
     A bisection relies on both ends of its bracket. An end that is still the
@@ -249,7 +253,7 @@ def _certified_split(lam, n, lo, hi, lo_open, hi_open, shifted, ratio):
     passes = 0
     for end, is_open, sign in ((lo, lo_open, 1.0), (hi, hi_open, -1.0)):
         if is_open:
-            f_end = _residual_into(lam, end, n, shifted, ratio)
+            f_end = _residual_into(lam, end, n, rows)[0]
             passes += 1
             if not sign * f_end > 0.0:
                 raise NonConvergenceError(
@@ -290,8 +294,8 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         log tau <- log tau + (log S - log n) / (tau * D / S),
         D = sum lambda/(lambda+tau)^2,  tau * D = sum r (1 - r) = S - sum r^2,
 
-    with r = lambda/(lambda+tau) = 1 - zeta, so the slope costs one fused
-    sweep over the r the residual already holds. The step is nearly exact for
+    with r = lambda/(lambda+tau) = 1 - zeta, so the slope costs only the sum
+    of r^2 that each pass takes beside S. The step is nearly exact for
     power-law-like spectra. A step that leaves the bracket, or that fails to
     halve the step before last, is replaced by a bisection (geometric, else
     arithmetic), as is any step whose slope cancelled to tau * D <= 0, so
@@ -302,10 +306,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     the returned tau, which is certified by its own residual, and every
     bisection runs inside a certified bracket. A flat spectrum takes 1 pass
     and a power-law spectrum at p = 1e6 takes 2-5, end checks included when
-    they run (plus the start's tail sum in each case). The passes reuse one
-    p-length buffer, which after the accepted pass is squared in place for
-    Omega and then freed: the statistics hold no p-length array of their
-    own. Identical inputs always reproduce bit-identical tau.
+    they run (plus the start's tail sum in each case). The passes stream
+    through one (2, leaf) buffer, and Omega is the accepted pass's sum r^2
+    over n, so neither the solve nor its statistics hold a p-length array
+    beyond the eigenvalues. Identical inputs always reproduce bit-identical
+    tau, at any leaf width.
     """
     lam = as_spectrum(spectrum)
     p = lam.size
@@ -315,8 +320,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     if n >= p:
         raise ValueError(f"no solution: need n < p, got n={n}, p={p}")
 
-    shifted = np.empty(_leaf_width(p))  # one leaf of lambda + tau
-    ratio = np.empty_like(lam)
+    rows = np.empty((2, _leaf_width(p)))  # one leaf of r and of r^2
     lo = float(lam[-1]) * _EPS
     hi = float(lam[0]) * p / n
     lo_open = hi_open = True  # the end is analytic and its residual unchecked
@@ -325,11 +329,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     log_n = math.log(n)
     tau = float(np.sum(lam[n:][::-1])) / n  # the root if the spectrum were flat
     if not lo < tau < hi:  # only by underflow or overflow
-        tau, passes = _certified_split(lam, n, lo, hi, lo_open, hi_open, shifted, ratio)
+        tau, passes = _certified_split(lam, n, lo, hi, lo_open, hi_open, rows)
         lo_open = hi_open = False
     step = step_before = math.inf  # |log tau| moves of the last two updates
     while tau is not None and passes < TAU_MAX_ITER:
-        residual = _residual_into(lam, tau, n, shifted, ratio)
+        residual, sum_sq = _residual_into(lam, tau, n, rows)
         passes += 1
         if abs(residual) <= tol:
             break
@@ -339,19 +343,17 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
             hi, hi_open = tau, False
         total = residual + n  # S
         # tau * D = sum r (1 - r) = S - sum r^2 = -S * d log S / d log tau, with
-        # r = lambda/(lambda+tau) in ratio: one fused sweep, no BLAS (whose
-        # thread count would change the bits). Cancellation only spoils the
-        # proposed step, which the bracket and the tau_d > 0 guard police.
-        tau_d = total - float(np.einsum("i,i->", ratio, ratio))
+        # r = lambda/(lambda+tau): the pass summed r^2 beside r. Cancellation
+        # only spoils the proposed step, which the bracket and the tau_d > 0
+        # guard police.
+        tau_d = total - sum_sq
         candidate = None
         if total > 0.0 and tau_d > 0.0:
             move = (math.log(total) - log_n) * (total / tau_d)
             if abs(move) <= 0.5 * step_before:
                 candidate = tau * math.exp(min(move, 709.0))
         if candidate is None or not lo < candidate < hi:
-            candidate, spent = _certified_split(
-                lam, n, lo, hi, lo_open, hi_open, shifted, ratio
-            )
+            candidate, spent = _certified_split(lam, n, lo, hi, lo_open, hi_open, rows)
             passes += spent
             lo_open = hi_open = False
         if candidate is not None:
@@ -366,11 +368,9 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
             f"residual tolerance {tol:g} unreachable within {TAU_MAX_ITER} iterations"
         )
 
-    # ratio holds lambda/(lambda+tau) = 1 - zeta tail first at the accepted tau
-    omega = float(np.sum(np.square(ratio, out=ratio))) / n
     return SpectralStats(
         tau=float(tau),
-        omega=omega,
+        omega=sum_sq / n,  # sum (1 - zeta)^2 from the accepted pass
         n=n,
         eigenvalues=lam,
         iterations=passes,

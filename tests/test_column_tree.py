@@ -76,6 +76,38 @@ class TestTailFirstSum:
         assert list(_leaves(2**14)) == [slice(0, 2**14)]
 
 
+class TestStreamedSolve:
+    """Each solver pass sums r and r^2 leaf by leaf: the solve is width-free."""
+
+    @pytest.fixture(scope="class", params=[(1_000_000, 1.5, 10_000), (3 * 2**14 + 5, 2.0, 5_000)])
+    def case(self, request):
+        p, alpha, n = request.param
+        return power_law_spectrum(p, alpha), n
+
+    def test_solve_is_bit_identical_at_every_width(self, monkeypatch, case):
+        lam, n = case
+        solves = []
+        for width in (128, 1000, 2**14, lam.size + 1):
+            monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", width)
+            st = solve_tau(lam, n)
+            solves.append((st.tau, st.omega, st.iterations, st.residual))
+        assert solves.count(solves[0]) == len(solves)
+
+    @pytest.mark.parametrize(
+        "lam, n",
+        [
+            (np.array([1.0, 0.25]), 1),
+            (np.concatenate([np.ones(50), np.full(50, 1e-300)]), 50),
+            (power_law_spectrum(3 * 2**14 + 5, 1.5), 700),
+            (power_law_spectrum(1_000_000, 3.0), 100_000),
+        ],
+        ids=["tie", "plateau", "three-leaves", "1e6"],
+    )
+    def test_omega_is_the_tail_first_sum_of_squares(self, lam, n):
+        st = solve_tau(lam, n)
+        assert st.omega == np.sum(np.square(st.one_minus_zeta()[::-1])) / n
+
+
 class TestFusedSlopePoint:
     """One streamed pass gives both slope totals with the oracles' bits."""
 
@@ -126,18 +158,19 @@ class TestStreamedMemory:
         assert self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05)) <= 2**20
 
     def test_two_stage_risk_holds_only_its_solves(self, problem):
+        # each solve holds its spectrum check's bool mask, an eighth of an array
         lam, beta, _ = problem
         inst = ProblemInstance(lam, lam, beta, 0.05, 0.1, 1_000, 2_000)
-        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= self.ARRAY + 2**20
+        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= self.ARRAY // 4 + 2**20
 
     def test_scaling_slope_holds_three_arrays(self):
-        # spectrum, signal and one solve's work buffer
+        # spectrum and signal: a solve holds no p-length work buffer
         p = 200_000
         cfg = build_config(
             "scaling-slope",
             {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
         )
-        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 3 * 8 * p + 2**20
+        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 2 * 8 * p + 2**20
 
 
 def _vectorised_keep(stats: SpectralStats) -> np.ndarray:

@@ -1094,6 +1094,16 @@ class TestCli:
             f"predicted={first['predicted_slope']}"
         ) in captured.err.splitlines()
 
+    def test_skipped_point_warning_is_one_plain_line(self, capsys):
+        rc = main(["two-stage-grid", "--p", "25", "--n", "5,30", "--trials", "2", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err.splitlines() == [
+            "warning: skipping grid point n=30, m=30: "
+            "two-stage theory needs n < p and m < p (p=25)"
+        ]
+        assert ".py:" not in captured.err
+
     def test_registry_covers_every_experiment(self):
         assert sorted([*RUNNERS, "verify"]) == sorted(EXPERIMENTS)
 

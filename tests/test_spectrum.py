@@ -87,9 +87,9 @@ class TestLazyBracket:
         taus = []
         real = spectrum._residual_into
 
-        def recording(lam, tau, n, shifted, ratio):
+        def recording(lam, tau, n, rows):
             taus.append(tau)
-            return real(lam, tau, n, shifted, ratio)
+            return real(lam, tau, n, rows)
 
         monkeypatch.setattr(spectrum, "_residual_into", recording)
         return taus
@@ -123,9 +123,9 @@ class TestLazyBracket:
         hi = float(lam[0]) * lam.size / 50
         real = spectrum._residual_into
 
-        def wrong_at_hi(lam, tau, n, shifted, ratio):
-            residual = real(lam, tau, n, shifted, ratio)
-            return abs(residual) if tau == hi else residual
+        def wrong_at_hi(lam, tau, n, rows):
+            residual, sum_sq = real(lam, tau, n, rows)
+            return (abs(residual) if tau == hi else residual), sum_sq
 
         monkeypatch.setattr(spectrum, "_residual_into", wrong_at_hi)
         with pytest.raises(NonConvergenceError, match="bracket certification failed"):
@@ -193,41 +193,46 @@ class TestMemory:
         assert self._peak_bytes(lambda: optimal_mask(stats)) <= self.ARRAY // 4 + 2**20
 
     def test_scaling_slope_holds_one_point_at_a_time(self):
-        # spectrum, signal, the point's stats (two arrays), its optimal
-        # surrogate and one oracle scratch: six arrays, whatever the n count
+        # the spectrum and the signal; each point's solve and fused oracle
+        # pass hold leaf buffers only, whatever the n count
         p = 200_000
         cfg = build_config(
             "scaling-slope",
             {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
         )
-        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 6 * 8 * p + 2**20
+        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 2 * 8 * p + 2**20
 
-    # The statistics hold no p-length array: a solve holds its one work
-    # buffer, and two-stage theory one scratch beyond what its solves hold.
+    # A solve streams its passes through one (2, leaf) buffer, so it holds
+    # only the validation's bool mask (an eighth of an array) beyond leaf
+    # buffers, and two-stage theory no more than two such masks.
     def test_solve_tau_holds_one_array(self, problem):
         lam, _, _ = problem
-        assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.ARRAY + 2**20
+        assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.ARRAY // 8 + 2**20
+
+    def test_fixed_point_residual_holds_its_validation_mask(self, problem):
+        lam, _, stats = problem
+        peak = self._peak_bytes(lambda: fixed_point_residual(lam, stats.tau, 1_000))
+        assert peak <= self.ARRAY // 8 + 2**20
 
     def test_two_stage_risk_holds_two_arrays(self, problem):
         lam, beta, _ = problem
         inst = ProblemInstance(lam, lam, beta, 0.05, 0.1, 1_000, 2_000)
-        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= 2 * self.ARRAY + 2**20
+        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= self.ARRAY // 4 + 2**20
 
     def test_scaling_slope_holds_four_arrays(self):
-        # spectrum, signal, one point's optimal surrogate and one oracle scratch
+        # the spectrum and the signal, nothing p-length beyond them
         p = 200_000
         cfg = build_config(
             "scaling-slope",
             {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
         )
-        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 4 * 8 * p + 2**20
+        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 2 * 8 * p + 2**20
 
     def test_mask_count_holds_two_arrays(self):
-        # a spectrum and a solve's work buffer, or the next alpha's spectrum
-        # while the last one is still held
+        # one alpha's spectrum: the last one is released before the next is built
         p = 200_000
         cfg = build_config("mask-count", {"p": p, "alpha": (1.5, 3.0), "n": (1000, 10000)})
-        assert self._peak_bytes(lambda: run_mask_count(cfg)) <= 2 * 8 * p + 2**20
+        assert self._peak_bytes(lambda: run_mask_count(cfg)) <= 8 * p + 2**20
 
 
 class TestSpectralStats:
