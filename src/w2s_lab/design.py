@@ -25,6 +25,8 @@ import numpy as np
 
 from .spectrum import (
     SpectralStats,
+    _as_coefficients,
+    _check_noise,
     _leaves,
     _omega_window,
     _tolerance,
@@ -67,10 +69,7 @@ def optimal_surrogate(stats: SpectralStats, beta_star) -> np.ndarray:
     place, so the result is the call's one p-length allocation.
     """
     gains = gain_profile(stats)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.shape != stats.eigenvalues.shape:
-        raise ValueError("beta_star must match the spectrum length")
-    gains *= beta_star
+    gains *= _as_coefficients(beta_star, stats.p, "beta_star")
     return gains
 
 
@@ -166,14 +165,11 @@ def brute_force_mask(spectrum, beta_star, n: int, sigma_sq: float) -> frozenset:
     fixed-point stats, and solves the fixed point itself.
     """
     lam = as_spectrum(spectrum)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
     p = lam.size
     if p > 20:
         raise ValueError(f"brute force is limited to p <= 20, got p={p}")
-    if beta_star.shape != lam.shape:
-        raise ValueError("beta_star must match the spectrum length")
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    beta_star = _as_coefficients(beta_star, p, "beta_star")
+    _check_noise(sigma_sq, "sigma_sq")
     st = solve_tau(lam, n)
     _check_stats(st)
 

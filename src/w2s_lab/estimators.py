@@ -17,9 +17,9 @@ so a fitted column matches the one-column fit to rounding, not bit for bit.
 A one-column solve against a mid-size Gram matrix (126 to 500 rows) is padded
 with zero columns so that numpy releases the GIL and trial workers overlap.
 `fit_block` fits a (B, rows, p) stack of designs in stacked numpy calls (one
-Gram product, one certificate Cholesky and one solve for the stack) and gives
-every item the bits, route and rank `fit` gives it alone; `fit` is its
-one-item case.
+Gram product, one certificate Cholesky and one solve for the stack), and
+`fit` is its block of one, so every item gets the bits, route and rank `fit`
+gives it alone.
 
 Seeding is explicit everywhere. Child seeds are derived from (parent seed,
 stage index, trial index) with splitmix64-style mixing, so trial fan-out is
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import as_spectrum
+from .spectrum import _as_coefficients, _check_noise, as_spectrum
 
 STAGE_ROOT = 0
 STAGE_SURROGATE = 1
@@ -160,14 +160,11 @@ class ProblemInstance:
     def __post_init__(self):
         lam_t = as_spectrum(self.spectrum_t)
         lam_s = as_spectrum(self.spectrum_s)
-        beta = np.asarray(self.beta_star, dtype=np.float64)
-        if lam_s.size != lam_t.size or beta.size != lam_t.size or beta.ndim != 1:
-            raise ValueError(
-                "spectrum_t, spectrum_s and beta_star must share one length, got "
-                f"{lam_t.size}, {lam_s.size}, {beta.shape}"
-            )
-        if self.sigma_t_sq < 0.0 or self.sigma_s_sq < 0.0:
-            raise ValueError("noise variances must be >= 0")
+        if lam_s.size != lam_t.size:
+            raise ValueError(f"spectra must share one length, got {lam_t.size} and {lam_s.size}")
+        beta = _as_coefficients(self.beta_star, lam_t.size, "beta_star")
+        _check_noise(self.sigma_t_sq, "sigma_t_sq")
+        _check_noise(self.sigma_s_sq, "sigma_s_sq")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"sample counts must be >= 1, got n={self.n}, m={self.m}")
         object.__setattr__(self, "spectrum_t", lam_t)
@@ -243,8 +240,7 @@ def sample_block(
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
         raise ValueError(f"need one beta per count, got {len(betas)} and {len(counts)}")
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    _check_noise(sigma_sq, "sigma_sq")
     if min(counts) < 1:
         raise ValueError(f"count must be >= 1, got {min(counts)}")
     if len(seeds) == 0:
@@ -313,42 +309,25 @@ def _certify(gram: np.ndarray, dims: int) -> np.ndarray:
     return passed
 
 
-def _gram_fit(design: np.ndarray, labels: np.ndarray, gram: np.ndarray, wide: bool):
-    """Min-norm solution through a certified Gram matrix, for one item or a stack.
+def _gram_fit(designs: np.ndarray, columns: np.ndarray, gram: np.ndarray, wide: bool):
+    """Min-norm solutions of (B, rows, p) designs and (B, rows, k) label columns.
 
-    One item: design (rows, p), labels (rows,) or (rows, k), as `b` in
-    np.linalg.solve. A stack: design (B, rows, p) and labels (B, rows, k).
     With G = X X^T (rows < p) the solution is X^T G^-1 y, with G = X^T X it
     is G^-1 X^T y. A one-column right-hand side of Gram size m with
-    _WIDEN_MIN_GRAM <= m <= _GIL_HELD_ENTRIES is solved as column 0 of an
-    (m, _GIL_HELD_ENTRIES // m + 1) array, zeros elsewhere, so the solve
-    releases the GIL. The choice depends on m alone, never on the worker
-    count or the block size, and (rows,) and (rows, 1) labels take the same
-    path.
+    _WIDEN_MIN_GRAM <= m <= _GIL_HELD_ENTRIES is solved as column 0 of a
+    (B, m, _GIL_HELD_ENTRIES // m + 1) stack, zeros elsewhere, so the solve
+    releases the GIL. The choice depends on m and k alone, never on the
+    worker count or the block size.
     """
-    rhs = labels if wide else design.mT @ labels
+    rhs = columns if wide else designs.mT @ columns
     size = gram.shape[-1]
-    one_column = rhs.ndim < gram.ndim or rhs.shape[-1] == 1
-    if one_column and _WIDEN_MIN_GRAM <= size <= _GIL_HELD_ENTRIES:
+    if rhs.shape[-1] == 1 and _WIDEN_MIN_GRAM <= size <= _GIL_HELD_ENTRIES:
         widened = np.zeros(gram.shape[:-1] + (_GIL_HELD_ENTRIES // size + 1,))
         widened[..., 0] = rhs.reshape(gram.shape[:-1])
         solved = np.linalg.solve(gram, widened)[..., 0].reshape(rhs.shape)
     else:
         solved = np.linalg.solve(gram, rhs)
-    return design.mT @ solved if wide else solved
-
-
-def _gram_stack(designs: np.ndarray, labels: np.ndarray, gram: np.ndarray, wide: bool):
-    """Gram solutions of a stack of certified items, each with its 2-D call's bits.
-
-    A lone item runs numpy's 2-D calls, the ones `fit` has always made; a
-    stack solves (B, rows, k) column labels in stacked calls.
-    """
-    if len(designs) == 1:
-        return _gram_fit(designs[0], labels[0], gram[0], wide)[None]
-    count, rows = labels.shape[:2]
-    solved = _gram_fit(designs, labels.reshape(count, rows, -1), gram, wide)
-    return solved.reshape((count, -1) + labels.shape[2:])
+    return designs.mT @ solved if wide else solved
 
 
 def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
@@ -356,14 +335,15 @@ def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
 
     labels is (B, rows) or (B, rows, k); fitted is then (B, p) or (B, p, k).
     The stack shares one Gram product (syrk per item), one shifted Cholesky
-    that certifies every item, and one solve; an item that fails the
-    certificate alone falls back to lstsq on its own input. Every numpy call
-    here gives each item the bits of its 2-D call, so item i's fitted, rank,
-    rank_deficient and route are what `fit(designs[i], labels[i])` gives,
-    bit for bit, whatever else the block holds. Non-finite labels in any
-    item raise ValueError; a non-finite design never passes the certificate
-    and raises ValueError before the SVD. The Gram stack is formed in the
-    workspace's gram buffer (or the call's own); no returned array views it.
+    that certifies every item, and one solve of the (B, rows, k) label
+    columns; an item that fails the certificate alone falls back to lstsq on
+    its own columns. Every stacked call gives each item the bits it gives a
+    block of one, so item i's fitted, rank, rank_deficient and route are what
+    `fit(designs[i], labels[i])` gives, bit for bit, whatever else the block
+    holds. Non-finite labels in any item raise ValueError; a non-finite
+    design never passes the certificate and raises ValueError before the
+    SVD. The Gram stack is formed in the workspace's gram buffer (or the
+    call's own); no returned array views it.
     """
     designs = np.asarray(designs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -387,21 +367,21 @@ def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
     np.matmul(factor, factor.mT, out=gram)
     certified = _certify(gram, rows + p + 2)
     rank = np.full(count, min(rows, p))
-    if certified.all():
-        fitted = _gram_stack(designs, labels, gram, wide)
-    else:
-        fitted = np.empty((count, p) + labels.shape[2:])
-        items = np.flatnonzero(certified)
-        if items.size:
-            fitted[items] = _gram_stack(designs[items], labels[items], gram[items], wide)
+    columns = labels.reshape(count, rows, -1)
+    every = certified.all()
+    items = slice(None) if every else certified  # a view of the whole stack when all pass
+    fitted = _gram_fit(designs[items], columns[items], gram[items], wide)
+    if not every:
+        solved, fitted = fitted, np.empty((count, p, columns.shape[-1]))
+        fitted[certified] = solved
         for item in np.flatnonzero(~certified):
             if not np.isfinite(designs[item]).all():
                 raise ValueError("design must be finite, got a NaN or inf entry")
             fitted[item], _, rank[item], _ = np.linalg.lstsq(
-                designs[item], labels[item], rcond=None
+                designs[item], columns[item], rcond=None
             )
     return BlockFit(
-        fitted=fitted,
+        fitted=fitted.reshape((count, p) + labels.shape[2:]),
         rank=rank,
         rank_deficient=rank < min(rows, p),
         route=np.where(certified, "gram", "lstsq"),
@@ -535,11 +515,10 @@ def two_stage_fit(
 def excess_risks(betas: np.ndarray, beta_star: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """sum_i lam_i * (betas_i - beta_star_i)^2 over the last axis of (..., p) betas.
 
-    lam is a validated spectrum. Each vector's sum runs as
-    `empirical_excess_risk` runs it on that vector alone, bit for bit.
+    lam is a validated spectrum and beta_star a validated (p,) vector. Each
+    vector's sum runs as `empirical_excess_risk` runs it on that vector alone,
+    bit for bit.
     """
-    if betas.shape[-1:] != lam.shape or beta_star.shape != lam.shape:
-        raise ValueError("betas, beta_star and spectrum must share one length")
     diff = np.subtract(betas, beta_star, order="C")
     return np.sum((lam * diff**2)[..., ::-1], axis=-1)
 
@@ -547,8 +526,6 @@ def excess_risks(betas: np.ndarray, beta_star: np.ndarray, lam: np.ndarray) -> n
 def empirical_excess_risk(beta_hat, beta_star, spectrum) -> float:
     """Population excess risk sum_i lambda_i * (beta_hat_i - beta_star_i)^2."""
     lam = as_spectrum(spectrum)
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_hat.shape != lam.shape:
-        raise ValueError("beta_hat, beta_star and spectrum must share one length")
+    beta_hat = _as_coefficients(beta_hat, lam.size, "beta_hat")
+    beta_star = _as_coefficients(beta_star, lam.size, "beta_star")
     return float(excess_risks(beta_hat, beta_star, lam))

@@ -44,7 +44,13 @@ from ..estimators import (
     trial_blocks,
     two_stage_block,
 )
-from ..spectrum import as_spectrum, power_law_signal, power_law_spectrum, solve_tau
+from ..spectrum import (
+    _as_coefficients,
+    as_spectrum,
+    power_law_signal,
+    power_law_spectrum,
+    solve_tau,
+)
 from ..theory import _gains, _one_stage_terms, one_stage_risk, two_stage_risk
 from .config import ExperimentConfig
 
@@ -159,7 +165,7 @@ def mc_one_stage_risks(
     below 1 raise ValueError.
     """
     lam = as_spectrum(spectrum)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
+    beta_star = _as_coefficients(beta_star, lam.size, "beta_star")
     surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
     def one_block(block: range, workspace: Workspace) -> np.ndarray:
@@ -171,7 +177,7 @@ def mc_one_stage_risks(
             risks.append(excess_risks(fitted, beta_star, lam).reshape(len(block), -1))
         return np.concatenate(risks, axis=1)
 
-    risks = _fan_out_blocks(one_block, trials, max(n) * (lam.size + 1), workers)
+    risks = _fan_out_blocks(one_block, trials, max(n, default=0) * (lam.size + 1), workers)
     widths = [1 if values.ndim == 1 else len(values) for values in surrogates]
     points = np.split(risks, np.cumsum(widths)[:-1], axis=1)
     return [

@@ -87,6 +87,26 @@ def as_spectrum(eigenvalues) -> np.ndarray:
     return lam
 
 
+def _as_coefficients(values, p: int, name: str) -> np.ndarray:
+    """Validate and return a coefficient vector `name` as a float64 array of shape (p,).
+
+    The one check of every coefficient vector an entry point takes: any
+    other shape, and a NaN or inf entry, raise ValueError naming the argument.
+    """
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (p,):
+        raise ValueError(f"{name} has shape {vector.shape}, the spectrum has ({p},)")
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{name} must be finite, got a NaN or inf entry")
+    return vector
+
+
+def _check_noise(sigma_sq, name: str) -> None:
+    """Refuse a noise variance `name` that is not finite and >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= sigma_sq < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma_sq}")
+
+
 def _leaf_width(p: int) -> int:
     """Longest leaf of the column tree over p columns: the size of a leaf buffer."""
     return min(p, max(_CHUNK_COLUMNS, _PAIRWISE_RUN))

@@ -39,7 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ProblemInstance
-from .spectrum import SpectralStats, _tail_first_sum, as_spectrum, solve_tau
+from .spectrum import (
+    SpectralStats,
+    _as_coefficients,
+    _check_noise,
+    _tail_first_sum,
+    as_spectrum,
+    solve_tau,
+)
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,10 @@ def _check_stats(stats: SpectralStats) -> None:
         raise RuntimeError(f"internal inconsistency: Omega={stats.omega} outside (0, 1)")
 
 
-def _shrinkage(lam: np.ndarray, tau: float, complement: bool = True):
-    """1 - zeta = lambda/(lambda + tau) (None unless complement) and zeta^2 for one leaf."""
+def _shrinkage(lam: np.ndarray, tau: float):
+    """1 - zeta = lambda/(lambda + tau) and zeta^2 for one leaf."""
     shifted = lam + tau
-    one_minus = lam / shifted if complement else None
+    one_minus = lam / shifted
     zeta_sq = np.divide(tau, shifted, out=shifted)
     return one_minus, np.square(zeta_sq, out=zeta_sq)
 
@@ -87,13 +94,12 @@ def _gains(one_minus: np.ndarray, zeta_sq: np.ndarray, ratio: float, out: np.nda
     return np.divide(one_minus, out, out=out)
 
 
-def _one_stage_sums(stats: SpectralStats, beta_star: np.ndarray | None, surrogates):
+def _one_stage_sums(stats: SpectralStats, beta_star: np.ndarray, surrogates):
     """Tail-first sums of the one-stage bias and noise-energy terms per surrogate row.
 
     Returns a (2, k) array: row 0 sums lambda_i ((1 - zeta_i) s_i -
     beta_star_i)^2 and row 1 sums lambda_i zeta_i^2 s_i^2, for each surrogate
-    row s. With beta_star None only the energy row is computed, as a (1, k)
-    array. The surrogates are a (k, p) stack, or a function rows(cols,
+    row s. The surrogates are a (k, p) stack, or a function rows(cols,
     one_minus, zeta_sq) that returns the (k, len) rows of one leaf of columns
     from that leaf's 1 - zeta and zeta^2 (which it may overwrite), so no row
     need be held whole. One pass per leaf of the column tree computes 1 - zeta
@@ -102,24 +108,22 @@ def _one_stage_sums(stats: SpectralStats, beta_star: np.ndarray | None, surrogat
     """
     tau = stats.tau
     lam_all = stats.eigenvalues
-    complement = beta_star is not None or callable(surrogates)
 
     def leaf(cols: slice) -> np.ndarray:
         lam = lam_all[cols]
-        one_minus, zeta_sq = _shrinkage(lam, tau, complement)
+        one_minus, zeta_sq = _shrinkage(lam, tau)
         lam_zeta_sq = zeta_sq * lam
         if callable(surrogates):
             rows = surrogates(cols, one_minus, zeta_sq)
         else:
             rows = surrogates[..., cols]
-        terms = np.empty((1 if beta_star is None else 2,) + rows.shape)
-        energy = np.square(rows, out=terms[-1])
+        terms = np.empty((2,) + rows.shape)
+        energy = np.square(rows, out=terms[1])
         energy *= lam_zeta_sq
-        if beta_star is not None:
-            bias = np.multiply(one_minus, rows, out=terms[0])
-            bias -= beta_star[cols]
-            np.square(bias, out=bias)
-            bias *= lam
+        bias = np.multiply(one_minus, rows, out=terms[0])
+        bias -= beta_star[cols]
+        np.square(bias, out=bias)
+        bias *= lam
         return np.sum(terms[..., ::-1], axis=-1)
 
     return _tail_first_sum(stats.p, leaf)
@@ -151,13 +155,11 @@ def gamma_t_sq(stats: SpectralStats, beta_s, sigma_sq: float) -> float:
     its own labels.
     """
     _check_stats(stats)
-    beta_s = np.asarray(beta_s, dtype=np.float64)
-    if beta_s.shape != stats.eigenvalues.shape:
-        raise ValueError("beta_s must match the spectrum length")
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    beta_s = _as_coefficients(beta_s, stats.p, "beta_s")
+    _check_noise(sigma_sq, "sigma_sq")
     kappa = stats.p / stats.n
-    energy = sigma_sq + float(_one_stage_sums(stats, None, beta_s[None, :])[0, 0])
+    # row 1, the label energy, does not read the reference vector
+    energy = sigma_sq + float(_one_stage_sums(stats, beta_s, beta_s[None, :])[1, 0])
     return kappa * energy / (1.0 - stats.omega)
 
 
@@ -176,12 +178,9 @@ def one_stage_risk(stats: SpectralStats, beta_star, beta_s, sigma_sq: float) -> 
         RiskReport with total = bias + variance exactly.
     """
     _check_stats(stats)
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    beta_s = np.asarray(beta_s, dtype=np.float64)
-    if beta_star.shape != stats.eigenvalues.shape or beta_s.shape != stats.eigenvalues.shape:
-        raise ValueError("beta_star and beta_s must match the spectrum length")
+    _check_noise(sigma_sq, "sigma_sq")
+    beta_star = _as_coefficients(beta_star, stats.p, "beta_star")
+    beta_s = _as_coefficients(beta_s, stats.p, "beta_s")
     bias, variance = _one_stage_terms(stats, beta_star, beta_s[None, :], sigma_sq)
     bias, variance = float(bias[0]), float(variance[0])
     return RiskReport(bias=bias, variance=variance, total=bias + variance)
@@ -275,9 +274,9 @@ def covariance_shift_map(beta_star, spectrum_s, spectrum_t) -> np.ndarray:
     """
     lam_s = as_spectrum(spectrum_s)
     lam_t = as_spectrum(spectrum_t)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if lam_s.shape != lam_t.shape or beta_star.shape != lam_t.shape:
-        raise ValueError("spectra and beta_star must share one length")
+    if lam_s.shape != lam_t.shape:
+        raise ValueError("spectrum_s and spectrum_t must share one length")
+    beta_star = _as_coefficients(beta_star, lam_t.size, "beta_star")
     return np.sqrt(lam_s / lam_t) * beta_star
 
 
@@ -295,11 +294,11 @@ def to_spectral_coordinates(cov: np.ndarray, beta: np.ndarray) -> tuple[np.ndarr
         basis, so downstream code only ever sees the pair.
     """
     cov = np.asarray(cov, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"cov must be square, got shape {cov.shape}")
-    if beta.shape != (cov.shape[0],):
-        raise ValueError(f"beta shape {beta.shape} does not match cov {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise ValueError("cov must be finite, got a NaN or inf entry")
+    beta = _as_coefficients(beta, cov.shape[0], "beta")
     scale = max(1.0, float(np.max(np.abs(cov))))
     if float(np.max(np.abs(cov - cov.T))) > 1e-10 * scale:
         raise ValueError("cov must be symmetric")

@@ -390,6 +390,7 @@ class TestSharedDesignFit:
         """One-column Gram solves of 126-500 rows reach np.linalg.solve with > 500 entries.
 
         numpy holds the GIL for smaller outputs; every other solve is passed as is.
+        A lone fit is a block of one, so b has the stacked (1, m, columns) layout.
         """
         sizes = []
         solve = np.linalg.solve
@@ -406,9 +407,42 @@ class TestSharedDesignFit:
         gram_size = min(shape)
         (b_shape,) = sizes
         if widened:
-            assert b_shape[0] == gram_size and np.prod(b_shape) > 500
+            assert b_shape[-2] == gram_size and np.prod(b_shape) > 500
         else:
-            assert b_shape == labels.shape  # both cases are wide: b is the labels
+            assert b_shape == (1, shape[0], k)  # both cases are wide: b is the label columns
+
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        [(30, 80), (90, 300), (240, 300), (285, 300), (100, 500), (600, 300), (90, 40)],
+        ids=str,
+    )
+    def test_gram_route_has_the_bits_of_the_2d_numpy_route(self, shape, columns):
+        """A lone fit runs stacked calls; they give it the bits of numpy's 2-D calls.
+
+        Wide: X^T solve(X X^T, y); tall: solve(X^T X, X^T y); a one-column solve of
+        Gram size 126-500 widened with zero columns, as fit widens it.
+        """
+        rng = np.random.default_rng(41)
+        design = rng.normal(size=shape)
+        rows, p = shape
+        labels = rng.normal(size=(rows,) if columns is None else (rows, columns))
+        out = fit(design, labels)
+        assert out.route == "gram"
+
+        wide = rows < p
+        gram = design @ design.T if wide else design.T @ design
+        rhs = labels if wide else design.T @ labels
+        size = len(gram)
+        if columns in (None, 1) and 126 <= size <= 500:
+            widened = np.zeros((size, 500 // size + 1))
+            widened[:, 0] = rhs.reshape(size)
+            solved = np.linalg.solve(gram, widened)[:, 0].reshape(rhs.shape)
+        else:
+            solved = np.linalg.solve(gram, rhs)
+        expected = design.T @ solved if wide else solved
+        assert out.fitted.shape == expected.shape
+        assert np.array_equal(out.fitted, expected)
 
     def test_shape_validation(self):
         design = np.ones((4, 6))

@@ -842,6 +842,12 @@ class TestWorkspaces:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             mc_two_stage_risks(self._two_stage_insts(20, 2.0, [(8, 6)]), trials, 3)
 
+    def test_empty_one_stage_sweep_names_the_fault(self):
+        spectrum = power_law_spectrum(20, 2.0)
+        beta = power_law_signal(20, 2.0, 1.5)
+        with pytest.raises(ValueError, match="need one beta per count, got 0 and 0"):
+            mc_one_stage_risks(spectrum, beta, [], 0.1, [], 3, 1)
+
     def test_returned_arrays_outlive_later_monte_carlo_calls(self):
         """Public results keep their values through later same-shape Monte Carlo calls."""
         p, n, sigma_sq = 60, 40, 0.1

@@ -1,5 +1,7 @@
 """Tests for the closed-form risk formulas against hand values and blunt re-derivations."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from w2s_lab import (
     two_stage_fit,
     two_stage_risk,
 )
-from w2s_lab.harness.experiments import mean_and_se
+from w2s_lab.estimators import sample_block
+from w2s_lab.harness.experiments import mc_one_stage_risks, mean_and_se
 from w2s_lab.spectrum import _tolerance
 
 
@@ -377,3 +380,88 @@ class TestColumnBlocks:
             for got, want in zip(kernel, _inline_one_stage(st, beta, stack, 0.05)):
                 assert np.array_equal(got, want)
         assert brute_force_mask(lam, beta, 5, 0.05) == expected
+
+
+_P, _N = 6, 3
+_LAM = power_law_spectrum(_P, 2.0)
+_BETA = power_law_signal(_P, 2.0, 1.5)
+
+
+def _instance(beta_star=_BETA, sigma_t_sq=0.1, sigma_s_sq=0.1):
+    return ProblemInstance(_LAM, _LAM, beta_star, sigma_t_sq, sigma_s_sq, _N, _N)
+
+
+# Every entry point that takes coefficient vectors (arguments beta*) or noise
+# variances (sigma*), called with valid values unless a keyword replaces one.
+_ENTRY_POINTS = {
+    "one_stage_risk": lambda beta_star=_BETA, beta_s=_BETA, sigma_sq=0.1: one_stage_risk(
+        solve_tau(_LAM, _N), beta_star, beta_s, sigma_sq
+    ),
+    "two_stage_risk": lambda beta_star=_BETA, sigma_t_sq=0.1, sigma_s_sq=0.1: two_stage_risk(
+        _instance(beta_star, sigma_t_sq, sigma_s_sq)
+    ),
+    "gamma_t_sq": lambda beta_s=_BETA, sigma_sq=0.1: gamma_t_sq(
+        solve_tau(_LAM, _N), beta_s, sigma_sq
+    ),
+    "covariance_shift_map": lambda beta_star=_BETA: covariance_shift_map(beta_star, _LAM, _LAM),
+    "to_spectral_coordinates": lambda beta=_BETA: to_spectral_coordinates(np.diag(_LAM), beta),
+    "optimal_surrogate": lambda beta_star=_BETA: optimal_surrogate(
+        solve_tau(_LAM, _N), beta_star
+    ),
+    "brute_force_mask": lambda beta_star=_BETA, sigma_sq=0.1: brute_force_mask(
+        _LAM, beta_star, _N, sigma_sq
+    ),
+    "empirical_excess_risk": lambda beta_hat=_BETA, beta_star=_BETA: empirical_excess_risk(
+        beta_hat, beta_star, _LAM
+    ),
+    "ProblemInstance": _instance,
+    "mc_one_stage_risks": lambda beta_star=_BETA, sigma_sq=0.1: mc_one_stage_risks(
+        _LAM, beta_star, [_BETA], sigma_sq, [_N], 2, 1
+    ),
+    "sample_block": lambda sigma_sq=0.1: sample_block(_LAM, [_BETA], sigma_sq, [_N], [1]),
+}
+_ARGUMENTS = [
+    (entry, argument)
+    for entry, call in _ENTRY_POINTS.items()
+    for argument in inspect.signature(call).parameters
+]
+
+
+class TestCoefficientCheck:
+    """Every entry point refuses a non-finite coefficient or an invalid noise variance by name."""
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_valid_arguments_pass(self, entry):
+        _ENTRY_POINTS[entry]()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "entry,argument", [case for case in _ARGUMENTS if case[1].startswith("beta")]
+    )
+    def test_non_finite_coefficient_is_refused(self, entry, argument, bad):
+        vector = _BETA.copy()
+        vector[2] = bad
+        with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+            _ENTRY_POINTS[entry](**{argument: vector})
+
+    @pytest.mark.parametrize(
+        "entry,argument", [case for case in _ARGUMENTS if case[1].startswith("beta")]
+    )
+    def test_wrong_shape_is_refused(self, entry, argument):
+        with pytest.raises(ValueError, match=f"^{argument} has shape"):
+            _ENTRY_POINTS[entry](**{argument: _BETA[:-1]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "entry,argument", [case for case in _ARGUMENTS if case[1].startswith("sigma")]
+    )
+    def test_invalid_noise_variance_is_refused(self, entry, argument, bad):
+        with pytest.raises(ValueError, match=f"^{argument} must be finite and >= 0"):
+            _ENTRY_POINTS[entry](**{argument: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_is_refused(self, bad):
+        cov = np.diag(_LAM)
+        cov[1, 1] = bad
+        with pytest.raises(ValueError, match="^cov must be finite"):
+            to_spectral_coordinates(cov, _BETA)
