@@ -26,6 +26,7 @@ import numpy as np
 from .spectrum import (
     SpectralStats,
     _as_coefficients,
+    _check_exponent,
     _check_noise,
     _leaves,
     _omega_window,
@@ -125,7 +126,7 @@ def mask_size(stats: SpectralStats) -> int:
 
 def masked_surrogate(beta_star, support) -> np.ndarray:
     """Surrogate equal to beta_star on `support` and zero elsewhere."""
-    beta_star = np.asarray(beta_star, dtype=np.float64)
+    beta_star = _as_coefficients(beta_star, np.size(beta_star), "beta_star")
     sup = frozenset(int(i) for i in support)
     for i in sup:
         if i < 0 or i >= beta_star.size:
@@ -197,8 +198,7 @@ def cutoff_indices(alpha: float, n: int) -> tuple[float, float]:
 
     and i_mask > i_gain for every alpha > 1.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     base = alpha * math.sin(math.pi / alpha) / math.pi
@@ -215,10 +215,8 @@ def scaling_exponent(alpha: float, beta_exp: float) -> float:
     The boundary beta_exp = 2*alpha + 1 carries a logarithmic correction and
     is rejected.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if not beta_exp > 1.0:
-        raise ValueError(f"beta_exp must be > 1, got {beta_exp}")
+    _check_exponent(alpha, "alpha")
+    _check_exponent(beta_exp, "beta_exp")
     boundary = 2.0 * alpha + 1.0
     if beta_exp == boundary:
         raise ValueError(
@@ -243,7 +241,7 @@ def benign_region_check(alpha: float, p: int, n: int) -> bool:
     """
     if p < 1 or n < 1:
         return False
-    if not alpha > 4.0:
+    if not 4.0 < alpha < math.inf:
         return False
     a = alpha
     low_edge, high_edge = _omega_window(a, p)

@@ -236,6 +236,8 @@ def sample_block(
     counts may be unsorted and repeat. betas has one entry per count, shared
     by every trial: a (p,) vector gives (B, c) labels, a (k, p) stack gives
     (B, c, k) labels whose column j is beta[j]'s labels, one noise draw for all.
+    A wrong shape, an empty stack or a NaN or inf entry raises ValueError
+    before anything is drawn.
     """
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
@@ -245,12 +247,13 @@ def sample_block(
         raise ValueError(f"count must be >= 1, got {min(counts)}")
     if len(seeds) == 0:
         raise ValueError("a trial block needs at least one seed")
+    betas = [np.asarray(beta, dtype=np.float64) for beta in betas]
+    for beta in betas:  # each vector and each row of a stack; an empty stack as a whole
+        for row in beta if beta.ndim == 2 and len(beta) else [beta]:
+            _as_coefficients(row, lam.size, "beta")
     design, noise = _draw(lam, sigma_sq, counts, seeds, workspace or Workspace())
     datasets = []
     for beta, count, count_noise in zip(betas, counts, noise):
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.ndim not in (1, 2) or beta.shape[-1:] != lam.shape or beta.size == 0:
-            raise ValueError(f"beta has shape {beta.shape}, spectrum has {lam.shape}")
         rows = design[:, :count]
         if beta.ndim == 1:
             labels = _labels(rows, beta, count_noise)

@@ -1,24 +1,1 @@
 """Experiment harness: config parsing, seeded Monte Carlo runners, CSV/JSON output."""
-
-from .config import EXPERIMENTS, KINDS, ConfigError, ExperimentConfig
-from .experiments import (
-    run_gain_profile,
-    run_mask_count,
-    run_risk_vs_n,
-    run_scaling_slope,
-    run_two_stage_grid,
-)
-from .verify import run_verify
-
-__all__ = [
-    "EXPERIMENTS",
-    "KINDS",
-    "ConfigError",
-    "ExperimentConfig",
-    "run_gain_profile",
-    "run_mask_count",
-    "run_risk_vs_n",
-    "run_scaling_slope",
-    "run_two_stage_grid",
-    "run_verify",
-]

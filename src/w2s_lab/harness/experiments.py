@@ -333,7 +333,7 @@ def run_gain_profile(cfg: ExperimentConfig):
     stats = solve_tau(lam, n)
     zeta = stats.zeta  # computed on each read, so read once
     gains = gain_profile(stats)
-    mask = optimal_mask(stats)
+    kept = mask_size(stats)  # the optimal mask is the prefix of this length
     optimal = optimal_surrogate(stats, signal)
     threshold_amplify = 1.0 - stats.omega
     threshold_mask = math.sqrt(threshold_amplify)
@@ -352,7 +352,7 @@ def run_gain_profile(cfg: ExperimentConfig):
                 float(signal[i]),
                 float(optimal[i]),
                 float(gains[i]),
-                1 if i in mask else 0,
+                1 if i < kept else 0,
                 threshold_amplify,
                 threshold_mask,
             )
@@ -387,60 +387,50 @@ def run_mask_count(cfg: ExperimentConfig):
     return MASK_COLUMNS, rows
 
 
-def _slope_point(spectrum, beta_star, n, sigma_sq, want_target, want_optimal):
-    """(ground-truth total, optimal total) at one n, None where not wanted.
+def _slope_point(spectrum, beta_star, n, sigma_sq):
+    """(ground-truth total, optimal total) at one n, from one streamed pass.
 
-    Both totals come from one streamed pass of the one-stage kernel, whose
-    rows (beta_star, then the optimal surrogate gains * beta_star) are filled
-    leaf by leaf from the leaf's own 1 - zeta and zeta^2: the bits of
-    omniscient_risk and of one_stage_risk on optimal_surrogate, with no
-    p-length array beyond the point's solve.
+    The one-stage kernel's two rows, beta_star and then the optimal surrogate
+    gains * beta_star, are filled leaf by leaf from the leaf's own 1 - zeta
+    and zeta^2: the bits of omniscient_risk and of one_stage_risk on
+    optimal_surrogate, with no p-length array beyond the point's solve.
     """
     stats = solve_tau(spectrum, n)
     ratio = stats.omega / (1.0 - stats.omega)
-    rows = int(want_target) + int(want_optimal)
 
     def fill(cols, one_minus, zeta_sq):
         beta = beta_star[cols]
-        values = np.empty((rows, beta.size))
-        if want_target:
-            values[0] = beta
-        if want_optimal:
-            _gains(one_minus, zeta_sq, ratio, out=values[-1])
-            values[-1] *= beta
+        values = np.empty((2, beta.size))
+        values[0] = beta
+        _gains(one_minus, zeta_sq, ratio, out=values[1])
+        values[1] *= beta
         return values
 
     bias, variance = _one_stage_terms(stats, beta_star, fill, sigma_sq)
-    totals = iter((bias + variance).tolist())
-    return (
-        next(totals) if want_target else None,
-        next(totals) if want_optimal else None,
-    )
+    return tuple((bias + variance).tolist())
 
 
 def run_scaling_slope(cfg: ExperimentConfig):
     """Theory-only risk decay series plus fitted and predicted log-log slopes.
 
-    Every row repeats the three slopes; a series not requested via kinds has
-    None in its total and slope columns.
+    Each n costs one solve and one fused pass that gives both series'
+    totals (see _slope_point). Every row repeats the three slopes; a series
+    not requested via kinds has None in its total and slope columns.
     """
     (alpha,) = cfg.alpha
     spectrum = power_law_spectrum(cfg.p, alpha)
     beta_star = power_law_signal(cfg.p, alpha, cfg.beta_exp)
-    want_target = "ground-truth" in cfg.kinds
-    want_optimal = "optimal" in cfg.kinds
 
     n_values = sorted(cfg.n)
-    points = [
-        _slope_point(spectrum, beta_star, n, cfg.sigma_t_sq, want_target, want_optimal)
-        for n in n_values
-    ]
+    points = [_slope_point(spectrum, beta_star, n, cfg.sigma_t_sq) for n in n_values]
 
-    def fitted_slope(totals):
-        return float(np.polyfit(np.log(n_values), np.log(totals), 1)[0])
+    def series(kind, totals):
+        if kind not in cfg.kinds:
+            return [None] * len(totals), None
+        return totals, float(np.polyfit(np.log(n_values), np.log(totals), 1)[0])
 
-    slope_target = fitted_slope([target for target, _ in points]) if want_target else None
-    slope_optimal = fitted_slope([optimal for _, optimal in points]) if want_optimal else None
+    target, slope_target = series("ground-truth", [t for t, _ in points])
+    optimal, slope_optimal = series("optimal", [o for _, o in points])
     predicted = -scaling_exponent(alpha, cfg.beta_exp)
 
     rows = [
@@ -451,13 +441,13 @@ def run_scaling_slope(cfg: ExperimentConfig):
             cfg.beta_exp,
             cfg.sigma_t_sq,
             n,
-            target,
-            optimal,
+            target_total,
+            optimal_total,
             slope_target,
             slope_optimal,
             predicted,
         )
-        for n, (target, optimal) in zip(n_values, points)
+        for n, target_total, optimal_total in zip(n_values, target, optimal)
     ]
     return SLOPE_COLUMNS, rows
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import ProblemInstance
-from .spectrum import as_spectrum, solve_tau
+from .spectrum import _as_coefficients, _check_noise, as_spectrum, solve_tau
 from .theory import RiskReport
 
 
@@ -43,9 +43,10 @@ def one_stage_risk_dense(
     """
     lam = as_spectrum(spectrum)
     p = lam.size
+    _check_noise(sigma_sq, "sigma_sq")
     sigma, u = _rotate(lam, basis)
-    b_star = u @ np.asarray(beta_star, dtype=np.float64)
-    b_s = u @ np.asarray(beta_s, dtype=np.float64)
+    b_star = u @ _as_coefficients(beta_star, p, "beta_star")
+    b_s = u @ _as_coefficients(beta_s, p, "beta_s")
 
     tau = solve_tau(lam, n).tau
     resolvent = np.linalg.inv(sigma + tau * np.eye(p))

@@ -107,6 +107,12 @@ def _check_noise(sigma_sq, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {sigma_sq}")
 
 
+def _check_exponent(value, name: str) -> None:
+    """Refuse a power-law exponent `name` that is not finite and > 1 (NaN fails the comparison)."""
+    if not 1.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 1, got {value}")
+
+
 def _leaf_width(p: int) -> int:
     """Longest leaf of the column tree over p columns: the size of a leaf buffer."""
     return min(p, max(_CHUNK_COLUMNS, _PAIRWISE_RUN))
@@ -402,12 +408,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
 def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     """Spectrum lambda_i = i^(-alpha) for i = 1..p.
 
-    Requires p >= 1 and alpha > 1 (summability of the head-heavy tail).
+    Requires p >= 1 and a finite alpha > 1 (summability of the head-heavy tail).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     idx = np.arange(1, p + 1, dtype=np.float64)
     idx **= -alpha  # in place: numpy's scalar-power path, the bits of idx ** (-alpha)
     return idx
@@ -418,14 +423,12 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
 
     Chosen so that the per-coordinate signal energy satisfies
     lambda_i * beta_i^2 = i^(-beta_exp) when lambda_i = i^(-alpha).
-    Requires alpha > 1 and beta_exp > 1.
+    Requires finite alpha > 1 and finite beta_exp > 1.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if not beta_exp > 1.0:
-        raise ValueError(f"beta_exp must be > 1, got {beta_exp}")
+    _check_exponent(alpha, "alpha")
+    _check_exponent(beta_exp, "beta_exp")
     idx = np.arange(1, p + 1, dtype=np.float64)
     idx **= 0.5 * (alpha - beta_exp)
     return idx
@@ -433,8 +436,7 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
 
 def tau_asymptotic(alpha: float, n: int) -> float:
     """Large-p approximation tau ~ c * n^(-alpha), c = (pi/(alpha*sin(pi/alpha)))^alpha."""
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     c = (math.pi / (alpha * math.sin(math.pi / alpha))) ** alpha
@@ -443,8 +445,7 @@ def tau_asymptotic(alpha: float, n: int) -> float:
 
 def omega_asymptotic(alpha: float) -> float:
     """Large-p, large-n limit of Omega for a power-law spectrum: (alpha-1)/alpha."""
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     return (alpha - 1.0) / alpha
 
 
@@ -483,8 +484,7 @@ def tau_bounds_nonasymptotic(alpha: float, p: int, n: int) -> tuple[float, float
     Raises:
         HypothesisViolatedError: when n >= p*k.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
     k = _tau_hypothesis_k(alpha)
@@ -510,8 +510,7 @@ def omega_lower_bound(alpha: float, p: int, n: int) -> float:
     Raises:
         HypothesisViolatedError: when n falls outside the window.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_exponent(alpha, "alpha")
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
     low_edge, high_edge = _omega_window(alpha, p)

@@ -128,9 +128,7 @@ class TestFusedSlopePoint:
     def test_matches_the_oracles(self, monkeypatch, problem, width):
         lam, beta, expected = problem
         monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", width)
-        assert _slope_point(lam, beta, 4_000, 0.05, True, True) == expected
-        assert _slope_point(lam, beta, 4_000, 0.05, True, False) == (expected[0], None)
-        assert _slope_point(lam, beta, 4_000, 0.05, False, True) == (None, expected[1])
+        assert _slope_point(lam, beta, 4_000, 0.05) == expected
 
 
 class TestStreamedMemory:

@@ -1,6 +1,7 @@
 """Tests for surrogate designers, mask selection, and the asymptotic predictors."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -358,3 +359,7 @@ class TestBenignRegion:
     def test_small_alpha_never_certified(self):
         for n in (100, 2000, 5000):
             assert benign_region_check(3.0, 10**4, n) is False
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_not_certified(self, alpha):
+        assert benign_region_check(alpha, 10**4, 4563) is False

@@ -150,6 +150,17 @@ class TestSamplePrefixes:
         with pytest.raises(ValueError):
             sample_block(lam, [np.ones(5), np.ones(5)], 0.1, [3, 0], [1])
 
+    @pytest.mark.parametrize(
+        "beta",
+        [np.ones((0, 5)), np.array([np.ones(5), [1.0, 1.0, np.nan, 1.0, 1.0]]), np.ones((2, 2, 5))],
+        ids=["empty-stack", "nan-in-a-row", "three-dims"],
+    )
+    def test_bad_beta_is_refused_before_the_draw(self, beta):
+        workspace = estimators.Workspace()
+        with pytest.raises(ValueError, match="^beta "):
+            sample_block(power_law_spectrum(5, 2.0), [np.ones(5), beta], 0.1, [3, 4], [1], workspace)
+        assert workspace._buffers == {}
+
 
 class TestSampleBlock:
     @pytest.mark.parametrize("sigma_sq", [0.0, 0.3])

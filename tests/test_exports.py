@@ -1,17 +1,24 @@
 """The public surface: each package's __all__ is exactly the names its __init__ imports,
-and no module keeps a private twin `_name` of a name it defines."""
+no module keeps a private twin `_name` of a name it defines, and each harness
+module imports on its own."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import w2s_lab
 
-PACKAGES = ("w2s_lab", "w2s_lab.harness")
+PACKAGES = ("w2s_lab",)
 SOURCE = pathlib.Path(w2s_lab.__file__).parent
+HARNESS_MODULES = sorted(
+    path.stem for path in (SOURCE / "harness").glob("*.py") if path.stem != "__init__"
+)
 
 
 def _imported_names(module) -> set:
@@ -60,3 +67,17 @@ def test_no_module_defines_a_name_and_its_private_twin():
         if pairs:
             twins[str(path.relative_to(SOURCE))] = pairs
     assert twins == {}
+
+
+@pytest.mark.parametrize("module", HARNESS_MODULES)
+def test_each_harness_module_imports_alone(module):
+    # the harness package root imports nothing, so a module that leans on an
+    # import made elsewhere fails here, in a fresh interpreter
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import w2s_lab.harness.{module}"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

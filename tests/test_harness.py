@@ -519,6 +519,28 @@ class TestScalingSlope:
         assert slope_target == pytest.approx(-0.5, abs=0.25)
         assert slope_optimal == pytest.approx(-0.5, abs=0.25)
 
+    @pytest.mark.parametrize(
+        "kind,blank",
+        [
+            ("ground-truth", ("optimal_total", "slope_optimal")),
+            ("optimal", ("target_total", "slope_target")),
+        ],
+    )
+    def test_one_kind_keeps_its_series_and_blanks_the_other(self, kind, blank):
+        # several leaves of the column tree, so the fused pass streams
+        settings = {"p": 3 * 2**14 + 5, "n": (400, 100, 200, 800)}
+        both = build_config("scaling-slope", {**settings, "kinds": ("ground-truth", "optimal")})
+        alone = build_config("scaling-slope", {**settings, "kinds": (kind,)})
+        _, both_rows = run_scaling_slope(both)
+        _, alone_rows = run_scaling_slope(alone)
+        assert len(alone_rows) == len(both_rows) == 4
+        for both_row, alone_row in zip(both_rows, alone_rows):
+            for column, both_value, alone_value in zip(SLOPE_COLUMNS, both_row, alone_row):
+                if column in blank:
+                    assert alone_value is None, column
+                else:
+                    assert both_value is not None and alone_value == both_value, column
+
 
 class TestValidationCount:
     """Each sweep point of the large-p theory experiments validates its spectrum once."""

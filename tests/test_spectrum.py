@@ -13,6 +13,7 @@ from w2s_lab import (
     NonConvergenceError,
     ProblemInstance,
     SpectralStats,
+    cutoff_indices,
     fixed_point_residual,
     omega_asymptotic,
     omega_lower_bound,
@@ -21,6 +22,7 @@ from w2s_lab import (
     optimal_surrogate,
     power_law_signal,
     power_law_spectrum,
+    scaling_exponent,
     solve_tau,
     tau_asymptotic,
     tau_bounds_nonasymptotic,
@@ -358,6 +360,31 @@ class TestBuilders:
         lam = as_spectrum([2.0, 1.0, 0.5])
         assert lam.dtype == np.float64
         assert lam.shape == (3,)
+
+
+# Every power-law exponent check, by function and argument: the other
+# arguments are valid, so only the named exponent can be refused.
+_EXPONENTS = {
+    ("power_law_spectrum", "alpha"): lambda a: power_law_spectrum(10, a),
+    ("power_law_signal", "alpha"): lambda a: power_law_signal(10, a, 1.5),
+    ("power_law_signal", "beta_exp"): lambda b: power_law_signal(10, 2.0, b),
+    ("tau_asymptotic", "alpha"): lambda a: tau_asymptotic(a, 10),
+    ("omega_asymptotic", "alpha"): omega_asymptotic,
+    ("tau_bounds_nonasymptotic", "alpha"): lambda a: tau_bounds_nonasymptotic(a, 1000, 100),
+    ("omega_lower_bound", "alpha"): lambda a: omega_lower_bound(a, 1000, 400),
+    ("cutoff_indices", "alpha"): lambda a: cutoff_indices(a, 10),
+    ("scaling_exponent", "alpha"): lambda a: scaling_exponent(a, 1.5),
+    ("scaling_exponent", "beta_exp"): lambda b: scaling_exponent(2.0, b),
+}
+
+
+class TestExponentCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.0, 0.5])
+    @pytest.mark.parametrize("case", _EXPONENTS, ids="-".join)
+    def test_exponent_must_be_finite_and_above_one(self, case, bad):
+        _, name = case
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 1, got {bad}$"):
+            _EXPONENTS[case](bad)
 
 
 class TestAsymptotics:

@@ -15,6 +15,7 @@ from w2s_lab import (
     gain_profile,
     gamma_t_sq,
     mask_size,
+    masked_surrogate,
     omniscient_risk,
     one_stage_risk,
     optimal_mask,
@@ -29,6 +30,7 @@ from w2s_lab import (
 )
 from w2s_lab.estimators import sample_block
 from w2s_lab.harness.experiments import mc_one_stage_risks, mean_and_se
+from w2s_lab.reference import one_stage_risk_dense
 from w2s_lab.spectrum import _tolerance
 
 
@@ -418,7 +420,14 @@ _ENTRY_POINTS = {
     "mc_one_stage_risks": lambda beta_star=_BETA, sigma_sq=0.1: mc_one_stage_risks(
         _LAM, beta_star, [_BETA], sigma_sq, [_N], 2, 1
     ),
-    "sample_block": lambda sigma_sq=0.1: sample_block(_LAM, [_BETA], sigma_sq, [_N], [1]),
+    "sample_block": lambda beta=_BETA, sigma_sq=0.1: sample_block(
+        _LAM, [beta], sigma_sq, [_N], [1]
+    ),
+    "sample_dataset": lambda beta=_BETA, sigma_sq=0.1: sample_dataset(_LAM, beta, sigma_sq, _N, 1),
+    "one_stage_risk_dense": lambda beta_star=_BETA, beta_s=_BETA, sigma_sq=0.1: (
+        one_stage_risk_dense(_LAM, beta_star, beta_s, _N, sigma_sq)
+    ),
+    "masked_surrogate": lambda beta_star=_BETA: masked_surrogate(beta_star, {0, 1}),
 }
 _ARGUMENTS = [
     (entry, argument)
@@ -445,7 +454,13 @@ class TestCoefficientCheck:
             _ENTRY_POINTS[entry](**{argument: vector})
 
     @pytest.mark.parametrize(
-        "entry,argument", [case for case in _ARGUMENTS if case[1].startswith("beta")]
+        "entry,argument",
+        # masked_surrogate has no spectrum: any length is its own
+        [
+            (entry, argument)
+            for entry, argument in _ARGUMENTS
+            if argument.startswith("beta") and entry != "masked_surrogate"
+        ],
     )
     def test_wrong_shape_is_refused(self, entry, argument):
         with pytest.raises(ValueError, match=f"^{argument} has shape"):
