@@ -336,17 +336,17 @@ def _gram_fit(designs: np.ndarray, columns: np.ndarray, gram: np.ndarray, wide: 
 def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
     """Minimum-norm least-squares fits of a (B, rows, p) stack of designs.
 
-    labels is (B, rows) or (B, rows, k); fitted is then (B, p) or (B, p, k).
-    The stack shares one Gram product (syrk per item), one shifted Cholesky
-    that certifies every item, and one solve of the (B, rows, k) label
-    columns; an item that fails the certificate alone falls back to lstsq on
-    its own columns. Every stacked call gives each item the bits it gives a
-    block of one, so item i's fitted, rank, rank_deficient and route are what
-    `fit(designs[i], labels[i])` gives, bit for bit, whatever else the block
-    holds. Non-finite labels in any item raise ValueError; a non-finite
-    design never passes the certificate and raises ValueError before the
-    SVD. The Gram stack is formed in the workspace's gram buffer (or the
-    call's own); no returned array views it.
+    labels is (B, rows) or (B, rows, k), else ValueError (the one shape check of
+    `fit` too); fitted is then (B, p) or (B, p, k). The stack shares one Gram
+    product (syrk per item), one shifted Cholesky that certifies every item, and
+    one solve of the (B, rows, k) label columns; an item that fails the
+    certificate alone falls back to lstsq on its own columns. Every stacked call
+    gives each item the bits it gives a block of one, so item i's fitted, rank,
+    rank_deficient and route are what `fit(designs[i], labels[i])` gives, bit
+    for bit, whatever else the block holds. Non-finite labels in any item raise
+    ValueError; a non-finite design never passes the certificate and raises
+    ValueError before the SVD. The Gram stack is formed in the workspace's gram
+    buffer (or the call's own); no returned array views it.
     """
     designs = np.asarray(designs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -357,8 +357,8 @@ def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
         or labels.shape[2:] == (0,)
     ):
         raise ValueError(
-            "designs must be (B, rows, p) with one label per row, "
-            f"got {designs.shape} and {labels.shape}"
+            "a design must be (rows, p), or (B, rows, p) in a block, with one label per row, "
+            f"got shapes {designs.shape} and {labels.shape}"
         )
     if not np.isfinite(labels).all():
         raise ValueError("labels must be finite, got a NaN or inf entry")
@@ -401,7 +401,7 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     falls back to the SVD-based solver with singular values below
     sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
     deficiency is reported, not fatal. This is the one-item case of
-    `fit_block`.
+    `fit_block`, whose ValueError refuses a design or labels of the wrong shape.
 
     labels is (rows,) or (rows, k), as `b` in np.linalg.solve, and fitted is
     then (p,) or (p, k). The route, rank and rank_deficient depend on the
@@ -413,17 +413,8 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if (
-        design.ndim != 2
-        or labels.ndim not in (1, 2)
-        or labels.shape[0] != design.shape[0]
-        or labels.shape[1:] == (0,)
-    ):
-        raise ValueError(
-            f"design must be 2-D with one label per row, got {design.shape} and {labels.shape}"
-        )
-    rows, p = design.shape
     block = fit_block(design[None], labels[None])
+    rows, p = design.shape
     return EstimatorOutput(
         fitted=block.fitted[0],
         regime="min-norm-interpolator" if rows < p else "ordinary-least-squares",

@@ -5,13 +5,13 @@ Usage:
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
 3 numerical failure. Results go to --out (CSV, optional JSON mirror) or to
-stdout when no path is given; status chatter goes to stderr.
+stdout when no path is given; status chatter goes to stderr. A NaN or infinity
+in a JSON output (the verify report or the mirror) is a numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
@@ -78,10 +78,7 @@ def _verify_report(cfg):
         print(
             f"{status} {prop['name']} (margin {prop['margin']:+.3e})", file=sys.stderr
         )
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a non-finite margin is a fault, not a bad config
-        raise FloatingPointError(f"verify report: {exc}") from exc
+    text = render_json(cfg, report)  # now, so a non-finite margin writes no file
     count = report["property_count"]
     passed = sum(1 for prop in report["properties"] if prop["passed"])
     print(f"{passed}/{count} properties passed", file=sys.stderr)
@@ -100,7 +97,7 @@ def _table(cfg):
         )
     renders = (
         lambda: render_csv(cfg, columns, rows),
-        lambda: render_json(cfg, columns, rows),
+        lambda: render_json(cfg, {"columns": columns, "rows": rows}),
     )
     return renders, 0
 

@@ -48,6 +48,9 @@ READERS = {
     "kinds": ("risk-vs-n", "scaling-slope"),
 }
 
+# The grids an experiment takes exactly one value of.
+ONE_VALUE = {"gain-profile": ("n", "alpha"), "risk-vs-n": ("alpha",), "scaling-slope": ("alpha",)}
+
 
 # Where an experiment's own rules refuse a shared default, its entry here
 # replaces it; file values and flags still win. A gain profile is taken at one
@@ -208,18 +211,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{f.name}: only {', '.join(readers)} {verb} {f.name}, got {value} for {exp}"
                 )
-        if exp in ("gain-profile",):
-            if len(self.n) != 1:
-                raise ConfigError(f"n: {exp} takes exactly one n value, got {self.n}")
-            if len(self.alpha) != 1:
-                raise ConfigError(f"alpha: {exp} takes exactly one alpha value, got {self.alpha}")
+        for name in ONE_VALUE.get(exp, ()):
+            value = getattr(self, name)
+            if len(value) != 1:
+                raise ConfigError(f"{name}: {exp} takes exactly one {name} value, got {value}")
         if exp in ("gain-profile", "risk-vs-n", "mask-count", "scaling-slope"):
             # theory precondition: fixed point needs n < p
             for value in self.n:
                 if value >= self.p:
                     raise ConfigError(f"n: every value must be < p={self.p}, got {value}")
-        if exp == "risk-vs-n" and len(self.alpha) != 1:
-            raise ConfigError(f"alpha: risk-vs-n takes exactly one alpha value, got {self.alpha}")
         if exp == "two-stage-grid":
             if self.m and len(self.m) != len(self.n):
                 raise ConfigError(
@@ -229,8 +229,6 @@ class ExperimentConfig:
         if exp == "scaling-slope":
             if len(self.n) < 3:
                 raise ConfigError(f"n: scaling-slope needs >= 3 grid points, got {len(self.n)}")
-            if len(self.alpha) != 1:
-                raise ConfigError(f"alpha: scaling-slope takes one alpha value, got {self.alpha}")
             if self.p < 10 * max(self.n):
                 raise ConfigError(
                     f"p: scaling-slope needs p >= 10*max(n) = {10 * max(self.n)}, got {self.p}"

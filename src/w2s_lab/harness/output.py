@@ -1,12 +1,13 @@
 """Result persistence: CSV with metadata header lines, optional JSON mirror.
 
-Every output starts with `#`-prefixed metadata: a schema version line, a
-build id (first 12 hex digits of the SHA-1 of the canonical metadata string),
-and the config echo. Only content-determining fields are echoed (experiment,
-p, grids, exponents, noise levels, trials, seed, kinds); execution plumbing
-such as the output path, worker count, or overwrite flag is excluded so that
-identical (config, seed) runs produce byte-identical files regardless of how
-they were executed. No timestamps for the same reason.
+Every output starts with the same metadata: a schema tag, a build id (first 12
+hex digits of the SHA-1 of the canonical metadata string), and the config echo,
+as `#` lines in a CSV and as leading keys in render_json, the one JSON writer
+(table mirror and verify report). Only content-determining fields are echoed
+(experiment, p, grids, exponents, noise levels, trials, seed, kinds); execution
+plumbing such as the output path, worker count, or overwrite flag is excluded
+so that identical (config, seed) runs produce byte-identical files regardless
+of how they were executed. No timestamps for the same reason.
 """
 
 from __future__ import annotations
@@ -82,22 +83,22 @@ def render_csv(cfg: ExperimentConfig, columns, rows) -> str:
     return buf.getvalue()
 
 
-def render_json(cfg: ExperimentConfig, columns, rows) -> str:
-    def jsonable(value):
-        if isinstance(value, float):
-            return value
-        if isinstance(value, (int, str, bool)) or value is None:
-            return value
-        return format_value(value)
+def render_json(cfg: ExperimentConfig, body: dict) -> str:
+    """The one JSON writer: the schema, build_id and config header, then body's keys.
 
+    A value JSON has no form for is written as format_value writes it in a CSV;
+    a NaN or infinity is a numerical fault and raises FloatingPointError.
+    """
     doc = {
         "schema": schema_tag(cfg.experiment),
         "build_id": build_id(cfg),
         "config": config_echo(cfg),
-        "columns": list(columns),
-        "rows": [[jsonable(v) for v in row] for row in rows],
+        **body,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False, default=format_value) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"{cfg.experiment} report: {exc}") from exc
 
 
 def output_paths(cfg: ExperimentConfig) -> list:
@@ -123,9 +124,10 @@ def write_outputs(cfg: ExperimentConfig, renders) -> list:
     """Write a run's outputs: the first text to stdout, or each to its output_paths(cfg).
 
     renders holds one zero-argument callable per output, the main file first
-    and its JSON mirror second; each text is rendered just before it is
-    written, so only one is held at a time, and a mirror not configured is
-    never rendered. Returns the paths written, empty for stdout.
+    and its JSON mirror second; each text is rendered before its path is
+    opened, so only one is held at a time, a render that raises leaves no
+    empty file, and a mirror not configured is never rendered. Returns the
+    paths written, empty for stdout.
 
     Every path is checked before any is written: a directory is refused, and
     an existing file unless cfg.force is set. Parent directories are created.
@@ -141,8 +143,9 @@ def write_outputs(cfg: ExperimentConfig, renders) -> list:
             parent = os.path.dirname(path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
+            text = render()
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render())
+                fh.write(text)
     except OSError as exc:
         raise ConfigError(f"out: {exc}") from None
     return paths

@@ -235,13 +235,13 @@ def two_stage_risk(inst: ProblemInstance) -> RiskReport:
         """The leaf's bias, label-energy and carry terms, each summed tail first."""
         lam_s, lam_t = inst.spectrum_s[cols], inst.spectrum_t[cols]
         beta_sq = inst.beta_star[cols] ** 2
-        shifted_s, shifted_t = lam_s + tau_s, lam_t + tau_t
-        one_minus_s, one_minus_t = lam_s / shifted_s, lam_t / shifted_t
+        one_minus_t, zeta_t_sq = _shrinkage(lam_t, tau_t)
+        shifted_s = lam_s + tau_s  # kept: _shrinkage would overwrite it
+        one_minus_s = lam_s / shifted_s
         shrink_s = lam_s / shifted_s**2  # (1-zeta_s)^2 / lambda_s
-        zeta_t = tau_t / shifted_t
         terms = np.empty((3, lam_t.size))
         np.multiply(lam_t * (1.0 - one_minus_t * one_minus_s) ** 2, beta_sq, out=terms[0])
-        np.multiply(lam_t * zeta_t**2, one_minus_s**2 * beta_sq + carry * shrink_s, out=terms[1])
+        np.multiply(lam_t * zeta_t_sq, one_minus_s**2 * beta_sq + carry * shrink_s, out=terms[1])
         np.multiply(lam_t * one_minus_t**2, shrink_s, out=terms[2])
         return np.sum(terms[:, ::-1], axis=-1)
 

@@ -161,7 +161,7 @@ class TestStreamedMemory:
         inst = ProblemInstance(lam, lam, beta, 0.05, 0.1, 1_000, 2_000)
         assert self._peak_bytes(lambda: two_stage_risk(inst)) <= self.ARRAY // 4 + 2**20
 
-    def test_scaling_slope_holds_three_arrays(self):
+    def test_scaling_slope_holds_two_arrays(self):
         # spectrum and signal: a solve holds no p-length work buffer
         p = 200_000
         cfg = build_config(

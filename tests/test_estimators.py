@@ -460,6 +460,9 @@ class TestSharedDesignFit:
         for labels in (np.ones((3, 2)), np.ones((4, 0)), np.ones((4, 2, 1))):
             with pytest.raises(ValueError, match="one label per row"):
                 fit(design, labels)
+        for design in (np.ones(4), np.ones((1, 4, 6))):  # 1-D and 3-D designs
+            with pytest.raises(ValueError, match="one label per row"):
+                fit(design, np.ones(4))
 
 
 def _block_of(shape, count, k=None, duplicate_item=None):

@@ -287,6 +287,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_config("gain-profile", {"p": 40, "n": (5, 6)})
 
+    @pytest.mark.parametrize("experiment", ["gain-profile", "risk-vs-n", "scaling-slope"])
+    def test_two_alphas_get_the_one_value_message(self, experiment):
+        n = (10, 20, 30) if experiment == "scaling-slope" else (10,)
+        with pytest.raises(ConfigError) as caught:
+            build_config(experiment, {"p": 3000, "n": n, "alpha": (2.0, 3.0)})
+        assert str(caught.value) == (
+            f"alpha: {experiment} takes exactly one alpha value, got (2.0, 3.0)"
+        )
+
     def test_two_stage_m_grid_mirrors_n(self):
         cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "trials": 2})
         assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [5, 5, 8, 8]
@@ -981,12 +990,36 @@ class TestOutputFormat:
     def test_render_json_round_trips(self):
         cfg = _tiny_cfg(trials=2, n=(6,), kinds=("ground-truth",))
         columns, rows = run_risk_vs_n(cfg)
-        payload = json.loads(render_json(cfg, columns, rows))
+        payload = json.loads(render_json(cfg, {"columns": columns, "rows": rows}))
         assert payload["schema"] == "w2s-lab/risk-vs-n/v1"
         assert payload["columns"] == list(columns)
         assert len(payload["rows"]) == len(rows)
         # the echo block reuses the canonical header formatting, so values are strings
         assert payload["config"]["p"] == "30"
+
+    def test_render_json_writes_the_header_before_the_body(self):
+        cfg = _tiny_cfg()
+        payload = json.loads(render_json(cfg, {"rows": [[1, None]], "all_passed": True}))
+        assert list(payload) == ["schema", "build_id", "config", "rows", "all_passed"]
+        assert payload["build_id"] == build_id(cfg)
+        assert payload["rows"] == [[1, None]]
+
+    def test_render_json_refuses_non_finite_values(self):
+        cfg = _tiny_cfg()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(FloatingPointError, match="^risk-vs-n report: "):
+                render_json(cfg, {"rows": [[1, bad]]})
+
+    def test_write_outputs_leaves_no_file_when_a_render_raises(self, tmp_path):
+        out = tmp_path / "table.csv"
+        cfg = _tiny_cfg(out=str(out))
+
+        def fails():
+            raise FloatingPointError("planted")
+
+        with pytest.raises(FloatingPointError, match="planted"):
+            write_outputs(cfg, (fails,))
+        assert not out.exists()
 
     def test_write_outputs_refusal_and_mirror(self, tmp_path):
         out = tmp_path / "deep" / "table.csv"
@@ -997,7 +1030,7 @@ class TestOutputFormat:
         columns, rows = run_risk_vs_n(cfg)
         renders = (
             lambda: render_csv(cfg, columns, rows),
-            lambda: render_json(cfg, columns, rows),
+            lambda: render_json(cfg, {"columns": columns, "rows": rows}),
         )
         paths = write_outputs(cfg, renders)
         assert out.exists()
@@ -1165,6 +1198,17 @@ class TestCli:
         assert rc == 3
         assert "numerical failure" in captured.err
         assert "Infinity" not in captured.out
+
+    def test_table_mirror_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        """A NaN cell fails the run and writes no mirror; the CSV, rendered first, is written."""
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: (("a", "b"), [(1, math.nan)]))
+        out = tmp_path / "run.csv"
+        rc = main(["mask-count", "--p", "50", "--n", "5", "--out", str(out), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "numerical failure: mask-count report: " in captured.err
+        assert out.read_text().endswith("a,b\n1,nan\n")
+        assert not (tmp_path / "run.json").exists()
 
     def test_vacuous_omega_lower_bound_fails(self):
         """Draws whose hypothesis window is empty (alpha < 3.3) check nothing."""

@@ -11,13 +11,11 @@ import pytest
 from w2s_lab import (
     HypothesisViolatedError,
     NonConvergenceError,
-    ProblemInstance,
     SpectralStats,
     cutoff_indices,
     fixed_point_residual,
     omega_asymptotic,
     omega_lower_bound,
-    one_stage_risk,
     optimal_mask,
     optimal_surrogate,
     power_law_signal,
@@ -26,11 +24,10 @@ from w2s_lab import (
     solve_tau,
     tau_asymptotic,
     tau_bounds_nonasymptotic,
-    two_stage_risk,
 )
 from w2s_lab import spectrum
 from w2s_lab.harness.config import build_config
-from w2s_lab.harness.experiments import run_mask_count, run_scaling_slope
+from w2s_lab.harness.experiments import run_mask_count
 from w2s_lab.spectrum import TAU_ATOL, TAU_RTOL, as_spectrum
 
 
@@ -144,10 +141,12 @@ class TestLazyBracket:
 
 
 class TestMemory:
-    """At p = 1e6 a solve and an oracle call hold at most two p-length arrays."""
+    """At p = 1e6 a solve and a designer call hold at most one p-length array.
+
+    The oracles' own pins are tests/test_column_tree.py::TestStreamedMemory.
+    """
 
     P = 1_000_000
-    BOUND = 2 * 8 * P + 2**20  # bytes: two float64 arrays of length p, plus 1 MiB
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -163,25 +162,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_solve_tau_peak(self, problem):
-        lam, _, _ = problem
-        assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.BOUND
-
-    def test_one_stage_risk_peak(self, problem):
-        lam, beta, stats = problem
-        surrogate = 0.9 * beta
-        peak = self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05))
-        assert peak <= self.BOUND
-
     # The p-length formulas run in blocks of columns, so the calls below hold
     # at most their one (k, p) scratch or their p-length result.
     ARRAY = 8 * P  # bytes of one float64 array of length p
-
-    def test_one_stage_risk_holds_one_array(self, problem):
-        lam, beta, stats = problem
-        surrogate = 0.9 * beta
-        peak = self._peak_bytes(lambda: one_stage_risk(stats, beta, surrogate, 0.05))
-        assert peak <= self.ARRAY + 2**20
 
     def test_optimal_surrogate_holds_one_array(self, problem):
         _, beta, stats = problem
@@ -194,19 +177,9 @@ class TestMemory:
         assert len(optimal_mask(stats)) < 2_000
         assert self._peak_bytes(lambda: optimal_mask(stats)) <= self.ARRAY // 4 + 2**20
 
-    def test_scaling_slope_holds_one_point_at_a_time(self):
-        # the spectrum and the signal; each point's solve and fused oracle
-        # pass hold leaf buffers only, whatever the n count
-        p = 200_000
-        cfg = build_config(
-            "scaling-slope",
-            {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
-        )
-        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 2 * 8 * p + 2**20
-
     # A solve streams its passes through one (2, leaf) buffer, so it holds
     # only the validation's bool mask (an eighth of an array) beyond leaf
-    # buffers, and two-stage theory no more than two such masks.
+    # buffers.
     def test_solve_tau_holds_one_array(self, problem):
         lam, _, _ = problem
         assert self._peak_bytes(lambda: solve_tau(lam, 1_000)) <= self.ARRAY // 8 + 2**20
@@ -215,20 +188,6 @@ class TestMemory:
         lam, _, stats = problem
         peak = self._peak_bytes(lambda: fixed_point_residual(lam, stats.tau, 1_000))
         assert peak <= self.ARRAY // 8 + 2**20
-
-    def test_two_stage_risk_holds_two_arrays(self, problem):
-        lam, beta, _ = problem
-        inst = ProblemInstance(lam, lam, beta, 0.05, 0.1, 1_000, 2_000)
-        assert self._peak_bytes(lambda: two_stage_risk(inst)) <= self.ARRAY // 4 + 2**20
-
-    def test_scaling_slope_holds_four_arrays(self):
-        # the spectrum and the signal, nothing p-length beyond them
-        p = 200_000
-        cfg = build_config(
-            "scaling-slope",
-            {"p": p, "n": (1000, 2000, 4000, 8000), "kinds": ("ground-truth", "optimal")},
-        )
-        assert self._peak_bytes(lambda: run_scaling_slope(cfg)) <= 2 * 8 * p + 2**20
 
     def test_mask_count_holds_two_arrays(self):
         # one alpha's spectrum: the last one is released before the next is built

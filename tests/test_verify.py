@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from w2s_lab.estimators import STAGE_ROOT, derive_seed
 from w2s_lab.harness import verify
 from w2s_lab.harness.config import build_config
 
 # Any fixed seed other than the acceptance suite's master seed; each property
-# draws from derive_seed(SEED, 0, index) exactly as `w2s-lab verify --seed SEED`.
+# draws from derive_seed(SEED, STAGE_ROOT, index) exactly as `w2s-lab verify --seed SEED`.
 SEED = 4242
 
 NAMES = [name for name, _ in verify._PROPERTIES]
@@ -63,3 +65,18 @@ class TestRegistry:
             assert by_name[name]["margin"] == -1.0
             assert "raised" in by_name[name]["detail"]
         assert report["all_passed"] is False
+
+    def test_report_body_holds_only_the_battery(self, monkeypatch):
+        """The header is render_json's; run_verify returns the body alone, in order."""
+        report = _stub_registry(monkeypatch)
+        assert list(report) == ["properties", "property_count", "all_passed"]
+        assert report["all_passed"] is True
+
+    def test_property_draws_from_its_root_stream(self, monkeypatch):
+        def first_draw(rng):
+            return verify.Verdict(True, float(rng.random()), "draw")
+
+        monkeypatch.setattr(verify, "_PROPERTIES", (("a", first_draw), ("b", first_draw)))
+        for index in (0, 1):
+            expected = np.random.default_rng(derive_seed(SEED, STAGE_ROOT, index)).random()
+            assert verify.run_property(index, SEED)["margin"] == expected
