@@ -333,11 +333,29 @@ def _gram_fit(designs: np.ndarray, columns: np.ndarray, gram: np.ndarray, wide: 
     return designs.mT @ solved if wide else solved
 
 
+def _check_shapes(design: np.ndarray, labels: np.ndarray, block: int) -> None:
+    """Refuse a design and labels that do not fit, naming the shapes as given.
+
+    block is the number of leading block axes: 0 for `fit`'s (rows, p) design
+    with (rows,) or (rows, k) labels, 1 for `fit_block`'s (B, rows, p) stack.
+    """
+    if (
+        design.ndim != 2 + block
+        or labels.ndim not in (1 + block, 2 + block)
+        or labels.shape[: 1 + block] != design.shape[: 1 + block]
+        or labels.shape[1 + block :] == (0,)
+    ):
+        raise ValueError(
+            "a design must be (rows, p), or (B, rows, p) in a block, with one label per row, "
+            f"got shapes {design.shape} and {labels.shape}"
+        )
+
+
 def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
     """Minimum-norm least-squares fits of a (B, rows, p) stack of designs.
 
-    labels is (B, rows) or (B, rows, k), else ValueError (the one shape check of
-    `fit` too); fitted is then (B, p) or (B, p, k). The stack shares one Gram
+    labels is (B, rows) or (B, rows, k), else ValueError (the shape check
+    `fit` shares); fitted is then (B, p) or (B, p, k). The stack shares one Gram
     product (syrk per item), one shifted Cholesky that certifies every item, and
     one solve of the (B, rows, k) label columns; an item that fails the
     certificate alone falls back to lstsq on its own columns. Every stacked call
@@ -350,16 +368,7 @@ def fit_block(designs, labels, workspace: Workspace | None = None) -> BlockFit:
     """
     designs = np.asarray(designs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if (
-        designs.ndim != 3
-        or labels.ndim not in (2, 3)
-        or labels.shape[:2] != designs.shape[:2]
-        or labels.shape[2:] == (0,)
-    ):
-        raise ValueError(
-            "a design must be (rows, p), or (B, rows, p) in a block, with one label per row, "
-            f"got shapes {designs.shape} and {labels.shape}"
-        )
+    _check_shapes(designs, labels, 1)
     if not np.isfinite(labels).all():
         raise ValueError("labels must be finite, got a NaN or inf entry")
     count, rows, p = designs.shape
@@ -401,7 +410,8 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     falls back to the SVD-based solver with singular values below
     sigma_max * max(rows, p) * eps treated as zero (route "lstsq"). Rank
     deficiency is reported, not fatal. This is the one-item case of
-    `fit_block`, whose ValueError refuses a design or labels of the wrong shape.
+    `fit_block`, and the same shape check refuses a design or labels of the
+    wrong shape, naming the shapes as given.
 
     labels is (rows,) or (rows, k), as `b` in np.linalg.solve, and fitted is
     then (p,) or (p, k). The route, rank and rank_deficient depend on the
@@ -413,6 +423,7 @@ def fit(design: np.ndarray, labels: np.ndarray) -> EstimatorOutput:
     """
     design = np.asarray(design, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
+    _check_shapes(design, labels, 0)  # before the block axis, so the message names these shapes
     block = fit_block(design[None], labels[None])
     rows, p = design.shape
     return EstimatorOutput(

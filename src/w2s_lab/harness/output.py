@@ -124,10 +124,10 @@ def write_outputs(cfg: ExperimentConfig, renders) -> list:
     """Write a run's outputs: the first text to stdout, or each to its output_paths(cfg).
 
     renders holds one zero-argument callable per output, the main file first
-    and its JSON mirror second; each text is rendered before its path is
-    opened, so only one is held at a time, a render that raises leaves no
-    empty file, and a mirror not configured is never rendered. Returns the
-    paths written, empty for stdout.
+    and its JSON mirror second. Every text is rendered before the first path
+    is opened, so a render that raises leaves no file at all, and a mirror
+    not configured is never rendered. Returns the paths written, empty for
+    stdout.
 
     Every path is checked before any is written: a directory is refused, and
     an existing file unless cfg.force is set. Parent directories are created.
@@ -138,12 +138,12 @@ def write_outputs(cfg: ExperimentConfig, renders) -> list:
         return []
     paths = output_paths(cfg)
     refuse_existing(paths, cfg.force)
+    texts = [render() for render in renders[: len(paths)]]
     try:
-        for path, render in zip(paths, renders):
+        for path, text in zip(paths, texts):
             parent = os.path.dirname(path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            text = render()
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:

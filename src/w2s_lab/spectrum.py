@@ -26,10 +26,11 @@ the whole p-length terms, which are never held.
 
 All functions here are eigenvalue-only (no p x p matrices), so p up to 1e7 is
 practical for asymptotic checks: solve_tau on a power-law spectrum at p = 1e7
-(alpha 1.5 or 3, n from 1e3 to 1e5) takes 3-4 full-spectrum passes, plus
-the start's read-only sum over the tail, and 0.32-0.52 s on one core of a
-2-CPU x86 VM (numpy 2.4). Each pass streams over the column tree through one
-(2, leaf) buffer, so a solve holds no p-length work array. Sums over the
+(alpha 1.5 or 3, n from 1e3 to 1e5) takes 2-3 full-spectrum passes from the
+root of a coarse model of the residual, and 0.08-0.11 s on one core of a
+2-CPU x86 VM (numpy 2.4), against 3-4 passes and 0.16-0.20 s from the flat
+start. Each pass streams over the column tree through one (2, leaf) buffer,
+so a solve holds no p-length work array. Sums over the
 spectrum accumulate the tail first (smallest eigenvalues first) for
 reproducible floating-point results when the tail is near the denormal
 range.
@@ -57,6 +58,14 @@ _CHUNK_COLUMNS = 2**14
 # numpy's pairwise summation sums a run of at most this many elements without
 # splitting it (PW_BLOCKSIZE), so no leaf is cut shorter.
 _PAIRWISE_RUN = 128
+
+# Solves at p >= _COARSE_MIN_P start from the root of a coarse model of S(tau)
+# (_coarse_root): the first _COARSE_HEAD eigenvalues and at most _COARSE_NODES
+# weighted nodes of the rest. Below it the flat start is cheaper: a solve from
+# the model took 0.85 of the flat start's time at p = 2**17 and 1.2 at 2**16.
+_COARSE_MIN_P = 2**17
+_COARSE_HEAD = 4096
+_COARSE_NODES = 2**14
 
 
 class NonConvergenceError(RuntimeError):
@@ -174,7 +183,9 @@ class SpectralStats:
         eigenvalues: the spectrum the statistics belong to.
         iterations: full-spectrum residual passes the solve spent, each
             bracket-end check counted when it ran (ends are checked only
-            when a bisection relies on them).
+            when a bisection relies on them). The start is not counted:
+            neither the coarse model's steps nor the flat start's tail sum
+            is a full pass.
         residual: the certified signed residual sum lambda/(lambda+tau) - n,
             bit-identical to fixed_point_residual(eigenvalues, tau, n).
 
@@ -226,8 +237,10 @@ def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tup
     """Signed residual S(tau) - n and sum r^2, with r = lambda/(lambda+tau), in one pass.
 
     The pass streams over the leaves of the column tree through rows, one
-    (2, leaf) buffer: per leaf, row 1 takes lambda+tau and row 0 the leaf's r
-    tail first, row 1 is then overwritten with r^2, and both rows are summed.
+    (2, leaf) buffer: per leaf, row 1 takes lambda+tau and row 0 the leaf's r,
+    row 1 is then overwritten with r^2, and both rows are summed tail first
+    through a reversed view. Every ufunc reads the leaf forward, and the
+    reversed view's sum has the bits of a sum over terms stored tail first.
     _tail_first_sum adds the leaf sums in the tree's order, so S and sum r^2
     have the bits of the whole tail-first np.sum of r and of r^2, and no
     p-length array is held. solve_tau certifies with this helper and
@@ -235,12 +248,12 @@ def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tup
     """
 
     def leaf(cols: slice) -> np.ndarray:
-        block = lam[cols][::-1]  # the leaf's eigenvalues, tail first
+        block = lam[cols]
         terms = rows[:, : block.size]
         np.add(block, tau, out=terms[1])
         np.divide(block, terms[1], out=terms[0])
         np.square(terms[0], out=terms[1])
-        return terms.sum(axis=-1)
+        return terms[:, ::-1].sum(axis=-1)
 
     total, sum_sq = _tail_first_sum(lam.size, leaf).tolist()
     return total - n, sum_sq
@@ -268,8 +281,8 @@ def _split(lo: float, hi: float) -> float | None:
     return None
 
 
-def _certified_split(lam, n, lo, hi, lo_open, hi_open, rows):
-    """Bisection point of (lo, hi) and the passes spent certifying its ends.
+def _certified_split(evaluate, lo, hi, lo_open, hi_open):
+    """Bisection point of (lo, hi) and the evaluations spent certifying its ends.
 
     A bisection relies on both ends of its bracket. An end that is still the
     analytic one (lo_open, hi_open: no residual has replaced it) is evaluated
@@ -279,7 +292,7 @@ def _certified_split(lam, n, lo, hi, lo_open, hi_open, rows):
     passes = 0
     for end, is_open, sign in ((lo, lo_open, 1.0), (hi, hi_open, -1.0)):
         if is_open:
-            f_end = _residual_into(lam, end, n, rows)[0]
+            f_end = evaluate(end)[0]
             passes += 1
             if not sign * f_end > 0.0:
                 raise NonConvergenceError(
@@ -287,6 +300,105 @@ def _certified_split(lam, n, lo, hi, lo_open, hi_open, rows):
                     f"expected {'> 0' if sign > 0.0 else '< 0'}"
                 )
     return _split(lo, hi), passes
+
+
+def _newton(evaluate, n: int, lo: float, hi: float, tau: float):
+    """Certified root of S(tau) = n in the bracket (lo, hi), by safeguarded log-Newton from tau.
+
+    evaluate(tau) returns the signed residual S(tau) - n and sum r^2. Returns
+    the root, its residual and sum r^2, and the evaluations spent; the rules
+    are solve_tau's. Raises NonConvergenceError as solve_tau does.
+    """
+    lo_open = hi_open = True  # the end is analytic and its residual unchecked
+    passes = 0
+    tol = _tolerance(n)
+    log_n = math.log(n)
+    if not lo < tau < hi:  # only by underflow or overflow
+        tau, passes = _certified_split(evaluate, lo, hi, lo_open, hi_open)
+        lo_open = hi_open = False
+    step = step_before = math.inf  # |log tau| moves of the last two updates
+    while tau is not None and passes < TAU_MAX_ITER:
+        residual, sum_sq = evaluate(tau)
+        passes += 1
+        if abs(residual) <= tol:
+            break
+        if residual > 0.0:
+            lo, lo_open = tau, False
+        else:
+            hi, hi_open = tau, False
+        total = residual + n  # S
+        # tau * D = sum r (1 - r) = S - sum r^2 = -S * d log S / d log tau, with
+        # r = lambda/(lambda+tau): the pass summed r^2 beside r. Cancellation
+        # only spoils the proposed step, which the bracket and the tau_d > 0
+        # guard police.
+        tau_d = total - sum_sq
+        candidate = None
+        if total > 0.0 and tau_d > 0.0:
+            move = (math.log(total) - log_n) * (total / tau_d)
+            if abs(move) <= 0.5 * step_before:
+                candidate = tau * math.exp(min(move, 709.0))
+        if candidate is None or not lo < candidate < hi:
+            candidate, spent = _certified_split(evaluate, lo, hi, lo_open, hi_open)
+            passes += spent
+            lo_open = hi_open = False
+        if candidate is not None:
+            step_before, step = step, abs(math.log(candidate) - math.log(tau))
+        tau = candidate
+    else:
+        if tau is None:
+            raise NonConvergenceError(
+                f"bracket exhausted at float resolution without reaching tolerance {tol:g}"
+            )
+        raise NonConvergenceError(
+            f"residual tolerance {tol:g} unreachable within {TAU_MAX_ITER} iterations"
+        )
+    return tau, residual, sum_sq, passes
+
+
+def _coarse_root(lam: np.ndarray, n: int, lo: float, hi: float) -> float:
+    """Root of a coarse quadrature of S(tau) = n, the start of a large solve; NaN if it fails.
+
+    The model keeps the first _COARSE_HEAD eigenvalues exactly. Of the rest
+    it takes every k-th as a node, k the least stride that leaves at most
+    _COARSE_NODES nodes, and it keeps the fewer than k eigenvalues after the
+    last node exactly. The nodes stand for every index from the first node
+    to the last by Euler-Maclaurin: weight k each, less (k - 1)/2 at both
+    ends, and the derivative term (k^2 - 1)/12 * (f'(last) - f'(first))
+    taken from the differences of the two end nodes. The weights sum to p.
+    The model reads lambda through a strided view into node-sized buffers,
+    and it depends on lambda alone, not on the leaf width. It is solved by
+    the same safeguarded log-Newton, from the flat start of its own weights
+    (the weight beyond the first n units, times the eigenvalues, over n).
+    """
+    head = _COARSE_HEAD
+    k = -(-(lam.size - head) // _COARSE_NODES)
+    nodes = lam[head::k]
+    last = head + (nodes.size - 1) * k
+    values = np.concatenate((lam[:head], nodes, lam[last + 1 :]))
+    weights = np.ones(values.size)
+    weights[head : head + nodes.size] = k
+    trim, slope = 0.5 * (k - 1), (k * k - 1) / (12.0 * k)
+    ends = [head, head + 1, head + nodes.size - 2, head + nodes.size - 1]
+    weights[ends] += [-trim - slope, slope, slope, -trim - slope]
+    beyond = np.cumsum(weights)
+    beyond -= n
+    np.clip(beyond, 0.0, weights, out=beyond)
+    beyond *= values
+    tau = float(np.sum(beyond[::-1])) / n
+    terms = np.empty((2, values.size))  # the model's weighted r and r^2
+
+    def evaluate(tau: float) -> tuple[float, float]:
+        np.add(values, tau, out=terms[1])
+        np.divide(values, terms[1], out=terms[0])
+        np.square(terms[0], out=terms[1])
+        np.multiply(terms, weights, out=terms)
+        total, sum_sq = terms[:, ::-1].sum(axis=-1).tolist()
+        return total - n, sum_sq
+
+    try:
+        return _newton(evaluate, n, lo, hi, tau)[0]
+    except NonConvergenceError:
+        return math.nan
 
 
 def solve_tau(spectrum, n: int) -> SpectralStats:
@@ -309,13 +421,19 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     The bracket [lambda_p * eps, lambda_1 * p / n] is valid because the map is
     strictly decreasing: at the left end the sum is close to p > n, at the
     right end each term is below lambda_1 / (lambda_1 * p / n) = n / p, so the
-    sum is below n. The first iterate is the root of a flat spectrum with the
-    same tail, tau_0 = (sum_{i >= n} lambda_i) / n (0-based i, summed tail
-    first): exact when the spectrum is flat, and within a small factor of the
-    root on power laws. That start costs one read-only sum over the p - n
-    tail values, which is not a residual pass and which iterations does not
-    count. Every evaluation shrinks the bracket by the sign of its
-    residual. The next point is a Newton step on log S against log tau,
+    sum is below n. At p >= _COARSE_MIN_P the first iterate is the root of a
+    coarse quadrature of S (_coarse_root: about 2e4 weighted eigenvalues,
+    solved by the same step), within about 1e-7 relative residual of the
+    root on smooth spectra, so one Newton step and a certifying pass finish
+    most solves. Below that size, or when the coarse root is not finite or
+    falls outside the bracket, the first iterate is the root of a flat
+    spectrum with the same tail, tau_0 = (sum_{i >= n} lambda_i) / n
+    (0-based i, summed tail first): exact when the spectrum is flat, and
+    within a small factor of the root on power laws, at the cost of one
+    read-only sum over the p - n tail values. Neither start is a residual
+    pass, and iterations counts neither. Every evaluation shrinks the
+    bracket by the sign of its residual. The next point is a Newton step on
+    log S against log tau,
 
         log tau <- log tau + (log S - log n) / (tau * D / S),
         D = sum lambda/(lambda+tau)^2,  tau * D = sum r (1 - r) = S - sum r^2,
@@ -331,11 +449,11 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     iterates converge neither end is evaluated. The end residuals never enter
     the returned tau, which is certified by its own residual, and every
     bisection runs inside a certified bracket. A flat spectrum takes 1 pass
-    and a power-law spectrum at p = 1e6 takes 2-5, end checks included when
-    they run (plus the start's tail sum in each case). The passes stream
-    through one (2, leaf) buffer, and Omega is the accepted pass's sum r^2
-    over n, so neither the solve nor its statistics hold a p-length array
-    beyond the eigenvalues. Identical inputs always reproduce bit-identical
+    and a power-law spectrum at p = 1e6 takes 1-2, end checks included when
+    they run (2-5 from the flat start). The passes stream through one
+    (2, leaf) buffer, and Omega is the accepted pass's sum r^2 over n, so
+    neither the solve nor its statistics hold a p-length array beyond the
+    eigenvalues. Identical inputs always reproduce bit-identical
     tau, at any leaf width.
     """
     lam = as_spectrum(spectrum)
@@ -346,53 +464,15 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     if n >= p:
         raise ValueError(f"no solution: need n < p, got n={n}, p={p}")
 
-    rows = np.empty((2, _leaf_width(p)))  # one leaf of r and of r^2
     lo = float(lam[-1]) * _EPS
     hi = float(lam[0]) * p / n
-    lo_open = hi_open = True  # the end is analytic and its residual unchecked
-    passes = 0
-    tol = _tolerance(n)
-    log_n = math.log(n)
-    tau = float(np.sum(lam[n:][::-1])) / n  # the root if the spectrum were flat
-    if not lo < tau < hi:  # only by underflow or overflow
-        tau, passes = _certified_split(lam, n, lo, hi, lo_open, hi_open, rows)
-        lo_open = hi_open = False
-    step = step_before = math.inf  # |log tau| moves of the last two updates
-    while tau is not None and passes < TAU_MAX_ITER:
-        residual, sum_sq = _residual_into(lam, tau, n, rows)
-        passes += 1
-        if abs(residual) <= tol:
-            break
-        if residual > 0.0:
-            lo, lo_open = tau, False
-        else:
-            hi, hi_open = tau, False
-        total = residual + n  # S
-        # tau * D = sum r (1 - r) = S - sum r^2 = -S * d log S / d log tau, with
-        # r = lambda/(lambda+tau): the pass summed r^2 beside r. Cancellation
-        # only spoils the proposed step, which the bracket and the tau_d > 0
-        # guard police.
-        tau_d = total - sum_sq
-        candidate = None
-        if total > 0.0 and tau_d > 0.0:
-            move = (math.log(total) - log_n) * (total / tau_d)
-            if abs(move) <= 0.5 * step_before:
-                candidate = tau * math.exp(min(move, 709.0))
-        if candidate is None or not lo < candidate < hi:
-            candidate, spent = _certified_split(lam, n, lo, hi, lo_open, hi_open, rows)
-            passes += spent
-            lo_open = hi_open = False
-        if candidate is not None:
-            step_before, step = step, abs(math.log(candidate) - math.log(tau))
-        tau = candidate
-    else:
-        if tau is None:
-            raise NonConvergenceError(
-                f"bracket exhausted at float resolution without reaching tolerance {tol:g}"
-            )
-        raise NonConvergenceError(
-            f"residual tolerance {tol:g} unreachable within {TAU_MAX_ITER} iterations"
-        )
+    tau = _coarse_root(lam, n, lo, hi) if p >= _COARSE_MIN_P else math.nan
+    if not lo < tau < hi:  # no coarse model, or its solve failed
+        tau = float(np.sum(lam[n:][::-1])) / n  # the root if the spectrum were flat
+    rows = np.empty((2, _leaf_width(p)))  # one leaf of r and of r^2
+    tau, residual, sum_sq, passes = _newton(
+        lambda t: _residual_into(lam, t, n, rows), n, lo, hi, tau
+    )
 
     return SpectralStats(
         tau=float(tau),

@@ -1,5 +1,6 @@
 """Tests for seeded sampling, least-squares fitting, and the two-stage pipeline."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -463,6 +464,9 @@ class TestSharedDesignFit:
         for design in (np.ones(4), np.ones((1, 4, 6))):  # 1-D and 3-D designs
             with pytest.raises(ValueError, match="one label per row"):
                 fit(design, np.ones(4))
+        # the caller's shapes, not the block shapes (1, 4) and (1, 4)
+        with pytest.raises(ValueError, match=re.escape("got shapes (4,) and (4,)")):
+            fit(np.ones(4), np.ones(4))
 
 
 def _block_of(shape, count, k=None, duplicate_item=None):

@@ -1200,14 +1200,14 @@ class TestCli:
         assert "Infinity" not in captured.out
 
     def test_table_mirror_is_strict_json(self, tmp_path, capsys, monkeypatch):
-        """A NaN cell fails the run and writes no mirror; the CSV, rendered first, is written."""
+        """A NaN cell fails the run before any file is written, the CSV included."""
         monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: (("a", "b"), [(1, math.nan)]))
         out = tmp_path / "run.csv"
         rc = main(["mask-count", "--p", "50", "--n", "5", "--out", str(out), "--json"])
         captured = capsys.readouterr()
         assert rc == 3
         assert "numerical failure: mask-count report: " in captured.err
-        assert out.read_text().endswith("a,b\n1,nan\n")
+        assert not out.exists()
         assert not (tmp_path / "run.json").exists()
 
     def test_vacuous_omega_lower_bound_fails(self):

@@ -140,6 +140,72 @@ class TestLazyBracket:
         assert len(taus) == stats.iterations
 
 
+# Spectra of any size p the coarse start must serve: decays, a plateau and noise.
+LARGE_SPECTRA = {
+    **{
+        f"power-{alpha}": lambda p, a=alpha: power_law_spectrum(p, a)
+        for alpha in (1.05, 1.5, 2.0, 3.0, 6.0)
+    },
+    "exponential": lambda p: np.exp(np.linspace(0.0, -20.0, p)),
+    "two-level": lambda p: np.concatenate([np.ones(p // 2), np.full(p - p // 2, 1e-3)]),
+    "random": lambda p: np.sort(np.random.default_rng(3).uniform(1e-3, 1.0, p))[::-1].copy(),
+}
+
+
+class TestCoarseStart:
+    """Large solves start from the root of a coarse model and still certify their own residual."""
+
+    P = 1_000_000
+
+    @staticmethod
+    def _flat_start(monkeypatch, p):
+        monkeypatch.setattr(spectrum, "_COARSE_MIN_P", p + 1)
+
+    @pytest.fixture(scope="class", params=list(LARGE_SPECTRA))
+    def large(self, request):
+        return LARGE_SPECTRA[request.param](self.P)
+
+    @pytest.mark.parametrize("n", [100, 10_000, 400_000])
+    def test_takes_no_more_passes_than_the_flat_start(self, monkeypatch, large, n):
+        coarse = solve_tau(large, n)
+        self._flat_start(monkeypatch, large.size)
+        flat = solve_tau(large, n)
+        assert coarse.iterations <= flat.iterations
+        assert abs(coarse.residual) <= TAU_ATOL + TAU_RTOL * n
+        assert coarse.residual == fixed_point_residual(large, coarse.tau, n)
+
+    def test_benchmark_sweep_takes_two_passes_a_point(self):
+        # the theory-large-p sweep points: scaling-slope at alpha 2, then
+        # mask-count at alpha 1.5 and 3 (46 passes from the flat start)
+        points = [(2.0, n) for n in (1000, 2000, 4000, 8000, 16000, 32000)]
+        points += [(alpha, n) for alpha in (1.5, 3.0) for n in (1000, 10_000, 100_000)]
+        spectra = {alpha: power_law_spectrum(self.P, alpha) for alpha in (1.5, 2.0, 3.0)}
+        assert sum(solve_tau(spectra[alpha], n).iterations for alpha, n in points) <= 24
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e300])  # 0 and 1e300 leave (lo, hi)
+    def test_failed_coarse_root_falls_back_to_the_flat_start(self, monkeypatch, bad):
+        p, n = spectrum._COARSE_MIN_P, 1_000
+        lam = power_law_spectrum(p, 2.0)
+        monkeypatch.setattr(spectrum, "_coarse_root", lambda *_: bad)
+        fallback = solve_tau(lam, n)
+        self._flat_start(monkeypatch, p)
+        flat = solve_tau(lam, n)
+        assert (fallback.tau, fallback.iterations, fallback.residual) == (
+            flat.tau,
+            flat.iterations,
+            flat.residual,
+        )
+        assert abs(fallback.residual) <= TAU_ATOL + TAU_RTOL * n
+
+    def test_coarse_solve_that_cannot_certify_gives_nan(self, monkeypatch):
+        p, n = spectrum._COARSE_MIN_P, 1_000
+        lam = power_law_spectrum(p, 2.0)
+        lo, hi = float(lam[-1]) * spectrum._EPS, float(lam[0]) * p / n
+        assert lo < spectrum._coarse_root(lam, n, lo, hi) < hi
+        monkeypatch.setattr(spectrum, "TAU_MAX_ITER", 1)
+        assert math.isnan(spectrum._coarse_root(lam, n, lo, hi))
+
+
 class TestMemory:
     """At p = 1e6 a solve and a designer call hold at most one p-length array.
 
