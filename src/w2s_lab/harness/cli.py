@@ -6,7 +6,8 @@ Usage:
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
 3 numerical failure. Results go to --out (CSV, optional JSON mirror) or to
 stdout when no path is given; status chatter goes to stderr. A NaN or infinity
-in a JSON output (the verify report or the mirror) is a numerical failure.
+in any output (a CSV cell, the mirror or the verify report) is a numerical
+failure, and nothing is written.
 """
 
 from __future__ import annotations
@@ -71,22 +72,22 @@ def config_from_argv(argv) -> ExperimentConfig:
 
 
 def _verify_report(cfg):
-    """Run the battery; return its report's render and the exit code."""
+    """Run the battery; return its rendered report and the exit code."""
     report = run_verify(cfg)
     for prop in report["properties"]:
         status = "PASS" if prop["passed"] else "FAIL"
         print(
             f"{status} {prop['name']} (margin {prop['margin']:+.3e})", file=sys.stderr
         )
-    text = render_json(cfg, report)  # now, so a non-finite margin writes no file
+    texts = [render_json(cfg, report)]  # now, so a non-finite margin writes no file
     count = report["property_count"]
     passed = sum(1 for prop in report["properties"] if prop["passed"])
     print(f"{passed}/{count} properties passed", file=sys.stderr)
-    return (lambda: text,), 0 if report["all_passed"] else 2
+    return texts, 0 if report["all_passed"] else 2
 
 
 def _table(cfg):
-    """Run a table experiment; return the CSV and JSON renders and exit code 0."""
+    """Run a table experiment; return the CSV, its mirror if set, and exit code 0."""
     columns, rows = RUNNERS[cfg.experiment](cfg)
     if columns == SLOPE_COLUMNS:
         first = dict(zip(columns, rows[0]))
@@ -95,11 +96,10 @@ def _table(cfg):
             "predicted={predicted_slope}".format(**first),
             file=sys.stderr,
         )
-    renders = (
-        lambda: render_csv(cfg, columns, rows),
-        lambda: render_json(cfg, {"columns": columns, "rows": rows}),
-    )
-    return renders, 0
+    texts = [render_csv(cfg, columns, rows)]
+    if cfg.json_mirror:
+        texts.append(render_json(cfg, {"columns": columns, "rows": rows}))
+    return texts, 0
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -119,8 +119,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)  # one line per skipped point
             warnings.showwarning = _print_warning
-            renders, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
-        for path in write_outputs(cfg, renders):
+            texts, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
+        for path in write_outputs(cfg, texts):
             print(f"wrote {path}", file=sys.stderr)
         return code
     except ValueError as exc:  # ConfigError included

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -67,6 +68,10 @@ def build_id(cfg: ExperimentConfig) -> str:
 
 
 def render_csv(cfg: ExperimentConfig, columns, rows) -> str:
+    """The CSV table: metadata header lines, the column row, then one line per row.
+
+    A NaN or infinite cell is a numerical fault and raises FloatingPointError.
+    """
     buf = io.StringIO()
     buf.write(f"# schema={schema_tag(cfg.experiment)}\n")
     buf.write(f"# build_id={build_id(cfg)}\n")
@@ -79,6 +84,9 @@ def render_csv(cfg: ExperimentConfig, columns, rows) -> str:
             raise RuntimeError(
                 f"internal inconsistency: row has {len(row)} fields, schema has {len(columns)}"
             )
+        for name, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"{cfg.experiment} report: {name} is {value!r}")
         writer.writerow([format_value(v) for v in row])
     return buf.getvalue()
 
@@ -120,25 +128,23 @@ def refuse_existing(paths, force: bool) -> None:
             raise ConfigError(f"out: {path} exists; pass --force to overwrite")
 
 
-def write_outputs(cfg: ExperimentConfig, renders) -> list:
-    """Write a run's outputs: the first text to stdout, or each to its output_paths(cfg).
+def write_outputs(cfg: ExperimentConfig, texts) -> list:
+    """Write a run's rendered outputs: the first to stdout, or each to its output_paths(cfg).
 
-    renders holds one zero-argument callable per output, the main file first
-    and its JSON mirror second. Every text is rendered before the first path
-    is opened, so a render that raises leaves no file at all, and a mirror
-    not configured is never rendered. Returns the paths written, empty for
-    stdout.
+    texts holds the main file's text first and, when cfg.json_mirror is set,
+    the mirror's second. Callers render every text before calling, so a
+    render that raises leaves no file and no stdout. Returns the paths
+    written, empty for stdout.
 
     Every path is checked before any is written: a directory is refused, and
     an existing file unless cfg.force is set. Parent directories are created.
     A path that cannot be written is a ConfigError naming out.
     """
     if cfg.out is None:
-        sys.stdout.write(renders[0]())
+        sys.stdout.write(texts[0])
         return []
     paths = output_paths(cfg)
     refuse_existing(paths, cfg.force)
-    texts = [render() for render in renders[: len(paths)]]
     try:
         for path, text in zip(paths, texts):
             parent = os.path.dirname(path)

@@ -501,18 +501,22 @@ def _source_design_risks(
 _SHIFT_TRIALS = 400
 
 
-def _shift_gap(seed: int, transport: bool) -> tuple[float, float]:
+def _shift_gap(
+    seed: int, transport: bool, p: int = 80, n: int = 30, trials: int = _SHIFT_TRIALS
+) -> tuple[float, float]:
     """Mean gap and combined SE: mapped-surrogate draws vs source-design draws.
 
-    The mapped surrogate runs on `seed`, the source design on `seed + 1`, each
-    for _SHIFT_TRIALS trials at p = 80, n = 30, sigma^2 = 0.05.
+    Source spectrum alpha = 1.5, target alpha = 2.5, signal exponent 1.8 and
+    sigma^2 = 0.05. The mapped surrogate runs on `seed`, the source design on
+    `seed + 1`, each for `trials` trials at (p, n). Verify's two shift
+    properties run the default scale; acceptance criterion 09 runs p = 200,
+    n = 80 and 300 trials.
     """
-    p, n, sigma_sq = 80, 30, 0.05
+    sigma_sq = 0.05
     lam_s = power_law_spectrum(p, 1.5)
     lam_t = power_law_spectrum(p, 2.5)
     beta_star = power_law_signal(p, 2.5, 1.8)
     mapped = covariance_shift_map(beta_star, lam_s, lam_t)
-    trials = _SHIFT_TRIALS
     (model_shift,) = mc_one_stage_risks(lam_t, beta_star, [mapped], sigma_sq, [n], trials, seed)
     source = _source_design_risks(
         lam_s, lam_t, beta_star, sigma_sq, n, trials, seed + 1, transport=transport

@@ -602,14 +602,6 @@ class TestSmallHelpers:
         with pytest.raises(ValueError):
             surrogate_values_for_kind("oracle", stats, beta_star)
 
-    def test_mc_risks_deterministic(self):
-        spectrum = power_law_spectrum(20, 2.0)
-        beta = power_law_signal(20, 2.0, 1.5)
-        (a,) = mc_one_stage_risks(spectrum, beta, [beta], 0.1, [6], 8, 123)
-        (b,) = mc_one_stage_risks(spectrum, beta, [beta], 0.1, [6], 8, 123, workers=3)
-        assert a.shape == (8,)
-        assert np.array_equal(a, b)
-
     def _stack(self):
         spectrum = power_law_spectrum(37, 2.0)
         beta = power_law_signal(37, 2.0, 1.5)
@@ -627,14 +619,6 @@ class TestSmallHelpers:
         for j, kind_values in enumerate(values):
             (alone,) = mc_one_stage_risks(spectrum, beta, [kind_values], 0.1, [11], 9, 5, workers)
             np.testing.assert_allclose(stacked[:, j], alone, rtol=1e-12, atol=0.0)
-
-    def test_stacked_mc_risks_do_not_depend_on_workers(self):
-        spectrum, beta, values = self._stack()
-        (one,), (three,) = (
-            mc_one_stage_risks(spectrum, beta, [np.stack(values)], 0.1, [11], 9, 5, workers)
-            for workers in (1, 3)
-        )
-        assert np.array_equal(one, three)
 
     def test_two_stage_mc_risks_do_not_depend_on_workers(self):
         """At the widened Gram sizes too: any worker count gives the same bits."""
@@ -685,43 +669,7 @@ class TestSmallHelpers:
 
 
 class TestSweeps:
-    """Every sweep point reads the trial's one draw; its risks equal its one-point sweep's."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_stage_columns_equal_one_point_calls(self, workers):
-        p = 40
-        spectrum = power_law_spectrum(p, 2.0)
-        beta = power_law_signal(p, 2.0, 1.5)
-
-        def kinds_at(n):
-            stats = solve_tau(spectrum, n)
-            return np.stack([surrogate_values_for_kind(kind, stats, beta) for kind in KINDS])
-
-        # unsorted, a repeated count with another surrogate, and one count past p
-        counts = [25, 8, 60, 8]
-        values = [kinds_at(25), kinds_at(8), beta, 2.0 * beta]
-        sweep = mc_one_stage_risks(spectrum, beta, values, 0.1, counts, 7, 13, workers)
-        assert len(sweep) == len(counts)
-        for n, point_values, column in zip(counts, values, sweep):
-            (alone,) = mc_one_stage_risks(spectrum, beta, [point_values], 0.1, [n], 7, 13)
-            assert column.flags.c_contiguous
-            assert column.shape == alone.shape
-            assert np.array_equal(column, alone)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_two_stage_columns_equal_one_point_calls(self, workers):
-        p = 60
-        spectrum = power_law_spectrum(p, 2.0)
-        insts = [
-            ProblemInstance(spectrum, spectrum, power_law_signal(p, 2.0, 1.5), 0.05, 0.1, n, m)
-            for n, m in ((40, 15), (15, 52), (52, 52), (8, 15))
-        ]
-        sweep = mc_two_stage_risks(insts, 6, 21, workers)
-        assert len(sweep) == len(insts)
-        for inst, column in zip(insts, sweep):
-            (alone,) = mc_two_stage_risks([inst], 6, 21)
-            assert column.flags.c_contiguous
-            assert np.array_equal(column, alone)
+    """A sweep's rows and warnings equal its one-point runs'."""
 
     @pytest.mark.parametrize(
         "experiment,values",
@@ -759,11 +707,12 @@ class TestSweeps:
 
 
 def _one_stage_trial(spectrum, beta, values, sigma_sq, n, seed, t):
-    """Trial t's risks from the public one-trial calls, one trial at a time."""
+    """Trial t's risk, or its (k,) risks for a (k, p) stack, from the public one-trial calls."""
     ds = sample_dataset(spectrum, values, sigma_sq, n, derive_seed(seed, STAGE_TARGET, t))
     fitted = fit(ds.design, ds.labels).fitted
-    columns = [fitted] if fitted.ndim == 1 else list(fitted.T)
-    return [empirical_excess_risk(column, beta, spectrum) for column in columns]
+    if fitted.ndim == 1:
+        return empirical_excess_risk(fitted, beta, spectrum)
+    return [empirical_excess_risk(column, beta, spectrum) for column in fitted.T]
 
 
 def _two_stage_trial(insts, seed, t):
@@ -784,7 +733,11 @@ def _two_stage_trial(insts, seed, t):
 
 
 class TestTrialBlocks:
-    """Per-trial risks do not depend on the block size or the worker count."""
+    """Per-trial risks do not depend on the block size or the worker count.
+
+    Every sweep point equals its trials run one at a time through the public
+    calls, bit for bit, in a C-contiguous (trials,) or (trials, k) array.
+    """
 
     TRIALS = 9
 
@@ -812,12 +765,15 @@ class TestTrialBlocks:
         sweep = mc_one_stage_risks(
             spectrum, beta, values, sigma_sq, counts, self.TRIALS, seed, workers
         )
+        assert len(sweep) == len(counts)
         for n, point_values, risks in zip(counts, values, sweep):
-            expected = [
+            expected = np.array([
                 _one_stage_trial(spectrum, beta, point_values, sigma_sq, n, seed, t)
                 for t in range(self.TRIALS)
-            ]
-            assert np.array_equal(risks, np.asarray(expected).reshape(risks.shape))
+            ])
+            assert risks.flags.c_contiguous
+            assert risks.shape == (self.TRIALS,) + point_values.shape[:-1]
+            assert np.array_equal(risks, expected)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_two_stage_risks(self, block_size, workers):
@@ -832,8 +788,11 @@ class TestTrialBlocks:
         ]
         set_stream(40 * (p + 1))
         sweep = mc_two_stage_risks(insts, self.TRIALS, seed, workers)
+        assert len(sweep) == len(insts)
         expected = np.array([_two_stage_trial(insts, seed, t) for t in range(self.TRIALS)])
         for i, risks in enumerate(sweep):
+            assert risks.flags.c_contiguous
+            assert risks.shape == (self.TRIALS,)
             assert np.array_equal(risks, expected[:, i])
 
     def test_shift_property_risks(self, block_size):
@@ -980,6 +939,12 @@ class TestOutputFormat:
         with pytest.raises(RuntimeError):
             render_csv(cfg, ("a", "b"), [(1, 2, 3)])
 
+    def test_render_csv_refuses_non_finite_values(self):
+        cfg = _tiny_cfg()
+        for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(FloatingPointError, match="^risk-vs-n report: b is "):
+                render_csv(cfg, ("a", "b"), [(1, 2.0), (3, bad)])
+
     def test_build_id_tracks_scientific_fields_only(self):
         cfg = _tiny_cfg()
         assert build_id(cfg) == build_id(replace(cfg, workers=8))
@@ -1010,17 +975,6 @@ class TestOutputFormat:
             with pytest.raises(FloatingPointError, match="^risk-vs-n report: "):
                 render_json(cfg, {"rows": [[1, bad]]})
 
-    def test_write_outputs_leaves_no_file_when_a_render_raises(self, tmp_path):
-        out = tmp_path / "table.csv"
-        cfg = _tiny_cfg(out=str(out))
-
-        def fails():
-            raise FloatingPointError("planted")
-
-        with pytest.raises(FloatingPointError, match="planted"):
-            write_outputs(cfg, (fails,))
-        assert not out.exists()
-
     def test_write_outputs_refusal_and_mirror(self, tmp_path):
         out = tmp_path / "deep" / "table.csv"
         cfg = _tiny_cfg(
@@ -1028,18 +982,18 @@ class TestOutputFormat:
             out=str(out), json_mirror=True,
         )
         columns, rows = run_risk_vs_n(cfg)
-        renders = (
-            lambda: render_csv(cfg, columns, rows),
-            lambda: render_json(cfg, {"columns": columns, "rows": rows}),
-        )
-        paths = write_outputs(cfg, renders)
-        assert out.exists()
-        assert (tmp_path / "deep" / "table.json").exists()
+        texts = [
+            render_csv(cfg, columns, rows),
+            render_json(cfg, {"columns": columns, "rows": rows}),
+        ]
+        paths = write_outputs(cfg, texts)
+        assert out.read_text() == texts[0]
+        assert (tmp_path / "deep" / "table.json").read_text() == texts[1]
         assert len(paths) == 2
         with pytest.raises(ConfigError):
-            write_outputs(cfg, renders)
+            write_outputs(cfg, texts)
         forced = replace(cfg, force=True)
-        write_outputs(forced, renders)
+        write_outputs(forced, texts)
 
 
 class TestCli:
@@ -1209,6 +1163,20 @@ class TestCli:
         assert "numerical failure: mask-count report: " in captured.err
         assert not out.exists()
         assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_non_finite_cell_writes_nothing(self, tmp_path, capsys, monkeypatch, bad, to_file):
+        """Without the mirror, a NaN or infinite cell fails the run before any output."""
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: (("a", "b"), [(1, 2.5), (2, bad)]))
+        out = tmp_path / "run.csv"
+        argv = ["mask-count", "--p", "50", "--n", "5"] + (["--out", str(out)] if to_file else [])
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"numerical failure: mask-count report: b is {bad!r}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_vacuous_omega_lower_bound_fails(self):
         """Draws whose hypothesis window is empty (alpha < 3.3) check nothing."""

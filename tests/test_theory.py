@@ -29,7 +29,7 @@ from w2s_lab import (
     two_stage_risk,
 )
 from w2s_lab.estimators import sample_block
-from w2s_lab.harness.experiments import mc_one_stage_risks, mean_and_se
+from w2s_lab.harness.experiments import mc_one_stage_risks, mc_two_stage_risks, mean_and_se
 from w2s_lab.reference import one_stage_risk_dense
 from w2s_lab.spectrum import _tolerance
 
@@ -270,6 +270,61 @@ class TestMonteCarloReport:
             risks[t] = empirical_excess_risk(fitted, beta, lam)
         mean, se = mean_and_se(risks)
         assert abs(mean - theory.total) <= 4.0 * se
+
+
+class TestExactFiniteN:
+    """The Monte Carlo engine against the exact Gaussian risks at finite n, within 3 SE.
+
+    Isotropic interpolation (Sigma = I, n < p - 1) has E[P] = (n/p) I for the
+    row-space projection and E tr((X X^T)^-1) = n/(p - n - 1); least squares
+    (n > p + 1) is unbiased with E[(X^T X)^-1] = Sigma^-1/(n - p - 1). See
+    Belkin, Hsu & Xu (arXiv 1903.07571) and Hastie et al. (arXiv 1903.08560,
+    section 2). At the isotropic points the p -> infinity oracle must sit
+    outside 3 SE, which shows the gate has power.
+    """
+
+    SIGMA_SQ = 0.05
+
+    @staticmethod
+    def _z(risks, value):
+        mean, se = mean_and_se(risks)
+        return abs(mean - value) / se
+
+    def test_isotropic_one_stage(self):
+        p, n, lam = 20, 15, np.ones(20)
+        beta_star = power_law_signal(p, 2.0, 3.0)
+        beta_star /= np.linalg.norm(beta_star)
+        beta_s = masked_surrogate(beta_star, range(10))
+        exact = (
+            beta_star @ beta_star - 2.0 * (n / p) * (beta_star @ beta_s)
+            + (n / p) * (beta_s @ beta_s) + self.SIGMA_SQ * n / (p - n - 1)
+        )
+        (risks,) = mc_one_stage_risks(lam, beta_star, [beta_s], self.SIGMA_SQ, [n], 3000, 11)
+        assert self._z(risks, exact) <= 3.0
+        oracle = one_stage_risk(solve_tau(lam, n), beta_star, beta_s, self.SIGMA_SQ)
+        assert self._z(risks, oracle.total) > 3.0
+
+    def test_isotropic_two_stage(self):
+        p, n, m, lam = 50, 40, 40, np.ones(50)
+        beta_star = power_law_signal(p, 2.0, 3.0)
+        beta_star /= np.linalg.norm(beta_star)
+        inst = ProblemInstance(lam, lam, beta_star, self.SIGMA_SQ, self.SIGMA_SQ, n, m)
+        exact = (
+            (beta_star @ beta_star) * (1.0 - n * m / p**2)
+            + (n / p) * self.SIGMA_SQ * m / (p - m - 1) + self.SIGMA_SQ * n / (p - n - 1)
+        )
+        (risks,) = mc_two_stage_risks([inst], 2000, 12)
+        assert self._z(risks, exact) <= 3.0
+        assert self._z(risks, two_stage_risk(inst).total) > 3.0
+
+    def test_least_squares_one_stage(self):
+        """Any Sigma: E R = ||Sigma^(1/2) (beta_s - beta*)||^2 + sigma^2 p/(n - p - 1)."""
+        p, n, lam = 20, 40, power_law_spectrum(20, 2.0)
+        beta_star = power_law_signal(p, 2.0, 1.5)
+        beta_s = masked_surrogate(beta_star, range(10))
+        exact = lam @ (beta_s - beta_star) ** 2 + self.SIGMA_SQ * p / (n - p - 1)
+        (risks,) = mc_one_stage_risks(lam, beta_star, [beta_s], self.SIGMA_SQ, [n], 3000, 13)
+        assert self._z(risks, exact) <= 3.0
 
 
 def _inline_energy(st, surrogates, sigma_sq):
