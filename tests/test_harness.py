@@ -995,6 +995,22 @@ class TestOutputFormat:
         forced = replace(cfg, force=True)
         write_outputs(forced, texts)
 
+    @pytest.mark.parametrize("mirror", ["file", "directory"])
+    def test_write_outputs_leaves_no_file_when_a_path_is_refused(self, tmp_path, mirror):
+        """Every path is checked before the first is written: a refused mirror leaves no CSV."""
+        out = tmp_path / "table.csv"
+        mirror_path = tmp_path / "table.json"
+        if mirror == "file":
+            mirror_path.write_text("kept\n")
+        else:
+            mirror_path.mkdir()
+        cfg = _tiny_cfg(out=str(out), json_mirror=True, force=mirror == "directory")
+        with pytest.raises(ConfigError, match="table.json"):
+            write_outputs(cfg, ["a,b\n", "{}\n"])
+        assert not out.exists()
+        if mirror == "file":
+            assert mirror_path.read_text() == "kept\n"
+
 
 class TestCli:
     def test_stdout_csv_run(self, capsys):
