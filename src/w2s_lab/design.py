@@ -9,8 +9,8 @@ exhaustive search, and power-law asymptotics predict where the thresholds
 land and how fast the optimal risks decay. The designers take the fixed-point
 stats from solve_tau, as the risk oracles do, and return plain (p,) float64
 vectors: the gains, the optimal surrogate and the masked surrogate (a mask is
-a frozenset of 0-based indices). The gains are written leaf by leaf of the
-column tree with theory's gains formula, the one copy of it; the optimal
+a frozenset of 0-based indices). The gains are written one leaf-width slice
+at a time with theory's gains formula, the one copy of it; the optimal
 mask is always a prefix of the coordinates, whose length a bisection finds.
 The brute-force oracle alone takes the raw problem and solves its fixed
 point itself. It scores blocks of candidate supports with the array kernel
@@ -28,7 +28,7 @@ from .spectrum import (
     _as_coefficients,
     _check_exponent,
     _check_noise,
-    _leaves,
+    _leaf_width,
     _omega_window,
     _tolerance,
     as_spectrum,
@@ -45,14 +45,16 @@ def gain_profile(stats: SpectralStats) -> np.ndarray:
 
     gain_i exceeds 1 (amplification) exactly when 1 - zeta_i > Omega, i.e.
     zeta_i < 1 - stats.omega. The gains are written into the returned array
-    leaf by leaf of the column tree, each leaf recomputing zeta and 1 - zeta
+    one slice of the leaf width at a time, each recomputing zeta and 1 - zeta
     from (lambda, tau), so the call holds one p-length array and leaf-sized
     temporaries, with the bits of the whole-array formula.
     """
     _check_stats(stats)
     ratio = stats.omega / (1.0 - stats.omega)
     gains = np.empty(stats.p)
-    for cols in _leaves(stats.p):
+    width = _leaf_width(stats.p)
+    for start in range(0, stats.p, width):
+        cols = slice(start, start + width)
         one_minus, zeta_sq = _shrinkage(stats.eigenvalues[cols], stats.tau)
         _gains(one_minus, zeta_sq, ratio, out=gains[cols])
     return gains
@@ -125,10 +127,16 @@ def mask_size(stats: SpectralStats) -> int:
 
 
 def masked_surrogate(beta_star, support) -> np.ndarray:
-    """Surrogate equal to beta_star on `support` and zero elsewhere."""
+    """Surrogate equal to beta_star on `support` and zero elsewhere.
+
+    support holds integer indices; a float or boolean entry (a boolean mask
+    in place of indices) is refused, not rounded or read as 0 and 1.
+    """
     beta_star = _as_coefficients(beta_star, np.size(beta_star), "beta_star")
-    sup = frozenset(int(i) for i in support)
+    sup = frozenset(support)
     for i in sup:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"support entries must be integer indices, got {i!r}")
         if i < 0 or i >= beta_star.size:
             raise IndexError(f"mask index {i} out of range for length {beta_star.size}")
     keep = sorted(sup)

@@ -227,8 +227,10 @@ class ExperimentConfig:
                     f"got {len(self.m)} values for {len(self.n)} n values"
                 )
         if exp == "scaling-slope":
-            if len(self.n) < 3:
-                raise ConfigError(f"n: scaling-slope needs >= 3 grid points, got {len(self.n)}")
+            if len(set(self.n)) < 3:  # a fit through repeated n is rank-deficient
+                raise ConfigError(
+                    f"n: scaling-slope needs >= 3 distinct grid points, got {len(set(self.n))}"
+                )
             if self.p < 10 * max(self.n):
                 raise ConfigError(
                     f"p: scaling-slope needs p >= 10*max(n) = {10 * max(self.n)}, got {self.p}"

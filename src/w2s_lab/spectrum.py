@@ -14,8 +14,8 @@ we derive the shrinkage factors zeta_i = tau/(lambda_i + tau) and the
 variance-inflation statistic Omega = (1/n) * sum_i (1 - zeta_i)^2, which
 together parameterize every closed-form risk in this package. The statistics
 store only scalars: zeta and 1 - zeta are exact functions of (lambda_i, tau),
-so every consumer recomputes them leaf by leaf of one column tree (_leaves),
-and a division gives the same bits in any leaf order.
+so every consumer recomputes them leaf by leaf of one column tree, and a
+division gives the same bits in any leaf order.
 
 Every p-length formula runs on that tree: numpy's pairwise-summation tree
 over the columns taken tail first, cut off at leaves of at most
@@ -50,14 +50,13 @@ TAU_MAX_ITER = 200
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = math.ulp(0.0)  # smallest positive (denormal) float
 
-# Longest leaf of the column tree every p-length formula runs on (_leaves,
-# _tail_first_sum): one leaf of a row is at most 128 KiB, so no formula holds a
-# p-length temporary at large p. The width changes no bit of any result.
+# Longest leaf of the column tree every p-length formula runs on
+# (_tail_first_sum): one leaf of a row is at most 128 KiB, so no formula holds a
+# p-length temporary at large p. The width changes no bit of any result as long
+# as it is at least 128, the longest run numpy's pairwise summation adds
+# without splitting it (PW_BLOCKSIZE): then every node the tree splits, numpy
+# splits too.
 _CHUNK_COLUMNS = 2**14
-
-# numpy's pairwise summation sums a run of at most this many elements without
-# splitting it (PW_BLOCKSIZE), so no leaf is cut shorter.
-_PAIRWISE_RUN = 128
 
 # Solves at p >= _COARSE_MIN_P start from the root of a coarse model of S(tau)
 # (_coarse_root): the first _COARSE_HEAD eigenvalues and at most _COARSE_NODES
@@ -122,53 +121,34 @@ def _check_exponent(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 1, got {value}")
 
 
+def _as_count(value, name: str) -> int:
+    """Return the size `name` (n or p) as an int; a non-integral value is refused, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _leaf_width(p: int) -> int:
     """Longest leaf of the column tree over p columns: the size of a leaf buffer."""
-    return min(p, max(_CHUNK_COLUMNS, _PAIRWISE_RUN))
-
-
-def _tree_split(n: int) -> int:
-    """Columns in the tail-first child of a tree node of n columns; 0 for a leaf.
-
-    The rule of numpy's pairwise summation: a run longer than 128 splits
-    at n2 = n//2 - (n//2) % 8 into [0, n2) and [n2, n), summed in that order.
-    """
-    if n <= _CHUNK_COLUMNS or n <= _PAIRWISE_RUN:
-        return 0
-    half = n // 2
-    return half - half % 8
-
-
-def _leaves(p: int, stop: int | None = None):
-    """Yield the column slices of the tree's leaves over columns [stop - p, stop), tail first.
-
-    The tree is numpy's pairwise-summation tree over the columns taken tail
-    first (reversed), cut off at leaves of at most _leaf_width(p) columns.
-    When p fits one leaf the one slice is all p columns.
-    """
-    stop = p if stop is None else stop
-    half = _tree_split(p)
-    if not half:
-        yield slice(stop - p, stop)
-        return
-    yield from _leaves(half, stop)  # the last `half` columns come first
-    yield from _leaves(p - half, stop - half)
+    return min(p, _CHUNK_COLUMNS)
 
 
 def _tail_first_sum(p: int, leaf_sum, stop: int | None = None):
-    """Sum p columns of terms tail first, one leaf at a time.
+    """Sum p columns of terms tail first, one leaf of the column tree at a time.
 
-    leaf_sum(cols) returns np.sum(terms[..., cols][..., ::-1], axis=-1) for a
-    leaf slice of _leaves, or any stack of such sums. Adding the leaf sums in
-    the tree's order gives np.sum(terms[..., ::-1], axis=-1) over all p
-    columns bit for bit, without the p-length terms: numpy's add reduction
-    starts from -0.0 and sums the reduced axis along the same tree, whose
-    shape depends on its length alone.
+    The tree's one walker: a node of more than _CHUNK_COLUMNS columns splits
+    as numpy's pairwise sum does, at n2 = n//2 - (n//2) % 8, its last n2
+    columns first. leaf_sum(cols) returns np.sum(terms[..., cols][..., ::-1],
+    axis=-1) for a leaf's column slice, or any stack of such sums. Adding the
+    leaf sums in the tree's order gives np.sum(terms[..., ::-1], axis=-1) over
+    all p columns bit for bit, without the p-length terms: numpy's add
+    reduction starts from -0.0 and sums the reduced axis along the same tree,
+    whose shape depends on its length alone.
     """
     stop = p if stop is None else stop
-    half = _tree_split(p)
-    if not half:
+    if p <= _CHUNK_COLUMNS:
         return leaf_sum(slice(stop - p, stop))
+    half = p // 2 - (p // 2) % 8
     return _tail_first_sum(half, leaf_sum, stop) + _tail_first_sum(p - half, leaf_sum, stop - half)
 
 
@@ -233,14 +213,21 @@ def _tolerance(n: int) -> float:
     return TAU_ATOL + TAU_RTOL * n
 
 
+def _r_terms(values: np.ndarray, tau: float, terms: np.ndarray) -> np.ndarray:
+    """Fill the (2, w) terms with r = values/(values+tau) and r^2 in place, and return them."""
+    np.add(values, tau, out=terms[1])
+    np.divide(values, terms[1], out=terms[0])
+    np.square(terms[0], out=terms[1])
+    return terms
+
+
 def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tuple[float, float]:
     """Signed residual S(tau) - n and sum r^2, with r = lambda/(lambda+tau), in one pass.
 
     The pass streams over the leaves of the column tree through rows, one
-    (2, leaf) buffer: per leaf, row 1 takes lambda+tau and row 0 the leaf's r,
-    row 1 is then overwritten with r^2, and both rows are summed tail first
-    through a reversed view. Every ufunc reads the leaf forward, and the
-    reversed view's sum has the bits of a sum over terms stored tail first.
+    (2, leaf) buffer: per leaf, _r_terms fills the rows with r and r^2, and
+    both rows are summed tail first through a reversed view, whose sum has the
+    bits of a sum over terms stored tail first.
     _tail_first_sum adds the leaf sums in the tree's order, so S and sum r^2
     have the bits of the whole tail-first np.sum of r and of r^2, and no
     p-length array is held. solve_tau certifies with this helper and
@@ -249,11 +236,7 @@ def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tup
 
     def leaf(cols: slice) -> np.ndarray:
         block = lam[cols]
-        terms = rows[:, : block.size]
-        np.add(block, tau, out=terms[1])
-        np.divide(block, terms[1], out=terms[0])
-        np.square(terms[0], out=terms[1])
-        return terms[:, ::-1].sum(axis=-1)
+        return _r_terms(block, tau, rows[:, : block.size])[:, ::-1].sum(axis=-1)
 
     total, sum_sq = _tail_first_sum(lam.size, leaf).tolist()
     return total - n, sum_sq
@@ -388,10 +371,7 @@ def _coarse_root(lam: np.ndarray, n: int, lo: float, hi: float) -> float:
     terms = np.empty((2, values.size))  # the model's weighted r and r^2
 
     def evaluate(tau: float) -> tuple[float, float]:
-        np.add(values, tau, out=terms[1])
-        np.divide(values, terms[1], out=terms[0])
-        np.square(terms[0], out=terms[1])
-        np.multiply(terms, weights, out=terms)
+        np.multiply(_r_terms(values, tau, terms), weights, out=terms)
         total, sum_sq = terms[:, ::-1].sum(axis=-1).tolist()
         return total - n, sum_sq
 
@@ -458,7 +438,7 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     """
     lam = as_spectrum(spectrum)
     p = lam.size
-    n = int(n)
+    n = _as_count(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n >= p:
@@ -488,13 +468,19 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
 def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     """Spectrum lambda_i = i^(-alpha) for i = 1..p.
 
-    Requires p >= 1 and a finite alpha > 1 (summability of the head-heavy tail).
+    Requires an integer p >= 1 and a finite alpha > 1 (summability of the
+    head-heavy tail) whose tail p^(-alpha) does not underflow to 0. The
+    power_law_signal of the same p and alpha cannot overflow unless that tail
+    underflows, so the one check keeps both finite.
     """
+    p = _as_count(p, "p")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     _check_exponent(alpha, "alpha")
     idx = np.arange(1, p + 1, dtype=np.float64)
     idx **= -alpha  # in place: numpy's scalar-power path, the bits of idx ** (-alpha)
+    if not idx[-1] > 0.0:
+        raise ValueError(f"alpha={alpha} is too large for p={p}: p^-alpha underflows to 0")
     return idx
 
 
@@ -503,8 +489,9 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
 
     Chosen so that the per-coordinate signal energy satisfies
     lambda_i * beta_i^2 = i^(-beta_exp) when lambda_i = i^(-alpha).
-    Requires finite alpha > 1 and finite beta_exp > 1.
+    Requires an integer p >= 1, finite alpha > 1 and finite beta_exp > 1.
     """
+    p = _as_count(p, "p")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     _check_exponent(alpha, "alpha")

@@ -28,7 +28,7 @@ from w2s_lab import (
 from w2s_lab import spectrum
 from w2s_lab.harness.config import build_config
 from w2s_lab.harness.experiments import _slope_point, run_scaling_slope
-from w2s_lab.spectrum import _leaves, _tail_first_sum, _tolerance
+from w2s_lab.spectrum import _tail_first_sum, _tolerance
 
 LENGTHS = [1, 7, 8, 127, 128, 129, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5, 1_000_000]
 # (k, p) shapes of the terms: every length for k = 1 and 2, the short ones
@@ -62,18 +62,25 @@ class TestTailFirstSum:
         terms = _terms(1, 3 * 2**14 + 5)[0]
         assert _streamed(terms) == np.sum(terms[::-1])
 
-    @pytest.mark.parametrize("width", [7, 128, 1000, 2**14])
+    @pytest.mark.parametrize("width", [128, 1000, 2**14, 2**20])
     @pytest.mark.parametrize("p", [1, 129, 100_003, 1_000_000])
     def test_leaves_cover_the_columns_tail_first(self, monkeypatch, width, p):
         monkeypatch.setattr(spectrum, "_CHUNK_COLUMNS", width)
-        leaves = list(_leaves(p))
+        leaves = _tail_first_sum(p, lambda cols: [cols])  # the slices in the order summed
         assert leaves[0].stop == p and leaves[-1].start == 0
         for before, after in zip(leaves, leaves[1:]):
             assert after.stop == before.start
-        assert max(c.stop - c.start for c in leaves) <= max(width, spectrum._PAIRWISE_RUN)
+        assert max(c.stop - c.start for c in leaves) <= width
+        assert (len(leaves) == 1) == (p <= width)
 
     def test_one_leaf_is_all_columns(self):
-        assert list(_leaves(2**14)) == [slice(0, 2**14)]
+        assert _tail_first_sum(2**14, lambda cols: [cols]) == [slice(0, 2**14)]
+
+    def test_leaf_width_is_at_least_numpys_unsplit_run(self):
+        # numpy's pairwise sum adds a run of up to 128 terms without splitting
+        # it: a narrower leaf would split a run numpy keeps whole, and the
+        # streamed sums would lose the bits of one whole np.sum
+        assert spectrum._CHUNK_COLUMNS >= 128
 
 
 class TestStreamedSolve:

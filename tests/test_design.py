@@ -185,6 +185,8 @@ class TestMasks:
     def test_masked_surrogate_values(self):
         values = masked_surrogate(np.array([3.0, -2.0, 5.0]), {0, 2})
         assert values == pytest.approx([3.0, 0.0, 5.0])
+        numpy_indices = masked_surrogate(np.array([3.0, -2.0, 5.0]), np.array([2, 0]))
+        assert np.array_equal(numpy_indices, values)
         empty = masked_surrogate(np.array([3.0, -2.0, 5.0]), frozenset())
         assert empty == pytest.approx([0.0, 0.0, 0.0])
 
@@ -192,6 +194,13 @@ class TestMasks:
         for bad in (3, 5, -1):
             with pytest.raises(IndexError):
                 masked_surrogate(np.ones(3), {bad})
+
+    @pytest.mark.parametrize(
+        "support", [[1.9, 3.2], [True, False, True], np.array([True, False, True])]
+    )
+    def test_masked_surrogate_refuses_non_index_entries(self, support):
+        with pytest.raises(ValueError, match=r"^support entries must be integer indices"):
+            masked_surrogate(np.array([1.0, 2.0, 3.0, 4.0]), support)
 
 
 def _criterion_04_instances():

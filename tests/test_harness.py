@@ -296,6 +296,14 @@ class TestValidation:
             f"alpha: {experiment} takes exactly one alpha value, got (2.0, 3.0)"
         )
 
+    def test_scaling_slope_wants_three_distinct_n(self):
+        with pytest.raises(ConfigError, match=r"^n: scaling-slope needs >= 3 distinct grid"):
+            build_config("scaling-slope", {"p": 300, "n": (10, 10, 10)})
+        with pytest.raises(ConfigError, match=r"^n: .*, got 2$"):
+            build_config("scaling-slope", {"p": 300, "n": (10, 20, 10)})
+        cfg = build_config("scaling-slope", {"p": 300, "n": (10, 20, 10, 30)})
+        assert cfg.n == (10, 20, 10, 30)
+
     def test_two_stage_m_grid_mirrors_n(self):
         cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "trials": 2})
         assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [5, 5, 8, 8]
@@ -1212,6 +1220,18 @@ class TestCli:
     def test_bad_flag_value_names_its_field(self, capsys):
         assert main(["risk-vs-n", "--p", "x"]) == 1
         assert capsys.readouterr().err == "config error: p: expected an integer, got 'x'\n"
+
+    def test_repeated_slope_n_is_refused(self, capsys):
+        assert main(["scaling-slope", "--p", "300", "--n", "10,10,10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: n: scaling-slope needs >= 3 distinct")
+
+    def test_underflowing_power_law_names_alpha_and_p(self, capsys):
+        assert main(["mask-count", "--p", "100000", "--alpha", "70", "--n", "100"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: alpha=70.0 is too large for p=100000: p^-alpha underflows to 0\n"
+        )
 
     def test_verify_json_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_verify", lambda cfg: pytest.fail("verify ran"))

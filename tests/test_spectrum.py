@@ -53,6 +53,12 @@ class TestSolveTau:
         with pytest.raises(ValueError):
             solve_tau(np.array([1.0, 0.5]), 0)
 
+    def test_rejects_non_integral_n(self):
+        lam = power_law_spectrum(50, 2.0)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 10.7$"):
+            solve_tau(lam, 10.7)
+        assert solve_tau(lam, 10.0).tau == solve_tau(lam, 10).tau
+
     def test_rejects_bad_spectra(self):
         with pytest.raises(ValueError):
             solve_tau(np.array([1.0, -0.5, 0.1]), 1)
@@ -359,6 +365,19 @@ class TestBuilders:
             power_law_spectrum(10, 1.0)
         with pytest.raises(ValueError):
             power_law_spectrum(0, 2.0)
+
+    def test_builders_reject_non_integral_p(self):
+        with pytest.raises(ValueError, match=r"^p must be an integer, got 2.5$"):
+            power_law_spectrum(2.5, 2.0)
+        with pytest.raises(ValueError, match=r"^p must be an integer, got 2.5$"):
+            power_law_signal(2.5, 2.0, 1.5)
+
+    def test_power_law_spectrum_refuses_an_underflowing_tail(self):
+        with pytest.raises(ValueError, match=r"^alpha=70.0 is too large for p=100000: "):
+            power_law_spectrum(100_000, 70.0)
+        with pytest.raises(ValueError, match=r"^alpha=1080.0 is too large for p=2: "):
+            power_law_spectrum(2, 1080.0)
+        assert power_law_spectrum(2, 1070.0)[-1] > 0.0  # a denormal tail is kept
 
     def test_signal_matches_spectral_profile(self):
         """The signal is built so lambda_i * beta_i^2 = i^(-beta_exp)."""
