@@ -26,6 +26,7 @@ import numpy as np
 from .spectrum import (
     SpectralStats,
     _as_coefficients,
+    _as_count,
     _check_exponent,
     _check_noise,
     _leaf_width,
@@ -207,8 +208,7 @@ def cutoff_indices(alpha: float, n: int) -> tuple[float, float]:
     and i_mask > i_gain for every alpha > 1.
     """
     _check_exponent(alpha, "alpha")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_count(n, "n")
     base = alpha * math.sin(math.pi / alpha) / math.pi
     i_gain = n * base / (alpha - 1.0) ** (1.0 / alpha)
     i_mask = n * base / (math.sqrt(alpha) - 1.0) ** (1.0 / alpha)
@@ -246,9 +246,8 @@ def benign_region_check(alpha: float, p: int, n: int) -> bool:
     with zeta_i^2 > 1 - Omega strictly improves on the standard target-only
     fit for any signal that has mass on a dropped coordinate. Total in
     (alpha, p, n); returns False instead of raising when the hypotheses fail.
+    A p or n below 1 needs no check: then upper < 1 or n < 1, while lower >= 2a > 8.
     """
-    if p < 1 or n < 1:
-        return False
     if not 4.0 < alpha < math.inf:
         return False
     a = alpha

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _as_coefficients, _check_noise, as_spectrum
+from .spectrum import _as_coefficients, _as_count, _check_noise, as_spectrum
 
 STAGE_ROOT = 0
 STAGE_SURROGATE = 1
@@ -85,9 +85,16 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _as_seed(value, name: str) -> int:
+    """The seed `name` as an int in [0, 2**64); others are refused, not truncated or wrapped."""
+    if not (0 <= value <= _MASK64 and float(value).is_integer()):  # NaN fails the range
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value}")
+    return int(value)
+
+
 def derive_seed(parent_seed: int, stage: int, trial: int) -> int:
-    """Mix (parent seed, stage index, trial index) into a fresh 64-bit seed."""
-    state = int(parent_seed) & _MASK64
+    """Mix (parent seed in [0, 2**64), stage index, trial index) into a fresh 64-bit seed."""
+    state = _as_seed(parent_seed, "parent_seed")
     for word in (int(stage), int(trial)):
         state = _splitmix64(state ^ _splitmix64(word & _MASK64))
     return state
@@ -145,8 +152,8 @@ class ProblemInstance:
         beta_star: ground-truth signal in the shared diagonalizing basis.
         sigma_t_sq: target-stage label noise variance, >= 0.
         sigma_s_sq: surrogate-stage label noise variance, >= 0.
-        n: target-stage sample count.
-        m: surrogate-stage sample count.
+        n: target-stage sample count, an integer >= 1 (stored as an int).
+        m: surrogate-stage sample count, likewise.
     """
 
     spectrum_t: np.ndarray
@@ -165,8 +172,8 @@ class ProblemInstance:
         beta = _as_coefficients(self.beta_star, lam_t.size, "beta_star")
         _check_noise(self.sigma_t_sq, "sigma_t_sq")
         _check_noise(self.sigma_s_sq, "sigma_s_sq")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"sample counts must be >= 1, got n={self.n}, m={self.m}")
+        object.__setattr__(self, "n", _as_count(self.n, "n"))
+        object.__setattr__(self, "m", _as_count(self.m, "m"))
         object.__setattr__(self, "spectrum_t", lam_t)
         object.__setattr__(self, "spectrum_s", lam_s)
         object.__setattr__(self, "beta_star", beta)
@@ -208,7 +215,7 @@ def _draw(lam: np.ndarray, sigma_sq: float, counts, seeds, workspace: Workspace)
     p, top = lam.size, max(counts)
     stream = workspace.take("draw", (len(seeds), top * p + top))
     for row, seed in zip(stream, seeds):
-        np.random.default_rng(int(seed) & _MASK64).standard_normal(out=row)
+        np.random.default_rng(seed).standard_normal(out=row)
     scale = np.sqrt(sigma_sq)
     noise = [stream[:, count * p : count * p + count] * scale for count in counts]
     design = stream[:, : top * p].reshape(len(seeds), top, p)
@@ -237,16 +244,17 @@ def sample_block(
     by every trial: a (p,) vector gives (B, c) labels, a (k, p) stack gives
     (B, c, k) labels whose column j is beta[j]'s labels, one noise draw for all.
     A wrong shape, an empty stack or a NaN or inf entry raises ValueError
-    before anything is drawn.
+    before anything is drawn, as does a count that is not an integer >= 1 or
+    a seed that is not an integer in [0, 2**64).
     """
     lam = as_spectrum(spectrum)
     if len(counts) == 0 or len(betas) != len(counts):
         raise ValueError(f"need one beta per count, got {len(betas)} and {len(counts)}")
     _check_noise(sigma_sq, "sigma_sq")
-    if min(counts) < 1:
-        raise ValueError(f"count must be >= 1, got {min(counts)}")
+    counts = [_as_count(count, "count") for count in counts]
     if len(seeds) == 0:
         raise ValueError("a trial block needs at least one seed")
+    seeds = [_as_seed(seed, "seed") for seed in seeds]
     betas = [np.asarray(beta, dtype=np.float64) for beta in betas]
     for beta in betas:  # each vector and each row of a stack; an empty stack as a whole
         for row in beta if beta.ndim == 2 and len(beta) else [beta]:

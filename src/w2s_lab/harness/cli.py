@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -102,11 +101,6 @@ def _table(cfg):
     return texts, 0
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    """Show a runner's warning as one stderr line, without its source location."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv)
@@ -116,10 +110,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", UserWarning)  # one line per skipped point
-            warnings.showwarning = _print_warning
-            texts, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
+        texts, code = (_verify_report if cfg.experiment == "verify" else _table)(cfg)
         for path in write_outputs(cfg, texts):
             print(f"wrote {path}", file=sys.stderr)
         return code

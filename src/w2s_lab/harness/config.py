@@ -184,12 +184,10 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha: every value must be finite and > 1, got {a}")
         if not self.n:
             raise ConfigError("n: grid must be non-empty")
-        for value in self.n:
-            if value < 1:
-                raise ConfigError(f"n: every value must be >= 1, got {value}")
-        for value in self.m:
-            if value < 1:
-                raise ConfigError(f"m: every value must be >= 1, got {value}")
+        for name in ("n", "m"):
+            for value in getattr(self, name):
+                if value < 1:
+                    raise ConfigError(f"{name}: every value must be >= 1, got {value}")
         if not self.kinds:
             raise ConfigError("kinds: must be non-empty")
         for kind in self.kinds:
@@ -215,11 +213,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if len(value) != 1:
                 raise ConfigError(f"{name}: {exp} takes exactly one {name} value, got {value}")
-        if exp in ("gain-profile", "risk-vs-n", "mask-count", "scaling-slope"):
-            # theory precondition: fixed point needs n < p
-            for value in self.n:
+        for name in ("n", "m"):  # the fixed point, and so every risk formula, needs n, m < p
+            for value in getattr(self, name):
                 if value >= self.p:
-                    raise ConfigError(f"n: every value must be < p={self.p}, got {value}")
+                    raise ConfigError(f"{name}: every value must be < p={self.p}, got {value}")
         if exp == "two-stage-grid":
             if self.m and len(self.m) != len(self.n):
                 raise ConfigError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,6 +45,7 @@ from ..estimators import (
 )
 from ..spectrum import (
     _as_coefficients,
+    _as_count,
     as_spectrum,
     power_law_signal,
     power_law_spectrum,
@@ -127,9 +127,7 @@ def _fan_out_blocks(block_fn, trials: int, stream: int, workers: int) -> np.ndar
     first block and passes it to every block it runs; the workspaces live in
     a thread-local made for this call, so they die when it returns.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    blocks = trial_blocks(trials, stream)
+    blocks = trial_blocks(_as_count(trials, "trials"), stream)
     local = threading.local()
 
     def run(block: range) -> np.ndarray:
@@ -166,6 +164,7 @@ def mc_one_stage_risks(
     """
     lam = as_spectrum(spectrum)
     beta_star = _as_coefficients(beta_star, lam.size, "beta_star")
+    n = [_as_count(count, "n") for count in n]  # before the block size is taken from them
     surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
     def one_block(block: range, workspace: Workspace) -> np.ndarray:
@@ -287,9 +286,10 @@ def run_risk_vs_n(cfg: ExperimentConfig):
 def run_two_stage_grid(cfg: ExperimentConfig):
     """Theory (two-stage oracle) vs Monte Carlo (two_stage_block) over an (alpha, n, m) grid.
 
-    Grid points with n >= p or m >= p are outside the fixed-point regime and
-    are skipped with a warning rather than failing the sweep. The points of
-    one alpha share one Monte Carlo call (see mc_two_stage_risks).
+    The config refuses a grid point with n >= p or m >= p, outside the
+    fixed-point regime, so every point runs. Each alpha's theory rows are
+    computed before its Monte Carlo call, which the points of that alpha share
+    (see mc_two_stage_risks).
     """
     rows = []
     m_grid = cfg.m or cfg.n
@@ -298,12 +298,6 @@ def run_two_stage_grid(cfg: ExperimentConfig):
         signal = power_law_signal(cfg.p, alpha, cfg.beta_exp)
         insts, reports = [], []
         for n, m in zip(cfg.n, m_grid):
-            if n >= cfg.p or m >= cfg.p:
-                warnings.warn(
-                    f"skipping grid point n={n}, m={m}: "
-                    f"two-stage theory needs n < p and m < p (p={cfg.p})"
-                )
-                continue
             inst = ProblemInstance(
                 spectrum_t=spectrum,
                 spectrum_s=spectrum,
@@ -315,8 +309,6 @@ def run_two_stage_grid(cfg: ExperimentConfig):
             )
             insts.append(inst)
             reports.append(two_stage_risk(inst))
-        if not insts:
-            continue
         risks = mc_two_stage_risks(insts, cfg.trials, cfg.seed, cfg.workers)
         for inst, report, point_risks in zip(insts, reports, risks):
             rows += _point_rows(cfg, alpha, "two-stage", inst.n, inst.m, report, point_risks)

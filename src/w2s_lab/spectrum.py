@@ -122,9 +122,14 @@ def _check_exponent(value, name: str) -> None:
 
 
 def _as_count(value, name: str) -> int:
-    """Return the size `name` (n or p) as an int; a non-integral value is refused, not truncated."""
+    """Return the count `name` as an int: the one check of every count an entry point takes.
+
+    A non-integral value (NaN included) is refused, not truncated, and so is a value below 1.
+    """
     if not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 
@@ -243,9 +248,13 @@ def _residual_into(lam: np.ndarray, tau: float, n: int, rows: np.ndarray) -> tup
 
 
 def fixed_point_residual(spectrum, tau: float, n: int) -> float:
-    """Signed residual sum_i lambda_i/(lambda_i + tau) - n at a candidate tau."""
+    """Signed residual sum_i lambda_i/(lambda_i + tau) - n at a finite candidate tau > 0."""
     lam = as_spectrum(spectrum)
-    return _residual_into(lam, float(tau), n, np.empty((2, _leaf_width(lam.size))))[0]
+    tau = float(tau)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    n = _as_count(n, "n")
+    return _residual_into(lam, tau, n, np.empty((2, _leaf_width(lam.size))))[0]
 
 
 def _split(lo: float, hi: float) -> float | None:
@@ -439,8 +448,6 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     lam = as_spectrum(spectrum)
     p = lam.size
     n = _as_count(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if n >= p:
         raise ValueError(f"no solution: need n < p, got n={n}, p={p}")
 
@@ -474,8 +481,6 @@ def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     underflows, so the one check keeps both finite.
     """
     p = _as_count(p, "p")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     _check_exponent(alpha, "alpha")
     idx = np.arange(1, p + 1, dtype=np.float64)
     idx **= -alpha  # in place: numpy's scalar-power path, the bits of idx ** (-alpha)
@@ -492,8 +497,6 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
     Requires an integer p >= 1, finite alpha > 1 and finite beta_exp > 1.
     """
     p = _as_count(p, "p")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     _check_exponent(alpha, "alpha")
     _check_exponent(beta_exp, "beta_exp")
     idx = np.arange(1, p + 1, dtype=np.float64)
@@ -504,8 +507,7 @@ def power_law_signal(p: int, alpha: float, beta_exp: float) -> np.ndarray:
 def tau_asymptotic(alpha: float, n: int) -> float:
     """Large-p approximation tau ~ c * n^(-alpha), c = (pi/(alpha*sin(pi/alpha)))^alpha."""
     _check_exponent(alpha, "alpha")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_count(n, "n")
     c = (math.pi / (alpha * math.sin(math.pi / alpha))) ** alpha
     return c * float(n) ** (-alpha)
 
@@ -552,8 +554,7 @@ def tau_bounds_nonasymptotic(alpha: float, p: int, n: int) -> tuple[float, float
         HypothesisViolatedError: when n >= p*k.
     """
     _check_exponent(alpha, "alpha")
-    if p < 1 or n < 1:
-        raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
+    p, n = _as_count(p, "p"), _as_count(n, "n")
     k = _tau_hypothesis_k(alpha)
     if n >= p * k:
         raise HypothesisViolatedError(
@@ -578,8 +579,7 @@ def omega_lower_bound(alpha: float, p: int, n: int) -> float:
         HypothesisViolatedError: when n falls outside the window.
     """
     _check_exponent(alpha, "alpha")
-    if p < 1 or n < 1:
-        raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
+    p, n = _as_count(p, "p"), _as_count(n, "n")
     low_edge, high_edge = _omega_window(alpha, p)
     if not (low_edge < n < high_edge):
         raise HypothesisViolatedError(

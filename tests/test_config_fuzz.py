@@ -101,8 +101,8 @@ _OVERRIDES = st.lists(st.sampled_from(sorted(_OVERRIDE_VALUES)), unique=True, ma
 
 def _assert_in_bounds(cfg):
     assert isinstance(cfg.p, int) and cfg.p >= 2
-    assert cfg.n and all(isinstance(v, int) and 1 <= v for v in cfg.n)
-    assert all(isinstance(v, int) and v >= 1 for v in cfg.m)
+    assert cfg.n and all(isinstance(v, int) and 1 <= v < cfg.p for v in cfg.n)
+    assert all(isinstance(v, int) and 1 <= v < cfg.p for v in cfg.m)
     assert cfg.alpha and all(math.isfinite(a) and a > 1.0 for a in cfg.alpha)
     assert math.isfinite(cfg.beta_exp) and cfg.beta_exp > 1.0
     for sigma in (cfg.sigma_t_sq, cfg.sigma_s_sq):

@@ -44,6 +44,17 @@ class TestDeriveSeed:
     def test_stage_constants(self):
         assert (STAGE_ROOT, STAGE_SURROGATE, STAGE_TARGET) == (0, 1, 2)
 
+    @pytest.mark.parametrize("seed", [3.7, -1, 2**64, 2**64 + 5, np.nan, np.inf])
+    def test_parent_seed_outside_64_bits_is_refused(self, seed):
+        """Not truncated (3.7 as 3) and not wrapped (-1 as 2**64 - 1, 2**64 + 5 as 5)."""
+        with pytest.raises(ValueError, match=r"^parent_seed must be an integer in \[0, 2\*\*64\)"):
+            derive_seed(seed, STAGE_TARGET, 0)
+
+    def test_integral_seeds_of_any_type_agree(self):
+        top = 2**64 - 1
+        assert derive_seed(3.0, 1, 2) == derive_seed(np.uint64(3), 1, 2) == derive_seed(3, 1, 2)
+        assert derive_seed(np.uint64(top), 1, 2) == derive_seed(top, 1, 2)
+
 
 class TestSampleDataset:
     def test_shapes_and_determinism(self):
@@ -184,6 +195,24 @@ class TestSampleBlock:
     def test_needs_a_seed(self):
         with pytest.raises(ValueError):
             sample_block(power_law_spectrum(5, 2.0), [np.ones(5)], 0.1, [3], [])
+
+    @pytest.mark.parametrize("seed", [3.7, -1, 2**64, 2**64 + 5, np.nan])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        """numpy's own default_rng refuses -1; a block neither truncates nor wraps a seed."""
+        lam, beta = power_law_spectrum(5, 2.0), np.ones(5)
+        message = r"^seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=message):
+            sample_block(lam, [beta], 0.1, [3], [1, seed])
+        with pytest.raises(ValueError, match=message):
+            sample_dataset(lam, beta, 0.1, 3, seed)
+
+    def test_seeds_at_both_ends_of_64_bits_draw(self):
+        lam, beta = power_law_spectrum(5, 2.0), np.ones(5)
+        for seed in (0, 2**64 - 1):
+            ds = sample_dataset(lam, beta, 0.1, 3, seed)
+            twin = sample_dataset(lam, beta, 0.1, 3, np.uint64(seed))
+            assert np.array_equal(ds.design, twin.design)
+            assert np.array_equal(ds.labels, twin.labels)
 
 
 class TestTrialBlocks:

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-import warnings
 import weakref
 from dataclasses import fields, replace
 
@@ -147,7 +146,7 @@ class TestBuildConfig:
 # unless _FIELD_EXPERIMENT names another) accepts and one that it refuses
 # (None where the field takes any text, or its flag takes none).
 _FIELD_TEXTS = {
-    "p": ("40", "x"),
+    "p": ("400", "x"),  # above two-stage-grid's default n up to 300
     "n": ("5,10", "5,x"),
     "m": ("6,11,12", "6,1.5"),
     "alpha": ("1.5,3", "2,two"),
@@ -468,14 +467,17 @@ class TestTwoStageGrid:
         )
         assert first["theory_total"] == two_stage_risk(inst).total
 
-    def test_saturated_grid_points_are_skipped_with_warning(self):
-        cfg = build_config(
-            "two-stage-grid", {"p": 25, "n": (5, 30), "trials": 5, "seed": 7}
+    @pytest.mark.parametrize(
+        "name,grid",
+        [("n", {"n": (5, 30)}), ("n", {"n": (5, 25)}), ("m", {"n": (5, 8), "m": (5, 25)})],
+    )
+    def test_grid_points_at_or_above_p_are_refused(self, name, grid):
+        """The two-stage oracle needs n, m < p: such a point is a config error, not a lost row."""
+        with pytest.raises(ConfigError) as caught:
+            build_config("two-stage-grid", {"p": 25, **grid, "trials": 5, "seed": 7})
+        assert str(caught.value) == (
+            f"{name}: every value must be < p=25, got {max(grid[name])}"
         )
-        with pytest.warns(UserWarning, match="skipping grid point"):
-            _, rows = run_two_stage_grid(cfg)
-        assert len(rows) == 2  # only the n = 5 point survives
-        assert all(r[9] == 5 for r in rows)
 
 
 class TestGainProfileTable:
@@ -677,7 +679,7 @@ class TestSmallHelpers:
 
 
 class TestSweeps:
-    """A sweep's rows and warnings equal its one-point runs'."""
+    """A sweep's rows equal its one-point runs'."""
 
     @pytest.mark.parametrize(
         "experiment,values",
@@ -685,33 +687,21 @@ class TestSweeps:
             ("risk-vs-n", {"p": 30, "n": (12, 5, 20, 5), "kinds": KINDS}),
             (
                 "two-stage-grid",
-                {"p": 30, "n": (20, 35, 8, 12), "m": (10, 12, 30, 25), "alpha": (1.5, 2.0)},
+                {"p": 30, "n": (20, 29, 8, 12), "m": (10, 12, 29, 25), "alpha": (1.5, 2.0)},
             ),
         ],
     )
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_rows_and_warnings_equal_one_point_runs(self, experiment, values, workers):
-        """Skipped points included: the same rows, and the same warnings in the same order."""
+    def test_rows_equal_one_point_runs(self, experiment, values, workers):
+        """Grid points next to p included (n or m = p - 1)."""
         cfg = build_config(experiment, dict(values, trials=6, seed=3, workers=workers))
-
-        def run(config):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                _, rows = RUNNERS[experiment](config)
-            return rows, [str(w.message) for w in caught]
-
-        rows, messages = run(cfg)
-        expected_rows, expected_messages = [], []
+        _, rows = RUNNERS[experiment](cfg)
+        expected_rows = []
         for alpha in cfg.alpha:
             for i, n in enumerate(cfg.n):
                 one = replace(cfg, alpha=(alpha,), n=(n,), m=cfg.m[i : i + 1], workers=1)
-                one_rows, one_messages = run(one)
-                expected_rows += one_rows
-                expected_messages += one_messages
+                expected_rows += RUNNERS[experiment](one)[1]
         assert rows == expected_rows
-        assert messages == expected_messages
-        if experiment == "two-stage-grid":
-            assert len(messages) == 4  # n = 35 and m = 30 are skipped at each alpha
 
 
 def _one_stage_trial(spectrum, beta, values, sigma_sq, n, seed, t):
@@ -1133,15 +1123,29 @@ class TestCli:
             f"predicted={first['predicted_slope']}"
         ) in captured.err.splitlines()
 
-    def test_skipped_point_warning_is_one_plain_line(self, capsys):
-        rc = main(["two-stage-grid", "--p", "25", "--n", "5,30", "--trials", "2", "--seed", "7"])
+    @pytest.mark.parametrize(
+        "grid, line",
+        [
+            (["--n", "5,30"], "config error: n: every value must be < p=25, got 30"),
+            (["--n", "5,8", "--m", "5,25"], "config error: m: every value must be < p=25, got 25"),
+        ],
+        ids=["n", "m"],
+    )
+    def test_grid_point_at_or_above_p_is_one_config_error(
+        self, tmp_path, capsys, monkeypatch, grid, line
+    ):
+        """Exit 1 with one stderr line, before any runner starts or any file is written."""
+        ran = []
+        monkeypatch.setitem(RUNNERS, "two-stage-grid", ran.append)
+        out = tmp_path / "run.csv"
+        argv = ["two-stage-grid", "--p", "25", *grid, "--trials", "2", "--seed", "7"]
+        rc = main(argv + ["--out", str(out), "--json"])
         captured = capsys.readouterr()
-        assert rc == 0
-        assert captured.err.splitlines() == [
-            "warning: skipping grid point n=30, m=30: "
-            "two-stage theory needs n < p and m < p (p=25)"
-        ]
-        assert ".py:" not in captured.err
+        assert rc == 1
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_registry_covers_every_experiment(self):
         assert sorted([*RUNNERS, "verify"]) == sorted(EXPERIMENTS)

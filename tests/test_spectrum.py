@@ -53,6 +53,13 @@ class TestSolveTau:
         with pytest.raises(ValueError):
             solve_tau(np.array([1.0, 0.5]), 0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_residual_refuses_tau_outside_the_positive_reals(self, tau):
+        """tau = 0 would report p - n, and tau = -lambda_1 would divide by zero."""
+        lam = power_law_spectrum(10, 2.0)
+        with pytest.raises(ValueError, match=f"^tau must be finite and > 0, got {tau}$"):
+            fixed_point_residual(lam, tau, 5)
+
     def test_rejects_non_integral_n(self):
         lam = power_law_spectrum(50, 2.0)
         with pytest.raises(ValueError, match=r"^n must be an integer, got 10.7$"):

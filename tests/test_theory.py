@@ -10,12 +10,14 @@ from w2s_lab import (
     ProblemInstance,
     brute_force_mask,
     covariance_shift_map,
+    cutoff_indices,
     empirical_excess_risk,
     fixed_point_residual,
     gain_profile,
     gamma_t_sq,
     mask_size,
     masked_surrogate,
+    omega_lower_bound,
     omniscient_risk,
     one_stage_risk,
     optimal_mask,
@@ -24,6 +26,8 @@ from w2s_lab import (
     power_law_spectrum,
     sample_dataset,
     solve_tau,
+    tau_asymptotic,
+    tau_bounds_nonasymptotic,
     to_spectral_coordinates,
     two_stage_fit,
     two_stage_risk,
@@ -326,6 +330,28 @@ class TestExactFiniteN:
         (risks,) = mc_one_stage_risks(lam, beta_star, [beta_s], self.SIGMA_SQ, [n], 3000, 13)
         assert self._z(risks, exact) <= 3.0
 
+    @pytest.mark.parametrize(
+        "n, m, sigma_t_sq, sigma_s_sq, seed", [(40, 60, 0.1, 0.5, 14), (30, 80, 0.2, 0.3, 15)]
+    )
+    def test_least_squares_two_stage(self, n, m, sigma_t_sq, sigma_s_sq, seed):
+        """Distinct spectra, n and m > p + 1: least squares at both stages has
+
+            E R = sigma_s^2 tr(Sigma_t Sigma_s^-1)/(m - p - 1) + sigma_t^2 p/(n - p - 1).
+
+        Stage one is unbiased with covariance sigma_s^2 Sigma_s^-1/(m - p - 1),
+        and stage two adds its own noise fit to it. The form without its
+        stage-one term must sit outside 3 SE, which shows the gate has power.
+        """
+        p = 20
+        lam_t, lam_s = power_law_spectrum(p, 2.0), power_law_spectrum(p, 1.2)
+        beta_star = power_law_signal(p, 2.0, 1.5)
+        inst = ProblemInstance(lam_t, lam_s, beta_star, sigma_t_sq, sigma_s_sq, n, m)
+        stage_one = sigma_s_sq * np.sum(lam_t / lam_s) / (m - p - 1)
+        stage_two = sigma_t_sq * p / (n - p - 1)
+        (risks,) = mc_two_stage_risks([inst], 3000, seed)
+        assert self._z(risks, stage_one + stage_two) <= 3.0
+        assert self._z(risks, stage_two) > 3.0
+
 
 def _inline_energy(st, surrogates, sigma_sq):
     """Noise energy per row of a (k, p) stack, as one unblocked expression."""
@@ -532,3 +558,50 @@ class TestCoefficientCheck:
         cov[1, 1] = bad
         with pytest.raises(ValueError, match="^cov must be finite"):
             to_spectral_coordinates(cov, _BETA)
+
+
+# Every entry point that takes a count (n, m, p, a sample count or trials),
+# called with valid values unless a keyword replaces one.
+_COUNT_ENTRY_POINTS = {
+    "solve_tau": lambda n=_N: solve_tau(_LAM, n),
+    "fixed_point_residual": lambda n=_N: fixed_point_residual(_LAM, 0.1, n),
+    "power_law_spectrum": lambda p=_P: power_law_spectrum(p, 2.0),
+    "power_law_signal": lambda p=_P: power_law_signal(p, 2.0, 1.5),
+    "tau_asymptotic": lambda n=_N: tau_asymptotic(2.0, n),
+    "tau_bounds_nonasymptotic": lambda p=1000, n=100: tau_bounds_nonasymptotic(2.0, p, n),
+    "omega_lower_bound": lambda p=1000, n=400: omega_lower_bound(5.0, p, n),
+    "cutoff_indices": lambda n=_N: cutoff_indices(2.0, n),
+    "brute_force_mask": lambda n=_N: brute_force_mask(_LAM, _BETA, n, 0.1),
+    "one_stage_risk_dense": lambda n=_N: one_stage_risk_dense(_LAM, _BETA, _BETA, n, 0.1),
+    "ProblemInstance": lambda n=_N, m=_N: ProblemInstance(_LAM, _LAM, _BETA, 0.1, 0.1, n, m),
+    "sample_block": lambda count=_N: sample_block(_LAM, [_BETA] * 2, 0.1, [_N, count], [1]),
+    "sample_dataset": lambda count=_N: sample_dataset(_LAM, _BETA, 0.1, count, 1),
+    "mc_one_stage_risks": lambda n=_N, trials=2: mc_one_stage_risks(
+        _LAM, _BETA, [_BETA], 0.1, [n], trials, 1
+    ),
+    "mc_two_stage_risks": lambda trials=2: mc_two_stage_risks([_instance()], trials, 1),
+}
+_COUNT_ARGUMENTS = [
+    (entry, argument)
+    for entry, call in _COUNT_ENTRY_POINTS.items()
+    for argument in inspect.signature(call).parameters
+]
+
+
+class TestCountCheck:
+    """Every entry point refuses a count that is not an integer >= 1 by name, never truncates it."""
+
+    @pytest.mark.parametrize("entry", _COUNT_ENTRY_POINTS)
+    def test_valid_counts_pass(self, entry):
+        _COUNT_ENTRY_POINTS[entry]()
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, np.nan])
+    @pytest.mark.parametrize("entry,argument", _COUNT_ARGUMENTS)
+    def test_count_must_be_an_integer_of_at_least_one(self, entry, argument, bad):
+        with pytest.raises(ValueError, match=f"^{argument} must be (an integer|>= 1), got {bad}$"):
+            _COUNT_ENTRY_POINTS[entry](**{argument: bad})
+
+    def test_problem_instance_stores_integral_counts_as_ints(self):
+        inst = ProblemInstance(_LAM, _LAM, _BETA, 0.1, 0.1, 3.0, np.int64(4))
+        assert (inst.n, inst.m) == (3, 4)
+        assert type(inst.n) is int and type(inst.m) is int
