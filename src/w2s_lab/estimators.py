@@ -76,6 +76,9 @@ _WIDEN_MIN_GRAM = 126
 # trial (686 KB) runs alone, with the work and memory of an unblocked trial.
 _TRIAL_BLOCK_BYTES = 512 * 1024
 
+# Trial workers are OS threads; more than this would only contend for the GIL.
+MAX_WORKERS = 64
+
 
 def _splitmix64(state: int) -> int:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -92,22 +95,29 @@ def _as_seed(value, name: str) -> int:
     return int(value)
 
 
+def _as_workers(value, name: str) -> int:
+    """The thread count `name` as an int in [1, MAX_WORKERS]; others are refused."""
+    if _as_count(value, name) > MAX_WORKERS:
+        raise ValueError(f"{name} must be <= {MAX_WORKERS}, got {value}")
+    return int(value)
+
+
 def derive_seed(parent_seed: int, stage: int, trial: int) -> int:
-    """Mix (parent seed in [0, 2**64), stage index, trial index) into a fresh 64-bit seed."""
+    """Mix (parent seed, stage index, trial index), each in [0, 2**64), into a fresh 64-bit seed."""
     state = _as_seed(parent_seed, "parent_seed")
-    for word in (int(stage), int(trial)):
-        state = _splitmix64(state ^ _splitmix64(word & _MASK64))
+    for word in (_as_seed(stage, "stage"), _as_seed(trial, "trial")):
+        state = _splitmix64(state ^ _splitmix64(word))
     return state
 
 
-def trial_blocks(trials: int, stream: int) -> list[range]:
-    """Consecutive trial ranges covering range(trials), for trials of `stream` normals each.
+def trial_blocks(trials: int, rows: int, p: int) -> list[range]:
+    """Consecutive trial ranges covering range(trials), for trials that draw `rows` rows of p.
 
-    A block holds B = max(1, _TRIAL_BLOCK_BYTES // (8 * stream)) trials, the
-    last one fewer. B depends on the stream length alone, and every item of a
-    stacked call gets the bits it gets alone, so no output depends on B.
+    A block holds B = max(1, _TRIAL_BLOCK_BYTES // (8 * stream)) trials, the last one
+    fewer, for the stream of rows * p + rows normals that `_draw` fills. Every
+    stacked item gets the bits it gets alone, so no output depends on B.
     """
-    size = max(1, _TRIAL_BLOCK_BYTES // (8 * max(stream, 1)))
+    size = max(1, _TRIAL_BLOCK_BYTES // (8 * max(rows * p + rows, 1)))
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 

@@ -11,9 +11,11 @@ sweep scripts fail loudly and precisely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as _field, fields
 from typing import Callable, NamedTuple
+
+from ..estimators import MAX_WORKERS, _as_seed, _as_workers
+from ..spectrum import _as_count, _check_exponent, _check_noise
 
 EXPERIMENTS = (
     "gain-profile",
@@ -30,8 +32,14 @@ KINDS = ("ground-truth", "optimal", "masked")
 DEFAULT_SIGMA_SQ = 0.05
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
-# Trial workers are OS threads; more than this would only contend for the GIL.
-MAX_WORKERS = 64
+# Each value of these fields must pass the library's own rule, whose refusal names the field.
+_VALUE_RULES = {
+    **dict.fromkeys(("trials", "n", "m"), _as_count),
+    "workers": _as_workers,
+    "seed": _as_seed,
+    **dict.fromkeys(("sigma_t_sq", "sigma_s_sq"), _check_noise),
+    **dict.fromkeys(("alpha", "beta_exp"), _check_exponent),
+}
 
 
 # The experiments that read each echoed field, where not all of them do. Any
@@ -157,37 +165,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
             )
-        if self.p < 2:
-            raise ConfigError(f"p: must be >= 2, got {self.p}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        if self.workers > MAX_WORKERS:
-            raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
-        if not 0 <= self.seed < 2**64:
-            # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
-            raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")
-        for name in ("sigma_t_sq", "sigma_s_sq", "beta_exp"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
-        if self.sigma_t_sq < 0.0:
-            raise ConfigError(f"sigma_t_sq: must be >= 0, got {self.sigma_t_sq}")
-        if self.sigma_s_sq < 0.0:
-            raise ConfigError(f"sigma_s_sq: must be >= 0, got {self.sigma_s_sq}")
-        if not self.beta_exp > 1.0:
-            raise ConfigError(f"beta_exp: must be > 1, got {self.beta_exp}")
+        for name, rule in _VALUE_RULES.items():
+            value = getattr(self, name)
+            for item in value if isinstance(value, tuple) else (value,):
+                try:
+                    rule(item, name)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {str(exc).removeprefix(name + ' ')}") from None
         if not self.alpha:
             raise ConfigError("alpha: grid must be non-empty")
-        for a in self.alpha:
-            if not (math.isfinite(a) and a > 1.0):
-                raise ConfigError(f"alpha: every value must be finite and > 1, got {a}")
         if not self.n:
             raise ConfigError("n: grid must be non-empty")
-        for name in ("n", "m"):
-            for value in getattr(self, name):
-                if value < 1:
-                    raise ConfigError(f"{name}: every value must be >= 1, got {value}")
         if not self.kinds:
             raise ConfigError("kinds: must be non-empty")
         for kind in self.kinds:

@@ -7,12 +7,12 @@ count therefore never changes any output byte. Because trial t's stream does
 not depend on the sweep point, one fan-out covers a whole sweep: each trial
 draws each stage's stream once, at the sweep's largest sample count, and every
 point reads its dataset as a prefix of it, bit for bit what a one-point sweep
-draws. A block (`estimators.trial_blocks`) runs consecutive trials of a small
-shape as stacked draws, stacked certified fits and one risk reduction per
-point; each trial's risks are the bits it gets in a block of one. Every
-worker owns one `estimators.Workspace` for the call: its blocks draw into
-one reused draw buffer and form their Gram stacks in one reused Gram buffer,
-and the workspaces are dropped when the call returns.
+draws. A block (`estimators.trial_blocks`, sized from the sampler's stream)
+runs consecutive trials of a small shape as stacked draws, stacked certified
+fits and one (B, ...) risk array per point, which `_fan_out_blocks` joins in
+trial order; each trial's risks are the bits it gets in a block of one. The
+fan-out refuses workers outside [1, MAX_WORKERS] before any thread, and each
+worker's `estimators.Workspace` (draw and Gram buffers) dies with the call.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from ..estimators import (
     STAGE_TARGET,
     ProblemInstance,
     Workspace,
+    _as_workers,
     derive_seed,
     excess_risks,
     fit_block,
@@ -118,28 +119,30 @@ SLOPE_COLUMNS = (
 )
 
 
-def _fan_out_blocks(block_fn, trials: int, stream: int, workers: int) -> np.ndarray:
-    """Run block_fn(block, workspace) on each trial block; stack its (B, ...) risks in trial order.
+def _fan_out_blocks(block_fn, trials: int, rows: int, p: int, workers: int) -> list[np.ndarray]:
+    """Run block_fn(block, workspace) on each trial block; join its per-point (B, ...) arrays.
 
-    stream is one trial's draw in normals, which sets the block size. At most
-    min(workers, blocks) threads start, and the result is in trial order
-    whatever their number. Each worker thread makes one Workspace at its
-    first block and passes it to every block it runs; the workspaces live in
-    a thread-local made for this call, so they die when it returns.
+    Returns one contiguous trial-ordered array per point. Trials of at most
+    `rows` rows of p set the block size, and at most min(workers, blocks)
+    threads start; no result depends on either. Each worker thread makes one
+    Workspace at its first block and passes it to every block it runs; the
+    workspaces live in a thread-local made for this call, so they die with it.
     """
-    blocks = trial_blocks(_as_count(trials, "trials"), stream)
+    blocks = trial_blocks(_as_count(trials, "trials"), rows, p)
     local = threading.local()
 
-    def run(block: range) -> np.ndarray:
+    def run(block: range) -> list[np.ndarray]:
         if not hasattr(local, "workspace"):
             local.workspace = Workspace()
         return block_fn(block, local.workspace)
 
-    threads = min(workers, len(blocks))
+    threads = min(_as_workers(workers, "workers"), len(blocks))  # refused before any thread
     if threads <= 1:
-        return np.concatenate([run(block) for block in blocks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(run, blocks)))
+        results = [run(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, blocks))
+    return [np.concatenate(point) for point in zip(*results)]
 
 
 def mc_one_stage_risks(
@@ -160,29 +163,23 @@ def mc_one_stage_risks(
     stack fits all k label columns in one solve against one certified Gram
     matrix; column j equals the call with surrogate_values[j] alone to
     rounding, and a (1, p) stack equals the (p,) call bit for bit. trials
-    below 1 raise ValueError.
+    below 1 and workers outside [1, MAX_WORKERS] raise ValueError.
     """
     lam = as_spectrum(spectrum)
     beta_star = _as_coefficients(beta_star, lam.size, "beta_star")
     n = [_as_count(count, "n") for count in n]  # before the block size is taken from them
     surrogates = [np.asarray(values, dtype=np.float64) for values in surrogate_values]
 
-    def one_block(block: range, workspace: Workspace) -> np.ndarray:
+    def one_block(block: range, workspace: Workspace) -> list[np.ndarray]:
         seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
         risks = []
         for ds in sample_block(lam, surrogates, sigma_sq, n, seeds, workspace):
             # (B, p) or (B, p, k) fits; the risk sums run over p, last
             fitted = np.moveaxis(fit_block(ds.design, ds.labels, workspace).fitted, 1, -1)
-            risks.append(excess_risks(fitted, beta_star, lam).reshape(len(block), -1))
-        return np.concatenate(risks, axis=1)
+            risks.append(excess_risks(fitted, beta_star, lam))
+        return risks
 
-    risks = _fan_out_blocks(one_block, trials, max(n, default=0) * (lam.size + 1), workers)
-    widths = [1 if values.ndim == 1 else len(values) for values in surrogates]
-    points = np.split(risks, np.cumsum(widths)[:-1], axis=1)
-    return [
-        point[:, 0].copy() if values.ndim == 1 else point.copy()
-        for values, point in zip(surrogates, points)
-    ]
+    return _fan_out_blocks(one_block, trials, max(n, default=0), lam.size, workers)
 
 
 def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
@@ -191,23 +188,19 @@ def mc_two_stage_risks(insts, trials, seed, workers=1) -> list[np.ndarray]:
     insts are ProblemInstances that differ only in n and m (see
     `estimators.two_stage_block`). Returns one contiguous (trials,) array per
     instance, equal bit for bit to that instance's one-point sweep. trials
-    below 1 raise ValueError.
+    below 1 and workers outside [1, MAX_WORKERS] raise ValueError.
     """
     insts = list(insts)
 
-    def one_block(block: range, workspace: Workspace) -> np.ndarray:
+    def one_block(block: range, workspace: Workspace) -> list[np.ndarray]:
         fits = two_stage_block(insts, seed, block, workspace)
-        return np.stack(
-            [
-                excess_risks(beta_s2t, inst.beta_star, inst.spectrum_t)
-                for inst, (_, beta_s2t) in zip(insts, fits)
-            ],
-            axis=1,
-        )
+        return [
+            excess_risks(beta_s2t, inst.beta_star, inst.spectrum_t)
+            for inst, (_, beta_s2t) in zip(insts, fits)
+        ]
 
-    stream = max((max(inst.n, inst.m) * (inst.p + 1) for inst in insts), default=0)
-    risks = _fan_out_blocks(one_block, trials, stream, workers)
-    return [risks[:, i].copy() for i in range(len(insts))]
+    rows, p = max(((max(inst.n, inst.m), inst.p) for inst in insts), default=(0, 0))
+    return _fan_out_blocks(one_block, trials, rows, p, workers)
 
 
 def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:

@@ -489,13 +489,14 @@ def _source_design_risks(
     """
     scale = np.sqrt(lam_t / lam_s)
 
-    def block_risks(block: range, workspace) -> np.ndarray:
+    def block_risks(block: range, workspace) -> list[np.ndarray]:
         seeds = [derive_seed(seed, STAGE_TARGET, t) for t in block]
         (ds,) = sample_block(lam_s, [beta_star], sigma_sq, [n], seeds, workspace)
         designs = ds.design * scale if transport else ds.design
-        return excess_risks(fit_block(designs, ds.labels, workspace).fitted, beta_star, lam_t)
+        return [excess_risks(fit_block(designs, ds.labels, workspace).fitted, beta_star, lam_t)]
 
-    return _fan_out_blocks(block_risks, trials, n * (lam_s.size + 1), 1)
+    (risks,) = _fan_out_blocks(block_risks, trials, n, lam_s.size, 1)
+    return risks
 
 
 _SHIFT_TRIALS = 400

@@ -39,6 +39,7 @@ range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +125,11 @@ def _check_exponent(value, name: str) -> None:
 def _as_count(value, name: str) -> int:
     """Return the count `name` as an int: the one check of every count an entry point takes.
 
-    A non-integral value (NaN included) is refused, not truncated, and so is a value below 1.
+    A non-integral value (NaN included) is refused, not truncated, and so is a value below 1
+    or an int beyond float range, which float() would not convert.
     """
+    if isinstance(value, int) and value > sys.float_info.max:  # an exact comparison
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}, got {value}")
     if not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < 1:

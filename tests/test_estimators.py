@@ -1,5 +1,6 @@
 """Tests for seeded sampling, least-squares fitting, and the two-stage pipeline."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -50,10 +51,20 @@ class TestDeriveSeed:
         with pytest.raises(ValueError, match=r"^parent_seed must be an integer in \[0, 2\*\*64\)"):
             derive_seed(seed, STAGE_TARGET, 0)
 
+    @pytest.mark.parametrize("word", [3.7, -1, 2**64, np.nan])
+    @pytest.mark.parametrize("name", ["stage", "trial"])
+    def test_stage_and_trial_outside_64_bits_are_refused(self, name, word):
+        """Not truncated (3.7 as 3) and not wrapped (-1 as 2**64 - 1), as the parent seed."""
+        words = {"stage": STAGE_TARGET, "trial": 0, name: word}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*64\)"):
+            derive_seed(1, words["stage"], words["trial"])
+
     def test_integral_seeds_of_any_type_agree(self):
         top = 2**64 - 1
         assert derive_seed(3.0, 1, 2) == derive_seed(np.uint64(3), 1, 2) == derive_seed(3, 1, 2)
         assert derive_seed(np.uint64(top), 1, 2) == derive_seed(top, 1, 2)
+        assert derive_seed(3, np.int64(1), 2.0) == derive_seed(3, 1, np.uint64(2))
+        assert derive_seed(3, 1, top) == derive_seed(3, np.uint64(1), np.uint64(top))
 
 
 class TestSampleDataset:
@@ -221,14 +232,79 @@ class TestTrialBlocks:
     )
     def test_block_size_follows_the_stream_budget(self, rows, p, size):
         """verify's 30 x 80 runs 26 trials a block, the benchmark's Monte Carlo shapes one."""
-        blocks = trial_blocks(400, rows * (p + 1))
+        blocks = trial_blocks(400, rows, p)
         assert len(blocks[0]) == size
         assert [t for block in blocks for t in block] == list(range(400))
 
     def test_budget_sets_the_size(self, monkeypatch):
         monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 7 * 8 * 50)
-        assert [len(block) for block in trial_blocks(16, 50)] == [7, 7, 2]
-        assert [len(block) for block in trial_blocks(3, 10**6)] == [1, 1, 1]
+        assert [len(block) for block in trial_blocks(16, 5, 9)] == [7, 7, 2]
+        assert [len(block) for block in trial_blocks(3, 10**4, 99)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("spare", [0, 1], ids=["budget-exact", "budget-one-short"])
+    def test_block_size_is_taken_from_the_stream_draw_fills(self, monkeypatch, spare):
+        """B trials fill B * (rows * p + rows) floats of the draw buffer, and that stream sets B.
+
+        A budget of exactly B streams and one of B + 1 streams less one float
+        both give B, so a longer or a shorter stream in trial_blocks than in
+        _draw changes B at one of them.
+        """
+        rows, p, size = 7, 5, 3
+        stream = rows * p + rows
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 8 * ((size + spare) * stream - spare))
+        block = trial_blocks(10, rows, p)[0]
+        assert len(block) == size
+        workspace = estimators.Workspace()
+        spectrum = power_law_spectrum(p, 2.0)
+        beta = power_law_signal(p, 2.0, 1.5)
+        seeds = [derive_seed(1, STAGE_TARGET, t) for t in block]
+        sample_block(spectrum, [beta, beta], 0.1, [3, rows], seeds, workspace)
+        assert workspace._buffers["draw"].size == size * (rows * p + rows)
+
+
+class TestSamplerLaw:
+    """sample_block's draw against its Gaussian law, with exact standard errors.
+
+    Each x_ij / sqrt(lambda_j) and each (y - X beta)_i / sigma is N(0, 1), so
+    its square has mean 1 and variance 2. Planted faults wrapped around
+    `estimators._draw` show that each half can fail: F6 scales the design by
+    sqrt(1.02) (expected moment z about 22) and F4 the noise by sqrt(1.05)
+    (expected noise z about 5.5, over 24,000 rows).
+    """
+
+    P, ALPHA, SIGMA_SQ, ROWS, SEEDS = 100, 1.5, 0.5, 6000, [1001, 1002, 1003, 1004]
+    FAULTS = {"F6": (math.sqrt(1.02), 1.0), "F4": (1.0, math.sqrt(1.05))}
+
+    def _z_scores(self) -> tuple[float, float]:
+        """(moment z, noise z) of one block of 4 trials of ROWS rows each."""
+        lam = power_law_spectrum(self.P, self.ALPHA)
+        beta = power_law_signal(self.P, self.ALPHA, 1.5)
+        (ds,) = sample_block(lam, [beta], self.SIGMA_SQ, [self.ROWS], self.SEEDS)
+        moment = np.mean(ds.design**2 / lam)
+        noise = np.mean((ds.labels - ds.design @ beta) ** 2) / self.SIGMA_SQ
+        return (
+            (moment - 1.0) / math.sqrt(2.0 / ds.design.size),
+            (noise - 1.0) / math.sqrt(2.0 / ds.labels.size),
+        )
+
+    def test_draw_follows_its_law(self):
+        moment_z, noise_z = self._z_scores()
+        assert abs(moment_z) <= 3.0 and abs(noise_z) <= 3.0, (moment_z, noise_z)
+
+    @pytest.mark.parametrize("fault,half", [("F6", 0), ("F4", 1)])
+    def test_each_half_rejects_its_planted_fault(self, monkeypatch, fault, half):
+        design_scale, noise_scale = self.FAULTS[fault]
+        draw = estimators._draw
+
+        def faulty_draw(lam, sigma_sq, counts, seeds, workspace):
+            design, noise = draw(lam, sigma_sq, counts, seeds, workspace)
+            design *= design_scale
+            return design, [count_noise * noise_scale for count_noise in noise]
+
+        monkeypatch.setattr(estimators, "_draw", faulty_draw)
+        z = self._z_scores()
+        assert abs(z[half]) > 3.0, z
+        assert abs(z[1 - half]) <= 3.0, z  # the other law is untouched
 
 
 class TestFit:

@@ -376,6 +376,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_config("risk-vs-n", {"p": 40, "n": (5,), "beta_exp": 1.0})
 
+    @pytest.mark.parametrize(
+        "experiment,values,reason",
+        [
+            ("risk-vs-n", {"n": (5, 0)}, "n: must be >= 1, got 0"),
+            ("two-stage-grid", {"n": (5, 6), "m": (5, 2.5)}, "m: must be an integer, got 2.5"),
+            ("risk-vs-n", {"trials": 0}, "trials: must be >= 1, got 0"),
+            ("risk-vs-n", {"seed": -1}, "seed: must be an integer in [0, 2**64), got -1"),
+            ("risk-vs-n", {"sigma_t_sq": -0.1}, "sigma_t_sq: must be finite and >= 0, got -0.1"),
+            (
+                "two-stage-grid",
+                {"sigma_s_sq": math.nan},
+                "sigma_s_sq: must be finite and >= 0, got nan",
+            ),
+            ("risk-vs-n", {"beta_exp": 1.0}, "beta_exp: must be finite and > 1, got 1.0"),
+            ("mask-count", {"alpha": (2.0, 0.5)}, "alpha: must be finite and > 1, got 0.5"),
+        ],
+    )
+    def test_values_are_refused_by_the_library_rule(self, experiment, values, reason):
+        """Each value is checked by the rule the library applies to it, named by its field."""
+        with pytest.raises(ConfigError) as refused:
+            build_config(experiment, {"p": 40, "n": (5,), **values})
+        assert str(refused.value) == reason
+
     def test_workers_have_a_ceiling(self):
         """Refused at construction, so no thread is ever asked for."""
         cfg = build_config("risk-vs-n", {"p": 40, "n": (5,), "workers": MAX_WORKERS})
@@ -662,8 +685,8 @@ class TestSmallHelpers:
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording_pool)
         monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
-        values = experiments._fan_out_blocks(
-            lambda block, workspace: np.array(block, dtype=np.float64), trials, 1, workers
+        (values,) = experiments._fan_out_blocks(
+            lambda block, workspace: [np.array(block, dtype=np.float64)], trials, 1, 1, workers
         )
         assert np.array_equal(values, np.arange(trials, dtype=np.float64))
         assert pools == ([] if threads is None else [threads])
@@ -759,7 +782,7 @@ class TestTrialBlocks:
         stack = np.stack([surrogate_values_for_kind(kind, stats, beta) for kind in KINDS])
         counts, values = [12, 60, 12], [stack, beta, 2.0 * beta]
         set_stream(max(counts) * (p + 1))
-        assert len(estimators.trial_blocks(self.TRIALS, max(counts) * (p + 1))[0]) == size
+        assert len(estimators.trial_blocks(self.TRIALS, max(counts), p)[0]) == size
         sweep = mc_one_stage_risks(
             spectrum, beta, values, sigma_sq, counts, self.TRIALS, seed, workers
         )
@@ -830,6 +853,31 @@ class TestWorkspaces:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             mc_two_stage_risks(self._two_stage_insts(20, 2.0, [(8, 6)]), trials, 3)
 
+    @pytest.mark.parametrize(
+        "workers,refusal",
+        [(0, "must be >= 1, got 0"), (MAX_WORKERS + 1, f"must be <= {MAX_WORKERS}, got 65")],
+    )
+    def test_monte_carlo_calls_refuse_workers_before_any_thread(
+        self, monkeypatch, workers, refusal
+    ):
+        """The engine applies the config's worker rule itself, before a pool or a draw."""
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} threads was made")
+
+        def no_draw(*args):
+            raise AssertionError("a trial drew")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(estimators, "_draw", no_draw)
+        monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", 1)  # one trial per block
+        spectrum = power_law_spectrum(20, 2.0)
+        beta = power_law_signal(20, 2.0, 1.5)
+        with pytest.raises(ValueError, match=f"^workers {refusal}$"):
+            mc_one_stage_risks(spectrum, beta, [beta], 0.1, [8], 3, 3, workers)
+        with pytest.raises(ValueError, match=f"^workers {refusal}$"):
+            mc_two_stage_risks(self._two_stage_insts(20, 2.0, [(8, 6)]), 3, 3, workers)
+
     def test_empty_one_stage_sweep_names_the_fault(self):
         spectrum = power_law_spectrum(20, 2.0)
         beta = power_law_signal(20, 2.0, 1.5)
@@ -894,7 +942,7 @@ class TestWorkspaces:
         stream = (p - 1) * (p + 1)  # the largest count, m = p - 1, sets the block size
         if block is not None:
             monkeypatch.setattr(estimators, "_TRIAL_BLOCK_BYTES", block * 8 * stream)
-        sizes = [len(b) for b in estimators.trial_blocks(trials, stream)]
+        sizes = [len(b) for b in estimators.trial_blocks(trials, p - 1, p)]
         assert sizes == ([trials] if block is None else [4, 4, 1])
         seeds = [derive_seed(seed, STAGE_SURROGATE, t) for t in range(trials)]
         inst = insts[1]
@@ -1224,6 +1272,13 @@ class TestCli:
     def test_bad_flag_value_names_its_field(self, capsys):
         assert main(["risk-vs-n", "--p", "x"]) == 1
         assert capsys.readouterr().err == "config error: p: expected an integer, got 'x'\n"
+
+    def test_count_beyond_float_range_is_one_config_error(self, capsys):
+        assert main(["mask-count", "--n", "1" + "0" * 400]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"config error: n: must be at most 1.7976931348623157e+308, got {10**400}"
 
     def test_repeated_slope_n_is_refused(self, capsys):
         assert main(["scaling-slope", "--p", "300", "--n", "10,10,10"]) == 1

@@ -66,6 +66,12 @@ class TestSolveTau:
             solve_tau(lam, 10.7)
         assert solve_tau(lam, 10.0).tau == solve_tau(lam, 10).tau
 
+    def test_rejects_an_int_beyond_float_range_by_name(self):
+        """Compared exactly, before float() could overflow on it."""
+        refusal = rf"^n must be at most 1\.7976931348623157e\+308, got {10**400}$"
+        with pytest.raises(ValueError, match=refusal):
+            solve_tau(power_law_spectrum(5, 2.0), 10**400)
+
     def test_rejects_bad_spectra(self):
         with pytest.raises(ValueError):
             solve_tau(np.array([1.0, -0.5, 0.1]), 1)
