@@ -146,15 +146,20 @@ def masked_surrogate(beta_star, support) -> np.ndarray:
     return values
 
 
-def _support_blocks(p: int):
-    """Yield (r, keep) blocks of _CHUNK_ROWS candidates, all r in range(2^p) in order.
+def _support_blocks(beta_star: np.ndarray):
+    """Yield (r, keep, stack) blocks of _CHUNK_ROWS candidates, all r in range(2^p) in order.
 
-    keep[j, i] is bit p-1-i of r[j]: whether candidate r[j] keeps coordinate i.
+    keep[j, i] is bit p-1-i of r[j]: whether candidate r[j] keeps coordinate
+    i. stack[j] = keep[j] * beta_star is the candidate's surrogate; a dropped
+    negative entry is -0.0 there, which the one-stage kernel only multiplies
+    and squares, so each row scores with the bits of its masked_surrogate.
     """
+    p = beta_star.size
     shifts = np.arange(p - 1, -1, -1)
     for first in range(0, 2**p, _CHUNK_ROWS):
         ranks = np.arange(first, min(first + _CHUNK_ROWS, 2**p))
-        yield ranks, ((ranks[:, None] >> shifts) & 1).astype(bool)
+        keep = ((ranks[:, None] >> shifts) & 1).astype(bool)
+        yield ranks, keep, np.multiply(keep, beta_star)
 
 
 def brute_force_mask(spectrum, beta_star, n: int, sigma_sq: float) -> frozenset:
@@ -165,14 +170,17 @@ def brute_force_mask(spectrum, beta_star, n: int, sigma_sq: float) -> frozenset:
     deterministic and comparable with optimal_mask.
 
     Candidate r in range(2^p) keeps coordinate i when bit p-1-i of r is set,
-    so among supports of one size the larger r is the smaller sorted tuple.
-    Candidates are scored _CHUNK_ROWS at a time by one call of the one-stage
-    kernel, which bounds memory at a few (_CHUNK_ROWS, p) arrays for any p.
-    Each block's winner by (total, size, -r) is compared with the best so far
-    on the full key (total, size, sorted tuple). Every support is scored with
-    the full risk formula, so the search does not rely on the separable
-    structure that optimal_mask exploits. It takes the raw problem, not
-    fixed-point stats, and solves the fixed point itself.
+    so its size is the popcount of r, and among supports of one size the
+    larger r is the smaller sorted tuple. Candidates are scored _CHUNK_ROWS
+    at a time by one call of the one-stage kernel, which bounds memory at a
+    few (_CHUNK_ROWS, p) arrays for any p. A block's winner is taken among
+    the candidates at its minimum total (+0.0 and -0.0 tie, as do two infs):
+    the smallest popcount, then the largest r. It is compared with the best
+    so far on the full key (total, size, sorted tuple). A NaN total has no
+    place in that order and raises ValueError naming its support. Every
+    support is scored with the full risk formula, so the search does not
+    rely on the separable structure that optimal_mask exploits. It takes the
+    raw problem, not fixed-point stats, and solves the fixed point itself.
     """
     lam = as_spectrum(spectrum)
     p = lam.size
@@ -184,12 +192,19 @@ def brute_force_mask(spectrum, beta_star, n: int, sigma_sq: float) -> frozenset:
     _check_stats(st)
 
     best_key = None
-    for ranks, keep in _support_blocks(p):
-        bias, variance = _one_stage_terms(st, beta_star, np.where(keep, beta_star, 0.0), sigma_sq)
+    for ranks, keep, stack in _support_blocks(beta_star):
+        bias, variance = _one_stage_terms(st, beta_star, stack, sigma_sq)
         total = bias + variance
-        size = keep.sum(axis=1)
-        j = np.lexsort((-ranks, size, total))[0]
-        key = (float(total[j]), int(size[j]), tuple(np.flatnonzero(keep[j]).tolist()))
+        low = total.min()  # NaN if any total is
+        if np.isnan(low):
+            j = np.flatnonzero(np.isnan(total))[0]
+            support = np.flatnonzero(keep[j]).tolist()
+            raise ValueError(f"the one-stage total of support {support} is NaN")
+        tied = np.flatnonzero(total == low)
+        size = np.bitwise_count(ranks[tied])
+        smallest = size.min()
+        j = tied[np.flatnonzero(size == smallest)[-1]]  # the largest r: the smallest tuple
+        key = (float(low), int(smallest), tuple(np.flatnonzero(keep[j]).tolist()))
         if best_key is None or key < best_key:
             best_key = key
     return frozenset(best_key[2])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def _python_min_support(lam, beta_star, n, sigma_sq):
     """Brute-force winner by a Python min over (total, size, tuple) keys.
 
     The totals come from one kernel call over every support; the tie-break is
-    Python's tuple order, independent of the search's lexsort and blocks.
+    Python's tuple order, independent of the search's blocks and tie rule.
     """
     p = lam.size
     st = solve_tau(lam, n)
@@ -256,8 +257,7 @@ class TestBatchedSearch:
         """Every support, every row: stacked bias, variance, total == the scalar oracle."""
         for lam, beta_star, n, sigma_sq in instances():
             st = solve_tau(lam, n)
-            for _, keep in design._support_blocks(lam.size):
-                stack = np.where(keep, beta_star, 0.0)
+            for _, _, stack in design._support_blocks(beta_star):
                 bias, variance = theory._one_stage_terms(st, beta_star, stack, sigma_sq)
                 total = bias + variance
                 for row, values in enumerate(stack):
@@ -265,6 +265,31 @@ class TestBatchedSearch:
                     assert ref.bias == bias[row]
                     assert ref.variance == variance[row]
                     assert ref.total == total[row]
+
+    def test_negative_zero_stacks_score_as_masked_surrogates(self):
+        """A dropped negative entry is -0.0 in the stack; every score keeps its bits."""
+        lam = power_law_spectrum(10, 2.0)
+        beta_star = power_law_signal(10, 2.0, 1.5)
+        beta_star[[1, 4, 8]] *= -1.0
+        beta_star[[2, 6]] = 0.0
+        beta_star[9] = -0.0
+        n, sigma_sq = 4, 0.3
+        st = solve_tau(lam, n)
+        rows, negative_zeros = 0, 0
+        for _, keep, stack in design._support_blocks(beta_star):
+            masked = np.stack([masked_surrogate(beta_star, np.flatnonzero(k)) for k in keep])
+            assert np.array_equal(stack, masked)
+            bias, variance = theory._one_stage_terms(st, beta_star, stack, sigma_sq)
+            ref_bias, ref_variance = theory._one_stage_terms(st, beta_star, masked, sigma_sq)
+            assert bias.tobytes() == ref_bias.tobytes()
+            assert variance.tobytes() == ref_variance.tobytes()
+            assert (bias + variance).tobytes() == (ref_bias + ref_variance).tobytes()
+            rows += len(stack)
+            negative_zeros += np.count_nonzero(np.signbit(stack) & (stack == 0.0))
+        assert rows == 2**10
+        assert negative_zeros > 0  # masked_surrogate writes +0.0 where the stack has -0.0
+        mask = brute_force_mask(lam, beta_star, n, sigma_sq)
+        assert mask == _python_min_support(lam, beta_star, n, sigma_sq)
 
     def test_zero_signal_ties_pick_the_smaller_support(self):
         # a zero entry of beta_star gives the same surrogate kept or dropped,
@@ -301,6 +326,68 @@ class TestBatchedSearch:
         if score == "size-three":
             assert mask == frozenset({0, 1, 2})
             assert _rank(mask, 12) >= 3 * design._CHUNK_ROWS
+
+    # Each case plants totals by candidate rank at p = 12 (four blocks of
+    # 1,024): a base total, the planted (rank, total) pairs, and the winner.
+    # Ranks 2**11 | 1 = 2049 and 2**10 | 1 = 1025 hold {0, 11} and {1, 11}.
+    _PLANTED = {
+        # inside block 2: sizes 3, 2, 2 and 4 tie, the size-2 larger rank wins
+        "sizes-and-ranks-in-one-block": (
+            5.0,
+            {2048 | 0b111: 1.0, 2048 | 0b101: 1.0, 2048 | 0b11: 1.0, 2048 | 0b1111: 1.0},
+            {0, 9, 11},
+        ),
+        # ranks 1023 (size 10) and 1024 (size 1) on either side of a boundary
+        "sizes-at-a-block-boundary": (5.0, {1023: 1.0, 1024: 1.0}, {1}),
+        # one size across three blocks: {10, 11}, {1, 11} and {0, 11}
+        "ranks-across-blocks": (5.0, {3: 1.0, 1025: 1.0, 2049: 1.0}, {0, 11}),
+        # one ulp apart is no tie: the smaller total wins over the smaller size
+        "one-ulp-is-no-tie": (5.0, {3: 1.0, 1024: math.nextafter(1.0, 2.0)}, {10, 11}),
+        "one-ulp-in-one-block": (5.0, {1027: 1.0, 1024: math.nextafter(1.0, 2.0)}, {1, 10, 11}),
+        # -0.0 and +0.0 tie; the size decides inside a block and across blocks
+        "signed-zeros": (5.0, {0b1111: -0.0, 0b11: 0.0, 1024 | 0b111: -0.0}, {10, 11}),
+        "signed-zeros-same-size": (5.0, {1025: 0.0, 2049: -0.0, 3: -0.0}, {0, 11}),
+        # every total infinite: they all tie, and the empty support is smallest
+        "all-inf": (math.inf, {}, set()),
+        "inf-and-one-finite": (math.inf, {4095: 1e300}, set(range(12))),
+    }
+
+    @staticmethod
+    def _plant_by_rank(monkeypatch, base, planted):
+        """Make the kernel score candidate r with total[r]: base, or planted[r]."""
+        total = np.full(2**12, base)
+        for rank, value in planted.items():
+            total[rank] = value
+        weights = 2 ** np.arange(11, -1, -1)
+
+        def by_rank(stats, beta_star, surrogates, sigma_sq):
+            # the variance -0.0 keeps the sign of a -0.0 total in bias + variance
+            bias = total[(surrogates != 0.0) @ weights]
+            return bias, np.full_like(bias, -0.0)
+
+        monkeypatch.setattr(design, "_one_stage_terms", by_rank)
+
+    @pytest.mark.parametrize("case", sorted(_PLANTED))
+    def test_winner_rule_on_planted_totals(self, monkeypatch, case):
+        """Minimum total, then the smallest size, then the smallest tuple."""
+        base, planted, winner = self._PLANTED[case]
+        self._plant_by_rank(monkeypatch, base, planted)
+        lam = power_law_spectrum(12, 2.0)
+        beta_star = power_law_signal(12, 2.0, 1.5)  # no zero entry: rank = kept bits
+        mask = brute_force_mask(lam, beta_star, 5, 0.05)
+        assert mask == frozenset(winner)
+        assert mask == _python_min_support(lam, beta_star, 5, 0.05)
+
+    @pytest.mark.parametrize("rank", [0, 1025, 4095])
+    def test_nan_total_is_refused_by_name(self, monkeypatch, rank):
+        # a NaN has no place in the (total, size, tuple) order, wherever it falls
+        self._plant_by_rank(monkeypatch, 1.0, {rank: math.nan, 7: 0.5})
+        lam = power_law_spectrum(12, 2.0)
+        beta_star = power_law_signal(12, 2.0, 1.5)
+        support = [i for i in range(12) if rank >> (11 - i) & 1]
+        message = re.escape(f"the one-stage total of support {support} is NaN")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_force_mask(lam, beta_star, 5, 0.05)
 
     def test_winner_outside_the_first_block(self):
         lam = power_law_spectrum(12, 2.0)

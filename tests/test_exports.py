@@ -1,15 +1,17 @@
 """The public surface: each package's __all__ is exactly the names its __init__ imports,
-no module keeps a private twin `_name` of a name it defines, and each harness
-module imports on its own."""
+no module keeps a private twin `_name` of a name it defines, each harness
+module imports on its own, and the declared numpy floor is one the code runs on."""
 
 import ast
 import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import w2s_lab
@@ -81,3 +83,21 @@ def test_each_harness_module_imports_alone(module):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _version(text: str) -> tuple:
+    """(major, minor) of a version string such as 2.4.6 or 2.1.0rc1."""
+    major, minor = re.match(r"(\d+)\.(\d+)", text).groups()
+    return int(major), int(minor)
+
+
+def test_numpy_floor_covers_the_numpy_2_api():
+    # the estimators use ndarray.mT and the mask search np.bitwise_count, both new in 2.0
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    (spec,) = [d for d in dependencies if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+\.\d+)", spec).group(1)
+    assert _version(floor) >= (2, 0)
+    assert _version(np.__version__) >= _version(floor)

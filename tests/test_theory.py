@@ -455,8 +455,7 @@ class TestColumnBlocks:
         lam = power_law_spectrum(14, 2.0)
         beta = power_law_signal(14, 2.0, 1.5)
         st = solve_tau(lam, 5)
-        for _, keep in design._support_blocks(14):
-            stack = np.where(keep, beta, 0.0)
+        for _, _, stack in design._support_blocks(beta):
             kernel = theory._one_stage_terms(st, beta, stack, 0.05)
             for got, want in zip(kernel, _inline_one_stage(st, beta, stack, 0.05)):
                 assert np.array_equal(got, want)
