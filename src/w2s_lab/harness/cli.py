@@ -26,7 +26,7 @@ from .config import (
     build_config,
     parse_config_file,
 )
-from .experiments import RUNNERS, SLOPE_COLUMNS
+from .experiments import RUNNERS
 from .output import output_paths, refuse_existing, render_csv, render_json, write_outputs
 from .verify import run_verify
 
@@ -88,7 +88,7 @@ def _verify_report(cfg):
 def _table(cfg):
     """Run a table experiment; return the CSV, its mirror if set, and exit code 0."""
     columns, rows = RUNNERS[cfg.experiment](cfg)
-    if columns == SLOPE_COLUMNS:
+    if cfg.experiment == "scaling-slope":
         first = dict(zip(columns, rows[0]))
         print(
             "slopes: target={slope_target} optimal={slope_optimal} "

@@ -1,6 +1,7 @@
 """Experiment runners: seeded Monte Carlo sweeps against the theory oracles.
 
-Each runner returns (columns, rows) ready for the output module. Monte Carlo
+Each runner builds its rows as dicts, one column name beside each value, and
+returns (columns, rows) ready for the output module (`_as_table`). Monte Carlo
 fan-out is over trial blocks: trial t of a sweep uses the seed derived from
 (config seed, stage, t), results are reduced in trial order, and the worker
 count therefore never changes any output byte. Because trial t's stream does
@@ -54,69 +55,6 @@ from ..spectrum import (
 )
 from ..theory import _gains, _one_stage_terms, one_stage_risk, two_stage_risk
 from .config import ExperimentConfig
-
-RESULT_COLUMNS = (
-    "experiment",
-    "p",
-    "alpha",
-    "beta_exp",
-    "sigma_t_sq",
-    "sigma_s_sq",
-    "trials",
-    "seed",
-    "kind",
-    "n",
-    "m",
-    "source",
-    "theory_bias",
-    "theory_variance",
-    "theory_total",
-    "mc_mean",
-    "mc_se",
-)
-
-GAIN_COLUMNS = (
-    "experiment",
-    "p",
-    "alpha",
-    "beta_exp",
-    "n",
-    "i",
-    "eigenvalue",
-    "zeta",
-    "beta_star",
-    "beta_opt",
-    "gain",
-    "masked",
-    "threshold_amplify",
-    "threshold_mask",
-)
-
-MASK_COLUMNS = (
-    "experiment",
-    "p",
-    "alpha",
-    "n",
-    "mask_size",
-    "predicted_count",
-    "abs_error",
-    "tolerance",
-    "within",
-)
-
-SLOPE_COLUMNS = (
-    "experiment",
-    "p",
-    "alpha",
-    "beta_exp",
-    "sigma_t_sq",
-    "n",
-    "target_total",
-    "optimal_total",
-    "slope_target",
-    "slope_optimal",
-    "predicted_slope",
-)
 
 
 def _fan_out_blocks(block_fn, trials: int, rows: int, p: int, workers: int) -> list[np.ndarray]:
@@ -211,25 +149,43 @@ def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:
     return mean, float(np.std(risks, ddof=1) / math.sqrt(risks.size))
 
 
-def _point_rows(cfg: ExperimentConfig, alpha, kind: str, n, m, report, risks) -> list:
-    """The theory row and the Monte Carlo row of one sweep point (RESULT_COLUMNS)."""
-    base = (
-        cfg.experiment,
-        cfg.p,
-        alpha,
-        cfg.beta_exp,
-        cfg.sigma_t_sq,
-        cfg.sigma_s_sq,
-        cfg.trials,
-        cfg.seed,
-        kind,
-        n,
-        m,
+def _as_table(rows):
+    """(columns, rows) from rows built as dicts: the first row's keys, then each row's values.
+
+    rows is iterated once, so a generator holds one dict at a time. A row whose
+    keys differ from the first row's in name or order raises RuntimeError.
+    """
+    columns, table = None, []
+    for row in rows:
+        columns = columns or tuple(row)
+        if tuple(row) != columns:
+            raise RuntimeError(f"internal inconsistency: row keys {tuple(row)}, columns {columns}")
+        table.append(tuple(row.values()))
+    return columns, table
+
+
+def _point_rows(cfg: ExperimentConfig, alpha, kind: str, n, m, report, risks) -> list[dict]:
+    """The theory row and the Monte Carlo row of one sweep point."""
+    base = dict(
+        experiment=cfg.experiment,
+        p=cfg.p,
+        alpha=alpha,
+        beta_exp=cfg.beta_exp,
+        sigma_t_sq=cfg.sigma_t_sq,
+        sigma_s_sq=cfg.sigma_s_sq,
+        trials=cfg.trials,
+        seed=cfg.seed,
+        kind=kind,
+        n=n,
+        m=m,
     )
-    theory = (report.bias, report.variance, report.total)
+    theory = dict(
+        theory_bias=report.bias, theory_variance=report.variance, theory_total=report.total
+    )
+    mc_mean, mc_se = mean_and_se(risks)
     return [
-        base + ("theory",) + theory + (None, None),
-        base + ("monte-carlo",) + theory + mean_and_se(risks),
+        {**base, "source": "theory", **theory, "mc_mean": None, "mc_se": None},
+        {**base, "source": "monte-carlo", **theory, "mc_mean": mc_mean, "mc_se": mc_se},
     ]
 
 
@@ -273,7 +229,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
         for kind, kind_values, kind_risks in zip(cfg.kinds, point_values, point_risks.T.copy()):
             report = one_stage_risk(point, beta_star, kind_values, cfg.sigma_t_sq)
             rows += _point_rows(cfg, alpha, kind, n, None, report, kind_risks)
-    return RESULT_COLUMNS, rows
+    return _as_table(rows)
 
 
 def run_two_stage_grid(cfg: ExperimentConfig):
@@ -305,7 +261,7 @@ def run_two_stage_grid(cfg: ExperimentConfig):
         risks = mc_two_stage_risks(insts, cfg.trials, cfg.seed, cfg.workers)
         for inst, report, point_risks in zip(insts, reports, risks):
             rows += _point_rows(cfg, alpha, "two-stage", inst.n, inst.m, report, point_risks)
-    return RESULT_COLUMNS, rows
+    return _as_table(rows)
 
 
 def run_gain_profile(cfg: ExperimentConfig):
@@ -319,30 +275,29 @@ def run_gain_profile(cfg: ExperimentConfig):
     zeta = stats.zeta  # computed on each read, so read once
     gains = gain_profile(stats)
     kept = mask_size(stats)  # the optimal mask is the prefix of this length
-    optimal = optimal_surrogate(stats, signal)
+    optimal = gains * signal  # optimal_surrogate(stats, signal), bit for bit
     threshold_amplify = 1.0 - stats.omega
     threshold_mask = math.sqrt(threshold_amplify)
-    rows = []
-    for i in range(cfg.p):
-        rows.append(
-            (
-                cfg.experiment,
-                cfg.p,
-                alpha,
-                cfg.beta_exp,
-                n,
-                i + 1,
-                float(lam[i]),
-                float(zeta[i]),
-                float(signal[i]),
-                float(optimal[i]),
-                float(gains[i]),
-                1 if i < kept else 0,
-                threshold_amplify,
-                threshold_mask,
-            )
+    rows = (
+        dict(
+            experiment=cfg.experiment,
+            p=cfg.p,
+            alpha=alpha,
+            beta_exp=cfg.beta_exp,
+            n=n,
+            i=i + 1,
+            eigenvalue=float(lam[i]),
+            zeta=float(zeta[i]),
+            beta_star=float(signal[i]),
+            beta_opt=float(optimal[i]),
+            gain=float(gains[i]),
+            masked=1 if i < kept else 0,
+            threshold_amplify=threshold_amplify,
+            threshold_mask=threshold_mask,
         )
-    return GAIN_COLUMNS, rows
+        for i in range(cfg.p)
+    )
+    return _as_table(rows)
 
 
 def run_mask_count(cfg: ExperimentConfig):
@@ -356,20 +311,20 @@ def run_mask_count(cfg: ExperimentConfig):
             abs_error = abs(size - i_mask)
             tolerance = 0.05 * n + 5.0
             rows.append(
-                (
-                    cfg.experiment,
-                    cfg.p,
-                    alpha,
-                    n,
-                    size,
-                    i_mask,
-                    abs_error,
-                    tolerance,
-                    1 if abs_error <= tolerance else 0,
+                dict(
+                    experiment=cfg.experiment,
+                    p=cfg.p,
+                    alpha=alpha,
+                    n=n,
+                    mask_size=size,
+                    predicted_count=i_mask,
+                    abs_error=abs_error,
+                    tolerance=tolerance,
+                    within=1 if abs_error <= tolerance else 0,
                 )
             )
         del spectrum  # released before the next alpha's is built
-    return MASK_COLUMNS, rows
+    return _as_table(rows)
 
 
 def _slope_point(spectrum, beta_star, n, sigma_sq):
@@ -419,22 +374,22 @@ def run_scaling_slope(cfg: ExperimentConfig):
     predicted = -scaling_exponent(alpha, cfg.beta_exp)
 
     rows = [
-        (
-            cfg.experiment,
-            cfg.p,
-            alpha,
-            cfg.beta_exp,
-            cfg.sigma_t_sq,
-            n,
-            target_total,
-            optimal_total,
-            slope_target,
-            slope_optimal,
-            predicted,
+        dict(
+            experiment=cfg.experiment,
+            p=cfg.p,
+            alpha=alpha,
+            beta_exp=cfg.beta_exp,
+            sigma_t_sq=cfg.sigma_t_sq,
+            n=n,
+            target_total=target_total,
+            optimal_total=optimal_total,
+            slope_target=slope_target,
+            slope_optimal=slope_optimal,
+            predicted_slope=predicted,
         )
         for n, target_total, optimal_total in zip(n_values, target, optimal)
     ]
-    return SLOPE_COLUMNS, rows
+    return _as_table(rows)
 
 
 # The table runners by experiment name; `verify` is the one experiment that

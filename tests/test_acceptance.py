@@ -15,6 +15,7 @@ import numpy as np
 
 from w2s_lab import (
     brute_force_mask,
+    omega_asymptotic,
     omega_lower_bound,
     one_stage_risk,
     optimal_mask,
@@ -22,6 +23,7 @@ from w2s_lab import (
     power_law_signal,
     power_law_spectrum,
     solve_tau,
+    tau_asymptotic,
     tau_bounds_nonasymptotic,
 )
 from w2s_lab.harness.config import build_config
@@ -200,8 +202,8 @@ def test_criterion_06_asymptotics_and_bounds():
     details = []
     for n in (50, 100, 200):
         stats = solve_tau(power_law_spectrum(10**5, 2.0), n)
-        tau_rel = abs(stats.tau - (math.pi / 2.0) ** 2 / n**2) / stats.tau
-        omega_gap = abs(stats.omega - 0.5)
+        tau_rel = abs(stats.tau - tau_asymptotic(2.0, n)) / stats.tau
+        omega_gap = abs(stats.omega - omega_asymptotic(2.0))
         details.append(f"n={n}: tau rel {tau_rel:.4f}, omega gap {omega_gap:.4f}")
         if tau_rel > 10.0 / n or omega_gap > 10.0 / n:
             limit_ok = False

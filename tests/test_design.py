@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from w2s_lab import (
     cutoff_indices,
     gain_profile,
     gamma_t_sq,
+    mask_size,
     masked_surrogate,
     omniscient_risk,
     one_stage_risk,
@@ -46,6 +48,7 @@ _BETA30 = power_law_signal(30, 2.0, 1.5)
 _ORACLES = {
     "gain_profile": gain_profile,
     "gamma_t_sq": lambda st: gamma_t_sq(st, _BETA30, 0.1),
+    "mask_size": mask_size,
     "omniscient_risk": lambda st: omniscient_risk(st, _BETA30, 0.1).total,
     "one_stage_risk": lambda st: one_stage_risk(st, _BETA30, 0.5 * _BETA30, 0.1).total,
     "optimal_mask": lambda st: sorted(optimal_mask(st)),
@@ -81,6 +84,14 @@ class TestStatsGivenSkipValidation:
         for spectrum in (with_nan, _LAM30[::-1].copy()):
             with pytest.raises(ValueError):
                 oracle(_stats_at(spectrum, 8, 0.01))
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    @pytest.mark.parametrize("name", sorted(_ORACLES))
+    def test_omega_outside_the_open_unit_interval_is_refused(self, name, omega):
+        stats = replace(_stats_at(_LAM30, 8, 0.01), omega=omega)
+        refusal = rf"^internal inconsistency: Omega={omega} outside \(0, 1\)$"
+        with pytest.raises(RuntimeError, match=refusal):
+            _ORACLES[name](stats)
 
 
 class TestDesignersReturnArrays:

@@ -37,11 +37,7 @@ from w2s_lab.harness.config import (
     parse_config_file,
 )
 from w2s_lab.harness.experiments import (
-    GAIN_COLUMNS,
-    MASK_COLUMNS,
-    RESULT_COLUMNS,
     RUNNERS,
-    SLOPE_COLUMNS,
     mc_one_stage_risks,
     mc_two_stage_risks,
     mean_and_se,
@@ -427,7 +423,6 @@ class TestRiskVsN:
     def test_row_structure_and_theory_values(self):
         cfg = _tiny_cfg()
         columns, rows = run_risk_vs_n(cfg)
-        assert columns == RESULT_COLUMNS
         assert len(rows) == 2 * len(cfg.n) * len(cfg.kinds)
         spectrum = power_law_spectrum(cfg.p, 2.0)
         beta_star = power_law_signal(cfg.p, 2.0, cfg.beta_exp)
@@ -459,13 +454,11 @@ class TestRiskVsN:
     def test_rows_identical_across_worker_counts(self):
         serial = _tiny_cfg(trials=12, kinds=("ground-truth", "optimal"))
         threaded = replace(serial, workers=4)
-        _, rows_a = run_risk_vs_n(serial)
+        columns, rows_a = run_risk_vs_n(serial)
         _, rows_b = run_risk_vs_n(threaded)
         assert rows_a == rows_b
         # the header echo skips runtime-only fields, so the files match byte for byte
-        assert render_csv(serial, RESULT_COLUMNS, rows_a) == render_csv(
-            threaded, RESULT_COLUMNS, rows_b
-        )
+        assert render_csv(serial, columns, rows_a) == render_csv(threaded, columns, rows_b)
 
 
 class TestTwoStageGrid:
@@ -507,7 +500,6 @@ class TestGainProfileTable:
     def test_power_law_rows(self):
         cfg = build_config("gain-profile", {"p": 20, "n": (5,), "seed": 1})
         columns, rows = run_gain_profile(cfg)
-        assert columns == GAIN_COLUMNS
         assert len(rows) == 20
         assert [r[5] for r in rows] == list(range(1, 21))
         mask = optimal_mask(solve_tau(power_law_spectrum(20, 2.0), 5))
@@ -528,7 +520,6 @@ class TestMaskCountTable:
             "mask-count", {"p": 120, "n": (10, 20), "alpha": (1.5, 3.0), "seed": 1}
         )
         columns, rows = run_mask_count(cfg)
-        assert columns == MASK_COLUMNS
         assert len(rows) == 4
         for row in rows:
             by_col = dict(zip(columns, row))
@@ -552,7 +543,6 @@ class TestScalingSlope:
             },
         )
         columns, rows = run_scaling_slope(cfg)
-        assert columns == SLOPE_COLUMNS
         first = dict(zip(columns, rows[0]))
         slope_target = first["slope_target"]
         slope_optimal = first["slope_optimal"]
@@ -574,14 +564,74 @@ class TestScalingSlope:
         both = build_config("scaling-slope", {**settings, "kinds": ("ground-truth", "optimal")})
         alone = build_config("scaling-slope", {**settings, "kinds": (kind,)})
         _, both_rows = run_scaling_slope(both)
-        _, alone_rows = run_scaling_slope(alone)
+        columns, alone_rows = run_scaling_slope(alone)
         assert len(alone_rows) == len(both_rows) == 4
         for both_row, alone_row in zip(both_rows, alone_rows):
-            for column, both_value, alone_value in zip(SLOPE_COLUMNS, both_row, alone_row):
+            for column, both_value, alone_value in zip(columns, both_row, alone_row):
                 if column in blank:
                     assert alone_value is None, column
                 else:
                     assert both_value is not None and alone_value == both_value, column
+
+
+_SWEEP_HEADER = (
+    "experiment,p,alpha,beta_exp,sigma_t_sq,sigma_s_sq,trials,seed,kind,n,m,source,"
+    "theory_bias,theory_variance,theory_total,mc_mean,mc_se"
+)
+
+
+class TestTableHeaders:
+    """Each table's column line, written out: a renamed or reordered column fails here."""
+
+    @pytest.mark.parametrize(
+        "experiment,settings,header",
+        [
+            ("risk-vs-n", {"n": (5,), "trials": 2, "kinds": ("ground-truth",)}, _SWEEP_HEADER),
+            ("two-stage-grid", {"n": (5,), "trials": 2}, _SWEEP_HEADER),
+            (
+                "gain-profile",
+                {"n": (5,)},
+                "experiment,p,alpha,beta_exp,n,i,eigenvalue,zeta,beta_star,beta_opt,gain,"
+                "masked,threshold_amplify,threshold_mask",
+            ),
+            (
+                "mask-count",
+                {"n": (5,)},
+                "experiment,p,alpha,n,mask_size,predicted_count,abs_error,tolerance,within",
+            ),
+            (
+                "scaling-slope",
+                {"p": 40, "n": (2, 3, 4)},
+                "experiment,p,alpha,beta_exp,sigma_t_sq,n,target_total,optimal_total,"
+                "slope_target,slope_optimal,predicted_slope",
+            ),
+        ],
+        ids=["risk-vs-n", "two-stage-grid", "gain-profile", "mask-count", "scaling-slope"],
+    )
+    def test_column_line(self, experiment, settings, header):
+        cfg = build_config(experiment, {"p": 20, **settings})
+        lines = render_csv(cfg, *RUNNERS[experiment](cfg)).splitlines()
+        assert [line for line in lines if not line.startswith("#")][0] == header
+
+    def test_readme_example_header(self, capsys):
+        argv = "risk-vs-n --p 60 --n 15,30 --alpha 2.0 --trials 50 --seed 7 --kinds ground-truth"
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.splitlines()[:14] == [
+            "# schema=w2s-lab/risk-vs-n/v1",
+            "# build_id=d38f9d9b70e4",
+            "# experiment=risk-vs-n",
+            "# p=60",
+            "# n=15,30",
+            "# m=",
+            "# alpha=2.0",
+            "# beta_exp=1.5",
+            "# sigma_t_sq=0.05",
+            "# sigma_s_sq=0.05",
+            "# trials=50",
+            "# seed=7",
+            "# kinds=ground-truth",
+            _SWEEP_HEADER,
+        ]
 
 
 class TestValidationCount:
@@ -1251,6 +1301,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 3
         assert f"numerical failure: mask-count report: b is {bad!r}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment", ["mask-count", "gain-profile"])
+    def test_omega_rounding_to_one_writes_nothing(self, experiment, tmp_path, capsys):
+        """lambda_2 = 2**-1000 rounds Omega to 1.0, which every oracle refuses."""
+        out = tmp_path / "run.csv"
+        argv = [experiment, "--p", "2", "--n", "1", "--alpha", "1000", "--out", str(out), "--json"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == (
+            "numerical failure: internal inconsistency: Omega=1.0 outside (0, 1)\n"
+        )
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -34,7 +34,7 @@ from w2s_lab import (
 )
 from w2s_lab.estimators import sample_block
 from w2s_lab.harness.experiments import mc_one_stage_risks, mc_two_stage_risks, mean_and_se
-from w2s_lab.reference import one_stage_risk_dense
+from w2s_lab.reference import one_stage_risk_dense, two_stage_risk_dense
 from w2s_lab.spectrum import _tolerance
 
 
@@ -259,6 +259,21 @@ class TestSpectralCoordinates:
             to_spectral_coordinates(np.diag([1.0, -0.5]), np.ones(2))
         with pytest.raises(ValueError):
             to_spectral_coordinates(np.eye(3), np.ones(2))
+
+    def test_rejects_a_non_square_covariance(self):
+        with pytest.raises(ValueError, match=r"^cov must be square, got shape \(2, 3\)$"):
+            to_spectral_coordinates(np.ones((2, 3)), np.ones(2))
+
+
+class TestDenseReferenceBasis:
+    def test_basis_of_another_size_is_refused(self):
+        lam = power_law_spectrum(4, 2.0)
+        beta = power_law_signal(4, 2.0, 1.5)
+        refusal = r"^basis must be 4 x 4, got \(5, 5\)$"
+        with pytest.raises(ValueError, match=refusal):
+            one_stage_risk_dense(lam, beta, beta, 2, 0.1, basis=np.eye(5))
+        with pytest.raises(ValueError, match=refusal):
+            two_stage_risk_dense(ProblemInstance(lam, lam, beta, 0.1, 0.1, 2, 2), basis=np.eye(5))
 
 
 class TestMonteCarloReport:
