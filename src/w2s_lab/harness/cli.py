@@ -27,7 +27,7 @@ from .config import (
     parse_config_file,
 )
 from .experiments import RUNNERS
-from .output import output_paths, refuse_existing, render_csv, render_json, write_outputs
+from .output import output_paths, refuse_existing, render_json, render_table, write_outputs
 from .verify import run_verify
 
 
@@ -87,18 +87,14 @@ def _verify_report(cfg):
 
 def _table(cfg):
     """Run a table experiment; return the CSV, its mirror if set, and exit code 0."""
-    columns, rows = RUNNERS[cfg.experiment](cfg)
+    rows = RUNNERS[cfg.experiment](cfg)
     if cfg.experiment == "scaling-slope":
-        first = dict(zip(columns, rows[0]))
         print(
             "slopes: target={slope_target} optimal={slope_optimal} "
-            "predicted={predicted_slope}".format(**first),
+            "predicted={predicted_slope}".format(**rows[0]),
             file=sys.stderr,
         )
-    texts = [render_csv(cfg, columns, rows)]
-    if cfg.json_mirror:
-        texts.append(render_json(cfg, {"columns": columns, "rows": rows}))
-    return texts, 0
+    return render_table(cfg, rows), 0
 
 
 def main(argv=None) -> int:

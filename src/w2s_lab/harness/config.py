@@ -34,7 +34,7 @@ DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
 # Each value of these fields must pass the library's own rule, whose refusal names the field.
 _VALUE_RULES = {
-    **dict.fromkeys(("trials", "n", "m"), _as_count),
+    **dict.fromkeys(("p", "trials", "n", "m"), _as_count),
     "workers": _as_workers,
     "seed": _as_seed,
     **dict.fromkeys(("sigma_t_sq", "sigma_s_sq"), _check_noise),
@@ -187,6 +187,8 @@ class ExperimentConfig:
         exp = self.experiment
         if exp == "verify" and self.json_mirror:
             raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
+        if self.out == "":
+            raise ConfigError("out: must be a path, got ''")
         if self.json_mirror and self.out is None:
             raise ConfigError("json_mirror: the mirror is written next to out, and out is not set")
         for f in fields(self):

@@ -1,7 +1,8 @@
 """Experiment runners: seeded Monte Carlo sweeps against the theory oracles.
 
-Each runner builds its rows as dicts, one column name beside each value, and
-returns (columns, rows) ready for the output module (`_as_table`). Monte Carlo
+Each runner returns its table as dict rows, keys in CSV order beside their
+values, for `output.render_table` to write in one pass; `run_gain_profile`
+returns a generator, so its rows are made as they are written. Monte Carlo
 fan-out is over trial blocks: trial t of a sweep uses the seed derived from
 (config seed, stage, t), results are reduced in trial order, and the worker
 count therefore never changes any output byte. Because trial t's stream does
@@ -53,7 +54,7 @@ from ..spectrum import (
     power_law_spectrum,
     solve_tau,
 )
-from ..theory import _gains, _one_stage_terms, one_stage_risk, two_stage_risk
+from ..theory import _check_stats, _gains, _one_stage_terms, one_stage_risk, two_stage_risk
 from .config import ExperimentConfig
 
 
@@ -149,21 +150,6 @@ def mean_and_se(risks: np.ndarray) -> tuple[float, float | None]:
     return mean, float(np.std(risks, ddof=1) / math.sqrt(risks.size))
 
 
-def _as_table(rows):
-    """(columns, rows) from rows built as dicts: the first row's keys, then each row's values.
-
-    rows is iterated once, so a generator holds one dict at a time. A row whose
-    keys differ from the first row's in name or order raises RuntimeError.
-    """
-    columns, table = None, []
-    for row in rows:
-        columns = columns or tuple(row)
-        if tuple(row) != columns:
-            raise RuntimeError(f"internal inconsistency: row keys {tuple(row)}, columns {columns}")
-        table.append(tuple(row.values()))
-    return columns, table
-
-
 def _point_rows(cfg: ExperimentConfig, alpha, kind: str, n, m, report, risks) -> list[dict]:
     """The theory row and the Monte Carlo row of one sweep point."""
     base = dict(
@@ -229,7 +215,7 @@ def run_risk_vs_n(cfg: ExperimentConfig):
         for kind, kind_values, kind_risks in zip(cfg.kinds, point_values, point_risks.T.copy()):
             report = one_stage_risk(point, beta_star, kind_values, cfg.sigma_t_sq)
             rows += _point_rows(cfg, alpha, kind, n, None, report, kind_risks)
-    return _as_table(rows)
+    return rows
 
 
 def run_two_stage_grid(cfg: ExperimentConfig):
@@ -261,7 +247,7 @@ def run_two_stage_grid(cfg: ExperimentConfig):
         risks = mc_two_stage_risks(insts, cfg.trials, cfg.seed, cfg.workers)
         for inst, report, point_risks in zip(insts, reports, risks):
             rows += _point_rows(cfg, alpha, "two-stage", inst.n, inst.m, report, point_risks)
-    return _as_table(rows)
+    return rows
 
 
 def run_gain_profile(cfg: ExperimentConfig):
@@ -278,7 +264,7 @@ def run_gain_profile(cfg: ExperimentConfig):
     optimal = gains * signal  # optimal_surrogate(stats, signal), bit for bit
     threshold_amplify = 1.0 - stats.omega
     threshold_mask = math.sqrt(threshold_amplify)
-    rows = (
+    return (
         dict(
             experiment=cfg.experiment,
             p=cfg.p,
@@ -297,7 +283,6 @@ def run_gain_profile(cfg: ExperimentConfig):
         )
         for i in range(cfg.p)
     )
-    return _as_table(rows)
 
 
 def run_mask_count(cfg: ExperimentConfig):
@@ -324,7 +309,7 @@ def run_mask_count(cfg: ExperimentConfig):
                 )
             )
         del spectrum  # released before the next alpha's is built
-    return _as_table(rows)
+    return rows
 
 
 def _slope_point(spectrum, beta_star, n, sigma_sq):
@@ -336,6 +321,7 @@ def _slope_point(spectrum, beta_star, n, sigma_sq):
     optimal_surrogate, with no p-length array beyond the point's solve.
     """
     stats = solve_tau(spectrum, n)
+    _check_stats(stats)  # as those oracles do, before the ratio divides by 1 - Omega
     ratio = stats.omega / (1.0 - stats.omega)
 
     def fill(cols, one_minus, zeta_sq):
@@ -373,7 +359,7 @@ def run_scaling_slope(cfg: ExperimentConfig):
     optimal, slope_optimal = series("optimal", [o for _, o in points])
     predicted = -scaling_exponent(alpha, cfg.beta_exp)
 
-    rows = [
+    return [
         dict(
             experiment=cfg.experiment,
             p=cfg.p,
@@ -389,11 +375,10 @@ def run_scaling_slope(cfg: ExperimentConfig):
         )
         for n, target_total, optimal_total in zip(n_values, target, optimal)
     ]
-    return _as_table(rows)
 
 
-# The table runners by experiment name; `verify` is the one experiment that
-# writes a report instead of a table.
+# The table runners by experiment name, each returning dict rows keyed in CSV
+# order; `verify` is the one experiment that writes a report instead of a table.
 RUNNERS = {
     "risk-vs-n": run_risk_vs_n,
     "two-stage-grid": run_two_stage_grid,

@@ -3,11 +3,12 @@
 Every output starts with the same metadata: a schema tag, a build id (first 12
 hex digits of the SHA-1 of the canonical metadata string), and the config echo,
 as `#` lines in a CSV and as leading keys in render_json, the one JSON writer
-(table mirror and verify report). Only content-determining fields are echoed
-(experiment, p, grids, exponents, noise levels, trials, seed, kinds); execution
-plumbing such as the output path, worker count, or overwrite flag is excluded
-so that identical (config, seed) runs produce byte-identical files regardless
-of how they were executed. No timestamps for the same reason.
+(table mirror and verify report); render_table writes a table and its mirror in
+one pass over the runner's dict rows. Only content-determining fields are
+echoed (experiment, p, grids, exponents, noise levels, trials, seed, kinds);
+execution plumbing such as the output path, worker count, or overwrite flag is
+excluded so that identical (config, seed) runs produce byte-identical files
+regardless of how they were executed. No timestamps for the same reason.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ def build_id(cfg: ExperimentConfig) -> str:
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def render_csv(cfg: ExperimentConfig, columns, rows) -> str:
-    """The CSV table: metadata header lines, the column row, then one line per row.
+def render_table(cfg: ExperimentConfig, rows) -> list[str]:
+    """A table's texts from one pass over its dict rows: the CSV, then the JSON mirror if set.
 
-    A NaN or infinite cell is a numerical fault and raises FloatingPointError.
+    The column line is the first row's keys; a row with other keys or order
+    raises RuntimeError, a NaN or infinite cell FloatingPointError naming its
+    key. Only the mirror keeps the rows; without it, a generator's rows stream.
     """
     buf = io.StringIO()
     buf.write(f"# schema={schema_tag(cfg.experiment)}\n")
@@ -78,17 +81,23 @@ def render_csv(cfg: ExperimentConfig, columns, rows) -> str:
     for key, value in config_echo(cfg).items():
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    columns, kept = None, []
     for row in rows:
-        if len(row) != len(columns):
-            raise RuntimeError(
-                f"internal inconsistency: row has {len(row)} fields, schema has {len(columns)}"
-            )
-        for name, value in zip(columns, row):
+        if columns is None:
+            columns = tuple(row)
+            writer.writerow(columns)
+        if tuple(row) != columns:
+            raise RuntimeError(f"internal inconsistency: row keys {tuple(row)}, columns {columns}")
+        for name, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise FloatingPointError(f"{cfg.experiment} report: {name} is {value!r}")
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue()
+        writer.writerow([format_value(v) for v in row.values()])
+        if cfg.json_mirror:
+            kept.append(tuple(row.values()))
+    texts = [buf.getvalue()]
+    if cfg.json_mirror:
+        texts.append(render_json(cfg, {"columns": columns, "rows": kept}))
+    return texts
 
 
 def render_json(cfg: ExperimentConfig, body: dict) -> str:
@@ -132,8 +141,8 @@ def write_outputs(cfg: ExperimentConfig, texts) -> list:
     """Write a run's rendered outputs: the first to stdout, or each to its output_paths(cfg).
 
     texts holds the main file's text first and, when cfg.json_mirror is set,
-    the mirror's second. Callers render every text before calling, so a
-    render that raises leaves no file and no stdout. Returns the paths
+    the mirror's second, as render_table returns them. Callers render every
+    text before calling, so a render that raises leaves no file and no stdout. Returns the paths
     written, empty for stdout.
 
     Every path is checked before any is written: a directory is refused, and

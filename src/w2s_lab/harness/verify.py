@@ -65,7 +65,7 @@ from ..theory import (
 )
 from .config import ExperimentConfig
 from .experiments import _fan_out_blocks, mc_one_stage_risks, mean_and_se, run_risk_vs_n
-from .output import render_csv
+from .output import render_table
 
 
 class Verdict(NamedTuple):
@@ -584,11 +584,9 @@ def _prop_parallel_determinism(rng) -> Verdict:
         seed=99,
         workers=1,
     )
-    cols1, rows1 = run_risk_vs_n(cfg)
-    csv1 = render_csv(cfg, cols1, rows1)
+    csv1 = render_table(cfg, run_risk_vs_n(cfg))
     cfg3 = replace(cfg, workers=3)
-    cols3, rows3 = run_risk_vs_n(cfg3)
-    csv3 = render_csv(cfg3, cols3, rows3)
+    csv3 = render_table(cfg3, run_risk_vs_n(cfg3))
     return _bool_result(csv1 == csv3, "risk-vs-n output bytes identical with 1 and 3 workers")
 
 

@@ -194,7 +194,7 @@ class SpectralStats:
     eigenvalues: np.ndarray
     iterations: int
     residual: float
-    _validated: bool = field(default=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -465,15 +465,16 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
         lambda t: _residual_into(lam, t, n, rows), n, lo, hi, tau
     )
 
-    return SpectralStats(
+    stats = SpectralStats(
         tau=float(tau),
         omega=sum_sq / n,  # sum (1 - zeta)^2 from the accepted pass
         n=n,
         eigenvalues=lam,
         iterations=passes,
         residual=residual,
-        _validated=True,
     )
+    object.__setattr__(stats, "_validated", True)  # not an init field, so replace() clears it
+    return stats
 
 
 def power_law_spectrum(p: int, alpha: float) -> np.ndarray:

@@ -48,11 +48,10 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> str:
     return line
 
 
-def _mc_agreement(columns, rows, rel_band: float):
+def _mc_agreement(rows, rel_band: float):
     """Worst relative gap, worst z, and the rows past rel_band or 3 SE, over Monte Carlo rows."""
     worst_rel, worst_z, offenders = 0.0, 0.0, []
-    for row in rows:
-        d = dict(zip(columns, row))
+    for d in rows:
         if d["source"] != "monte-carlo":
             continue
         gap = abs(d["mc_mean"] - d["theory_total"])
@@ -79,7 +78,7 @@ def test_criterion_01_one_stage_agreement():
             "seed": MASTER_SEED,
         },
     )
-    worst_rel, worst_z, offenders = _mc_agreement(*run_risk_vs_n(cfg), rel_band=0.05)
+    worst_rel, worst_z, offenders = _mc_agreement(run_risk_vs_n(cfg), rel_band=0.05)
     ok = not offenders
     line = _verdict(
         1,
@@ -184,7 +183,7 @@ def test_criterion_05_two_stage_agreement():
             "seed": MASTER_SEED,
         },
     )
-    worst_rel, worst_z, offenders = _mc_agreement(*run_two_stage_grid(cfg), rel_band=0.10)
+    worst_rel, worst_z, offenders = _mc_agreement(run_two_stage_grid(cfg), rel_band=0.10)
     ok = not offenders
     line = _verdict(
         5,
@@ -241,12 +240,9 @@ def test_criterion_07_mask_count_prediction():
             "seed": MASTER_SEED,
         },
     )
-    columns, rows = run_mask_count(cfg)
-    without = [r for r in rows if dict(zip(columns, r))["within"] != 1]
-    worst = max(
-        dict(zip(columns, r))["abs_error"] - dict(zip(columns, r))["tolerance"]
-        for r in rows
-    )
+    rows = run_mask_count(cfg)
+    without = [r for r in rows if r["within"] != 1]
+    worst = max(r["abs_error"] - r["tolerance"] for r in rows)
     ok = not without
     line = _verdict(
         7,
@@ -260,8 +256,7 @@ def test_criterion_07_mask_count_prediction():
 
 def _slopes(cfg):
     """(target, optimal, predicted) slopes, repeated in every scaling-slope row."""
-    columns, rows = run_scaling_slope(cfg)
-    first = dict(zip(columns, rows[0]))
+    first = run_scaling_slope(cfg)[0]
     return first["slope_target"], first["slope_optimal"], first["predicted_slope"]
 
 

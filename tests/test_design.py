@@ -84,6 +84,8 @@ class TestStatsGivenSkipValidation:
         for spectrum in (with_nan, _LAM30[::-1].copy()):
             with pytest.raises(ValueError):
                 oracle(_stats_at(spectrum, 8, 0.01))
+            with pytest.raises(ValueError):  # a solved fixed point's copy over another spectrum
+                oracle(replace(solve_tau(_LAM30, 8), eigenvalues=spectrum))
 
     @pytest.mark.parametrize("omega", [0.0, 1.0])
     @pytest.mark.parametrize("name", sorted(_ORACLES))

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -51,8 +52,8 @@ from w2s_lab.harness.experiments import (
 from w2s_lab.harness.output import (
     build_id,
     format_value,
-    render_csv,
     render_json,
+    render_table,
     write_outputs,
 )
 
@@ -301,9 +302,9 @@ class TestValidation:
 
     def test_two_stage_m_grid_mirrors_n(self):
         cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "trials": 2})
-        assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [5, 5, 8, 8]
+        assert [row["m"] for row in run_two_stage_grid(cfg)] == [5, 5, 8, 8]
         cfg = build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6, 9), "trials": 2})
-        assert [row[10] for row in run_two_stage_grid(cfg)[1]] == [6, 6, 9, 9]
+        assert [row["m"] for row in run_two_stage_grid(cfg)] == [6, 6, 9, 9]
         with pytest.raises(ConfigError):
             build_config("two-stage-grid", {"p": 30, "n": (5, 8), "m": (6,)})
 
@@ -422,11 +423,11 @@ def _tiny_cfg(**extra):
 class TestRiskVsN:
     def test_row_structure_and_theory_values(self):
         cfg = _tiny_cfg()
-        columns, rows = run_risk_vs_n(cfg)
+        rows = run_risk_vs_n(cfg)
         assert len(rows) == 2 * len(cfg.n) * len(cfg.kinds)
         spectrum = power_law_spectrum(cfg.p, 2.0)
         beta_star = power_law_signal(cfg.p, 2.0, cfg.beta_exp)
-        by_col = dict(zip(columns, rows[0]))
+        by_col = rows[0]
         assert by_col["source"] == "theory"
         assert by_col["m"] is None
         assert by_col["mc_mean"] is None
@@ -436,29 +437,25 @@ class TestRiskVsN:
         assert by_col["theory_total"] == expected.total
 
     def test_monte_carlo_rows_carry_se(self):
-        columns, rows = run_risk_vs_n(_tiny_cfg())
-        mc_rows = [dict(zip(columns, r)) for r in rows if r[11] == "monte-carlo"]
+        mc_rows = [r for r in run_risk_vs_n(_tiny_cfg()) if r["source"] == "monte-carlo"]
         assert mc_rows
         for row in mc_rows:
             assert row["mc_mean"] > 0.0
             assert row["mc_se"] > 0.0
 
     def test_single_trial_has_no_se(self):
-        columns, rows = run_risk_vs_n(
-            _tiny_cfg(trials=1, n=(6,), kinds=("ground-truth",))
-        )
-        mc = dict(zip(columns, rows[1]))
+        mc = run_risk_vs_n(_tiny_cfg(trials=1, n=(6,), kinds=("ground-truth",)))[1]
         assert mc["source"] == "monte-carlo"
         assert mc["mc_se"] is None
 
     def test_rows_identical_across_worker_counts(self):
         serial = _tiny_cfg(trials=12, kinds=("ground-truth", "optimal"))
         threaded = replace(serial, workers=4)
-        columns, rows_a = run_risk_vs_n(serial)
-        _, rows_b = run_risk_vs_n(threaded)
+        rows_a = run_risk_vs_n(serial)
+        rows_b = run_risk_vs_n(threaded)
         assert rows_a == rows_b
         # the header echo skips runtime-only fields, so the files match byte for byte
-        assert render_csv(serial, columns, rows_a) == render_csv(threaded, columns, rows_b)
+        assert render_table(serial, rows_a) == render_table(threaded, rows_b)
 
 
 class TestTwoStageGrid:
@@ -466,9 +463,9 @@ class TestTwoStageGrid:
         cfg = build_config(
             "two-stage-grid", {"p": 25, "n": (5, 8), "trials": 10, "seed": 7}
         )
-        columns, rows = run_two_stage_grid(cfg)
+        rows = run_two_stage_grid(cfg)
         assert len(rows) == 4
-        first = dict(zip(columns, rows[0]))
+        first = rows[0]
         assert first["kind"] == "two-stage"
         assert first["m"] == 5
         spectrum = power_law_spectrum(25, first["alpha"])
@@ -499,12 +496,11 @@ class TestTwoStageGrid:
 class TestGainProfileTable:
     def test_power_law_rows(self):
         cfg = build_config("gain-profile", {"p": 20, "n": (5,), "seed": 1})
-        columns, rows = run_gain_profile(cfg)
+        rows = list(run_gain_profile(cfg))
         assert len(rows) == 20
-        assert [r[5] for r in rows] == list(range(1, 21))
+        assert [r["i"] for r in rows] == list(range(1, 21))
         mask = optimal_mask(solve_tau(power_law_spectrum(20, 2.0), 5))
-        for row in rows:
-            by_col = dict(zip(columns, row))
+        for by_col in rows:
             assert by_col["masked"] == (1 if by_col["i"] - 1 in mask else 0)
             assert by_col["threshold_mask"] == pytest.approx(
                 by_col["threshold_amplify"] ** 0.5
@@ -519,10 +515,9 @@ class TestMaskCountTable:
         cfg = build_config(
             "mask-count", {"p": 120, "n": (10, 20), "alpha": (1.5, 3.0), "seed": 1}
         )
-        columns, rows = run_mask_count(cfg)
+        rows = run_mask_count(cfg)
         assert len(rows) == 4
-        for row in rows:
-            by_col = dict(zip(columns, row))
+        for by_col in rows:
             spectrum = power_law_spectrum(120, by_col["alpha"])
             stats = solve_tau(spectrum, by_col["n"])
             assert by_col["mask_size"] == len(optimal_mask(stats))
@@ -542,8 +537,7 @@ class TestScalingSlope:
                 "seed": 1,
             },
         )
-        columns, rows = run_scaling_slope(cfg)
-        first = dict(zip(columns, rows[0]))
+        first = run_scaling_slope(cfg)[0]
         slope_target = first["slope_target"]
         slope_optimal = first["slope_optimal"]
         predicted = first["predicted_slope"]
@@ -563,11 +557,13 @@ class TestScalingSlope:
         settings = {"p": 3 * 2**14 + 5, "n": (400, 100, 200, 800)}
         both = build_config("scaling-slope", {**settings, "kinds": ("ground-truth", "optimal")})
         alone = build_config("scaling-slope", {**settings, "kinds": (kind,)})
-        _, both_rows = run_scaling_slope(both)
-        columns, alone_rows = run_scaling_slope(alone)
+        both_rows = run_scaling_slope(both)
+        alone_rows = run_scaling_slope(alone)
         assert len(alone_rows) == len(both_rows) == 4
         for both_row, alone_row in zip(both_rows, alone_rows):
-            for column, both_value, alone_value in zip(columns, both_row, alone_row):
+            assert list(alone_row) == list(both_row)
+            for column, both_value in both_row.items():
+                alone_value = alone_row[column]
                 if column in blank:
                     assert alone_value is None, column
                 else:
@@ -610,7 +606,7 @@ class TestTableHeaders:
     )
     def test_column_line(self, experiment, settings, header):
         cfg = build_config(experiment, {"p": 20, **settings})
-        lines = render_csv(cfg, *RUNNERS[experiment](cfg)).splitlines()
+        lines = render_table(cfg, RUNNERS[experiment](cfg))[0].splitlines()
         assert [line for line in lines if not line.startswith("#")][0] == header
 
     def test_readme_example_header(self, capsys):
@@ -768,12 +764,12 @@ class TestSweeps:
     def test_rows_equal_one_point_runs(self, experiment, values, workers):
         """Grid points next to p included (n or m = p - 1)."""
         cfg = build_config(experiment, dict(values, trials=6, seed=3, workers=workers))
-        _, rows = RUNNERS[experiment](cfg)
+        rows = RUNNERS[experiment](cfg)
         expected_rows = []
         for alpha in cfg.alpha:
             for i, n in enumerate(cfg.n):
                 one = replace(cfg, alpha=(alpha,), n=(n,), m=cfg.m[i : i + 1], workers=1)
-                expected_rows += RUNNERS[experiment](one)[1]
+                expected_rows += RUNNERS[experiment](one)
         assert rows == expected_rows
 
 
@@ -1016,10 +1012,11 @@ class TestOutputFormat:
         assert format_value((100, 200)) == "100,200"
         assert format_value("abc") == "abc"
 
-    def test_render_csv_header_and_shape(self):
+    def test_render_table_header_and_shape(self):
         cfg = _tiny_cfg(trials=2, n=(6,), kinds=("ground-truth",))
-        columns, rows = run_risk_vs_n(cfg)
-        text = render_csv(cfg, columns, rows)
+        rows = run_risk_vs_n(cfg)
+        (text,) = render_table(cfg, rows)
+        columns = list(rows[0])
         lines = text.splitlines()
         assert lines[0] == "# schema=w2s-lab/risk-vs-n/v1"
         assert lines[1].startswith("# build_id=")
@@ -1030,16 +1027,36 @@ class TestOutputFormat:
         assert len(lines) == header_count + 1 + len(rows)
         assert text.endswith("\n")
 
-    def test_render_csv_rejects_ragged_rows(self):
+    @pytest.mark.parametrize(
+        "second",
+        [{"a": 1, "b": 2, "c": 3}, {"a": 1}, {"b": 2, "a": 1}, {"a": 1, "c": 2}],
+        ids=["extra", "missing", "reordered", "renamed"],
+    )
+    def test_render_table_rejects_rows_whose_keys_differ(self, second):
         cfg = _tiny_cfg()
-        with pytest.raises(RuntimeError):
-            render_csv(cfg, ("a", "b"), [(1, 2, 3)])
+        refusal = (
+            rf"^internal inconsistency: row keys \({', '.join(map(repr, second))},?\), "
+            r"columns \('a', 'b'\)$"
+        )
+        with pytest.raises(RuntimeError, match=refusal):
+            render_table(cfg, [{"a": 0, "b": 0}, second])
 
-    def test_render_csv_refuses_non_finite_values(self):
+    def test_render_table_refuses_non_finite_values(self):
         cfg = _tiny_cfg()
         for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
             with pytest.raises(FloatingPointError, match="^risk-vs-n report: b is "):
-                render_csv(cfg, ("a", "b"), [(1, 2.0), (3, bad)])
+                render_table(cfg, [{"a": 1, "b": 2.0}, {"a": 3, "b": bad}])
+
+    def test_render_table_streams_a_generator_without_the_mirror(self):
+        """Only the mirror keeps rows: a gain profile's peak stays near its CSV text."""
+        cfg = build_config("gain-profile", {"p": 20_000})
+        tracemalloc.start()
+        try:
+            (text,) = render_table(cfg, run_gain_profile(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
     def test_build_id_tracks_scientific_fields_only(self):
         cfg = _tiny_cfg()
@@ -1049,12 +1066,14 @@ class TestOutputFormat:
         assert set(build_id(cfg)) <= set("0123456789abcdef")
 
     def test_render_json_round_trips(self):
-        cfg = _tiny_cfg(trials=2, n=(6,), kinds=("ground-truth",))
-        columns, rows = run_risk_vs_n(cfg)
-        payload = json.loads(render_json(cfg, {"columns": columns, "rows": rows}))
+        cfg = _tiny_cfg(
+            trials=2, n=(6,), kinds=("ground-truth",), out="table.csv", json_mirror=True
+        )
+        rows = run_risk_vs_n(cfg)
+        payload = json.loads(render_table(cfg, rows)[1])
         assert payload["schema"] == "w2s-lab/risk-vs-n/v1"
-        assert payload["columns"] == list(columns)
-        assert len(payload["rows"]) == len(rows)
+        assert payload["columns"] == list(rows[0])
+        assert payload["rows"] == [list(row.values()) for row in rows]
         # the echo block reuses the canonical header formatting, so values are strings
         assert payload["config"]["p"] == "30"
 
@@ -1077,11 +1096,7 @@ class TestOutputFormat:
             trials=2, n=(6,), kinds=("ground-truth",),
             out=str(out), json_mirror=True,
         )
-        columns, rows = run_risk_vs_n(cfg)
-        texts = [
-            render_csv(cfg, columns, rows),
-            render_json(cfg, {"columns": columns, "rows": rows}),
-        ]
+        texts = render_table(cfg, run_risk_vs_n(cfg))
         paths = write_outputs(cfg, texts)
         assert out.read_text() == texts[0]
         assert (tmp_path / "deep" / "table.json").read_text() == texts[1]
@@ -1281,7 +1296,7 @@ class TestCli:
 
     def test_table_mirror_is_strict_json(self, tmp_path, capsys, monkeypatch):
         """A NaN cell fails the run before any file is written, the CSV included."""
-        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: (("a", "b"), [(1, math.nan)]))
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: [{"a": 1, "b": math.nan}])
         out = tmp_path / "run.csv"
         rc = main(["mask-count", "--p", "50", "--n", "5", "--out", str(out), "--json"])
         captured = capsys.readouterr()
@@ -1294,7 +1309,8 @@ class TestCli:
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_non_finite_cell_writes_nothing(self, tmp_path, capsys, monkeypatch, bad, to_file):
         """Without the mirror, a NaN or infinite cell fails the run before any output."""
-        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: (("a", "b"), [(1, 2.5), (2, bad)]))
+        rows = [{"a": 1, "b": 2.5}, {"a": 2, "b": bad}]
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: rows)
         out = tmp_path / "run.csv"
         argv = ["mask-count", "--p", "50", "--n", "5"] + (["--out", str(out)] if to_file else [])
         rc = main(argv)
@@ -1304,12 +1320,20 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("experiment", ["mask-count", "gain-profile"])
-    def test_omega_rounding_to_one_writes_nothing(self, experiment, tmp_path, capsys):
-        """lambda_2 = 2**-1000 rounds Omega to 1.0, which every oracle refuses."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mask-count", "--p", "2", "--n", "1", "--alpha", "1000"],
+            ["gain-profile", "--p", "2", "--n", "1", "--alpha", "1000"],
+            ["scaling-slope", "--p", "30", "--n", "1,2,3", "--alpha", "200"],
+        ],
+        ids=["mask-count", "gain-profile", "scaling-slope"],
+    )
+    def test_omega_rounding_to_one_writes_nothing(self, argv, tmp_path, capsys):
+        """lambda_2 = 2**-alpha underflows next to lambda_1 = 1 and rounds Omega to 1.0 at n = 1,
+        which every oracle refuses, and so does scaling-slope's fused pass."""
         out = tmp_path / "run.csv"
-        argv = [experiment, "--p", "2", "--n", "1", "--alpha", "1000", "--out", str(out), "--json"]
-        rc = main(argv)
+        rc = main(argv + ["--out", str(out), "--json"])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.err == (
@@ -1367,6 +1391,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: json_mirror: ")
         assert captured.out == ""
+
+    def test_p_below_one_is_refused_naming_p(self, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: pytest.fail("mask-count ran"))
+        assert main(["mask-count", "--p", "0", "--n", "5"]) == 1
+        assert capsys.readouterr().err == "config error: p: must be >= 1, got 0\n"
+
+    def test_empty_out_is_refused_before_running(self, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "mask-count", lambda cfg: pytest.fail("mask-count ran"))
+        assert main(["mask-count", "--p", "50", "--n", "5", "--out", ""]) == 1
+        assert capsys.readouterr().err == "config error: out: must be a path, got ''\n"
 
     @pytest.mark.parametrize("force", [False, True])
     def test_directory_out_is_refused_before_running(self, tmp_path, capsys, force):

@@ -37,13 +37,17 @@ COMMANDS = (
     "scaling-slope",
     "verify",
     "verify --seed 5",
-    # written files: an --m grid on three workers with its JSON mirror, a verify report
+    # written files: an --m grid on three workers with its JSON mirror, the generator
+    # runner with its mirror, a verify report
     "two-stage-grid --p 120 --n 20,40 --m 30,60 --trials 30 --workers 3"
     " --out runs/grid.csv --json",
+    "gain-profile --p 2000 --n 50 --out runs/profile.csv --json",
     "verify --seed 5 --out runs/verify.json",
-    # refusals: n >= p, and a fixed point whose Omega rounds to 1
+    # refusals: n >= p, and a fixed point whose Omega rounds to 1, in an oracle and in
+    # scaling-slope's fused pass
     "risk-vs-n --p 50 --n 20,50",
     "mask-count --p 2 --n 1 --alpha 1000 --out runs/refused.csv --json",
+    "scaling-slope --p 30 --n 1,2,3 --alpha 200 --out runs/refused.csv --json",
 )
 
 
