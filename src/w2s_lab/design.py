@@ -236,7 +236,9 @@ def scaling_exponent(alpha: float, beta_exp: float) -> float:
     e = beta_exp - 1 in the signal-limited regime beta_exp < 2*alpha + 1 and
     e = 2*alpha in the approximation-limited regime beta_exp > 2*alpha + 1.
     The boundary beta_exp = 2*alpha + 1 carries a logarithmic correction and
-    is rejected.
+    is rejected. The exponent is the noise-free one: with sigma^2 > 0 both
+    ridgeless risks tend to the floor sigma^2 (alpha - 1), and e is the decay
+    of the excess above it.
     """
     _check_exponent(alpha, "alpha")
     _check_exponent(beta_exp, "beta_exp")

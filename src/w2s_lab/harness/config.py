@@ -4,9 +4,10 @@ A config is a single flat text file of `key = value` lines (blank lines and
 `#` comments ignored) plus CLI flag overrides; flags win. Each settable field
 declares its parser, flag and help text once, on the ExperimentConfig field
 itself; SETTINGS collects them, and the file reader and the command line both
-parse through them, so a value reads the same from either. Constructing an
-ExperimentConfig validates it, and errors always name the offending field so
-sweep scripts fail loudly and precisely.
+parse through them, so a value reads the same from either. PLUMBING names the
+settings that never change a row; the others make up a run's identity.
+Constructing an ExperimentConfig validates it, and errors always name the
+offending field so sweep scripts fail loudly and precisely.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as _field, fields
 from typing import Callable, NamedTuple
 
+from ..design import scaling_exponent
 from ..estimators import MAX_WORKERS, _as_seed, _as_workers
-from ..spectrum import _as_count, _check_exponent, _check_noise
+from ..spectrum import _as_count, _check_exponent, _check_noise, _check_power_law
 
 EXPERIMENTS = (
     "gain-profile",
@@ -42,9 +44,10 @@ _VALUE_RULES = {
 }
 
 
-# The experiments that read each echoed field, where not all of them do. Any
-# other experiment refuses a value that differs from the field's default, so
-# an unread field never changes the echo or the build id of identical rows.
+# The experiments that read each setting, where not all of them do. Any other
+# experiment refuses a value that differs from the field's default, so an
+# unread field never changes the echo or the build id of identical rows. A new
+# setting defaults to None, which the echo leaves out, and gets an entry here.
 # seed is left out: it is echoed by every experiment and read by few.
 READERS = {
     **dict.fromkeys(("p", "n", "alpha"), EXPERIMENTS[:-1]),  # all but verify
@@ -170,7 +173,7 @@ class ExperimentConfig:
             for item in value if isinstance(value, tuple) else (value,):
                 try:
                     rule(item, name)
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:  # TypeError: None or not a number
                     raise ConfigError(f"{name}: {str(exc).removeprefix(name + ' ')}") from None
         if not self.alpha:
             raise ConfigError("alpha: grid must be non-empty")
@@ -227,10 +230,20 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"kinds: scaling-slope supports ground-truth and optimal, got {kind!r}"
                     )
+        # the runners' own refusals, raised here so that they cost no work
+        try:
+            for alpha in self.alpha:
+                _check_power_law(self.p, alpha)
+            if exp == "scaling-slope":
+                scaling_exponent(self.alpha[0], self.beta_exp)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # Every field a file key and a flag can set, in declaration order.
 SETTINGS = {f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if f.metadata}
+# The settings that never change a row; a run's identity is every other one (output.config_echo).
+PLUMBING = ("workers", "out", "json_mirror")
 
 
 def parse_config_file(path) -> dict:

@@ -4,11 +4,13 @@ Every output starts with the same metadata: a schema tag, a build id (first 12
 hex digits of the SHA-1 of the canonical metadata string), and the config echo,
 as `#` lines in a CSV and as leading keys in render_json, the one JSON writer
 (table mirror and verify report); render_table writes a table and its mirror in
-one pass over the runner's dict rows. Only content-determining fields are
-echoed (experiment, p, grids, exponents, noise levels, trials, seed, kinds);
-execution plumbing such as the output path, worker count, or overwrite flag is
-excluded so that identical (config, seed) runs produce byte-identical files
-regardless of how they were executed. No timestamps for the same reason.
+one pass over the runner's dict rows. The echo is the experiment, then every
+setting outside config.PLUMBING in declaration order, a None value left out:
+a setting added later with a None default changes no existing output until it
+is set. The plumbing (output path, worker count, mirror switch) and the
+overwrite flag are excluded so that identical (config, seed) runs produce
+byte-identical files regardless of how they were executed. No timestamps for
+the same reason.
 """
 
 from __future__ import annotations
@@ -20,24 +22,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
-from .config import ConfigError, ExperimentConfig
+from .config import PLUMBING, ConfigError, ExperimentConfig
 
 SCHEMA_VERSION = 1
-
-_ECHO_FIELDS = (
-    "experiment",
-    "p",
-    "n",
-    "m",
-    "alpha",
-    "beta_exp",
-    "sigma_t_sq",
-    "sigma_s_sq",
-    "trials",
-    "seed",
-    "kinds",
-)
 
 
 def format_value(value) -> str:
@@ -53,7 +42,13 @@ def format_value(value) -> str:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    return {name: format_value(getattr(cfg, name)) for name in _ECHO_FIELDS}
+    """The experiment, then each setting of cfg outside PLUMBING that is not None."""
+    echo = {"experiment": cfg.experiment}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.metadata and f.name not in PLUMBING and value is not None:
+            echo[f.name] = format_value(value)
+    return echo
 
 
 def schema_tag(experiment: str) -> str:
@@ -61,10 +56,8 @@ def schema_tag(experiment: str) -> str:
 
 
 def build_id(cfg: ExperimentConfig) -> str:
-    echo = config_echo(cfg)
-    canonical = schema_tag(cfg.experiment) + ";" + ";".join(
-        f"{k}={echo[k]}" for k in _ECHO_FIELDS
-    )
+    echo = config_echo(cfg).items()
+    canonical = schema_tag(cfg.experiment) + ";" + ";".join(f"{k}={v}" for k, v in echo)
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
 
 

@@ -477,6 +477,15 @@ def solve_tau(spectrum, n: int) -> SpectralStats:
     return stats
 
 
+def _check_power_law(p: int, alpha: float) -> int:
+    """Return p as an int after power_law_spectrum's checks, which the config also runs."""
+    p = _as_count(p, "p")
+    _check_exponent(alpha, "alpha")
+    if not float(p) ** -alpha > 0.0:
+        raise ValueError(f"alpha={alpha} is too large for p={p}: p^-alpha underflows to 0")
+    return p
+
+
 def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     """Spectrum lambda_i = i^(-alpha) for i = 1..p.
 
@@ -485,12 +494,9 @@ def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
     power_law_signal of the same p and alpha cannot overflow unless that tail
     underflows, so the one check keeps both finite.
     """
-    p = _as_count(p, "p")
-    _check_exponent(alpha, "alpha")
+    p = _check_power_law(p, alpha)
     idx = np.arange(1, p + 1, dtype=np.float64)
     idx **= -alpha  # in place: numpy's scalar-power path, the bits of idx ** (-alpha)
-    if not idx[-1] > 0.0:
-        raise ValueError(f"alpha={alpha} is too large for p={p}: p^-alpha underflows to 0")
     return idx
 
 

@@ -104,6 +104,7 @@ def _assert_in_bounds(cfg):
     assert cfg.n and all(isinstance(v, int) and 1 <= v < cfg.p for v in cfg.n)
     assert all(isinstance(v, int) and 1 <= v < cfg.p for v in cfg.m)
     assert cfg.alpha and all(math.isfinite(a) and a > 1.0 for a in cfg.alpha)
+    assert all(float(cfg.p) ** -a > 0.0 for a in cfg.alpha)  # the spectrum's tail is positive
     assert math.isfinite(cfg.beta_exp) and cfg.beta_exp > 1.0
     for sigma in (cfg.sigma_t_sq, cfg.sigma_s_sq):
         assert math.isfinite(sigma) and sigma >= 0.0
@@ -136,6 +137,7 @@ def _parse_text(text: str) -> dict:
 @example(experiment="risk-vs-n", lines=["p = 20", "n = 5"], overrides={"sigma_t_sq": math.inf})
 @example(experiment="risk-vs-n", lines=["p = 20", "n = 5", "sigma_s_sq = nan"], overrides=None)
 @example(experiment="mask-count", lines=["p = 20", "n = 5", "alpha = 2, inf"], overrides=None)
+@example(experiment="mask-count", lines=["p = 20", "n = 5", "alpha = 2, 300"], overrides=None)
 def test_config_is_in_bounds_or_refused(experiment, lines, overrides):
     try:
         values = _parse_text("\n".join(lines) + "\n")

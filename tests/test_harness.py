@@ -5,7 +5,7 @@ import math
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -30,10 +30,14 @@ from w2s_lab.harness.config import (
     EXPERIMENTS,
     KINDS,
     MAX_WORKERS,
+    PLUMBING,
     READERS,
     SETTINGS,
     ConfigError,
     ExperimentConfig,
+    _parse_int,
+    _setting,
+    _VALUE_RULES,
     build_config,
     parse_config_file,
 )
@@ -405,6 +409,13 @@ class TestValidation:
             build_config("risk-vs-n", {"p": 40, "n": (5,), "workers": MAX_WORKERS + 1})
         with pytest.raises(ConfigError, match="^workers: must be <= "):
             replace(cfg, workers=10**6)
+
+    @pytest.mark.parametrize("value", [None, (None,), [3]], ids=["None", "None-item", "list"])
+    @pytest.mark.parametrize("name", sorted(_VALUE_RULES))
+    def test_a_non_number_is_refused_by_name(self, name, value):
+        """A library caller's None or list is a ConfigError naming the field, not a TypeError."""
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            ExperimentConfig(experiment="two-stage-grid", **{name: value})
 
     def test_seed_must_fit_in_64_bits(self):
         """Seeds are mixed as 64-bit words, so 2**64 + k would alias seed k."""
@@ -1123,6 +1134,58 @@ class TestOutputFormat:
             assert mirror_path.read_text() == "kept\n"
 
 
+@dataclass(frozen=True)
+class _WithLaterSetting(ExperimentConfig):
+    """The config as it stands once a setting is added with the None default it must take."""
+
+    dummy: int | None = _setting(None, _parse_int, "--dummy", "a setting added later")
+
+
+# Small configs of each table experiment.
+_SMALL_TABLES = {
+    "gain-profile": {"p": 40, "n": (5,)},
+    "risk-vs-n": {"p": 40, "n": (5, 10), "trials": 6},
+    "two-stage-grid": {"p": 40, "n": (5, 10), "trials": 6},
+    "mask-count": {"p": 40, "n": (5, 10)},
+    "scaling-slope": {"p": 400, "n": (10, 20, 40)},
+}
+
+
+class TestRunIdentity:
+    """A run's echo and build id are every setting outside PLUMBING, a None one left out."""
+
+    def test_a_setting_added_later_is_echoed_only_once_set(self):
+        cfg = build_config("mask-count", {"p": 50, "n": (5,)})
+        rows = run_mask_count(cfg)
+        unset = _WithLaterSetting("mask-count", p=50, n=(5,))
+        assert render_table(unset, rows) == render_table(cfg, rows)
+        assert build_id(unset) == "52c28407d5b3"
+        set_ = replace(unset, dummy=3)
+        header = [line for line in render_table(set_, rows)[0].splitlines() if line[0] == "#"]
+        base_header = [line for line in render_table(cfg, rows)[0].splitlines() if line[0] == "#"]
+        assert header[1] == "# build_id=4060d176850c" == f"# build_id={build_id(set_)}"
+        assert header[2:] == base_header[2:] + ["# dummy=3"]
+        assert json.loads(render_json(set_, {}))["config"]["dummy"] == "3"
+
+    @pytest.mark.parametrize("experiment", sorted(_SMALL_TABLES))
+    def test_plumbing_leaves_every_table_unchanged(self, experiment):
+        cfg = build_config(experiment, _SMALL_TABLES[experiment])
+        plumbed = replace(cfg, **{
+            name: SETTINGS[name].parse(name, _FIELD_TEXTS[name][0]) for name in PLUMBING
+        })
+        assert all(getattr(plumbed, name) != getattr(cfg, name) for name in PLUMBING)
+        expected = render_table(cfg, RUNNERS[experiment](cfg))[0]
+        assert render_table(plumbed, RUNNERS[experiment](plumbed))[0] == expected
+
+    @pytest.mark.parametrize("name", [name for name in SETTINGS if name not in PLUMBING])
+    def test_every_other_setting_changes_the_build_id(self, name):
+        experiment = _FIELD_EXPERIMENT.get(name, "two-stage-grid")
+        assert experiment in READERS.get(name, EXPERIMENTS)
+        cfg = build_config(experiment)
+        changed = replace(cfg, **{name: SETTINGS[name].parse(name, _FIELD_TEXTS[name][0])})
+        assert build_id(changed) != build_id(cfg)
+
+
 class TestCli:
     def test_stdout_csv_run(self, capsys):
         rc = main(
@@ -1374,10 +1437,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: n: scaling-slope needs >= 3 distinct")
 
-    def test_underflowing_power_law_names_alpha_and_p(self, capsys):
-        assert main(["mask-count", "--p", "100000", "--alpha", "70", "--n", "100"]) == 1
+    def test_underflowing_power_law_names_alpha_and_p(self, capsys, monkeypatch):
+        """Refused before any work, though the grid's first alpha is fine."""
+        for experiment in ("mask-count", "two-stage-grid"):
+            monkeypatch.setitem(RUNNERS, experiment, lambda cfg: pytest.fail("a runner ran"))
+            assert main([experiment, "--p", "100000", "--alpha", "2,70", "--n", "100"]) == 1
+            assert capsys.readouterr().err == (
+                "config error: alpha=70.0 is too large for p=100000: p^-alpha underflows to 0\n"
+            )
+
+    def test_boundary_slope_exponent_is_refused_before_running(self, capsys, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "scaling-slope", lambda cfg: pytest.fail("scaling-slope ran"))
+        assert main(["scaling-slope", "--alpha", "2", "--beta-exp", "5"]) == 1
         assert capsys.readouterr().err == (
-            "config error: alpha=70.0 is too large for p=100000: p^-alpha underflows to 0\n"
+            "config error: beta_exp = 2*alpha + 1 = 5.0 is the boundary case "
+            "and has no pure power law\n"
         )
 
     def test_verify_json_is_refused(self, capsys, monkeypatch):

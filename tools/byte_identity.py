@@ -48,6 +48,10 @@ COMMANDS = (
     "risk-vs-n --p 50 --n 20,50",
     "mask-count --p 2 --n 1 --alpha 1000 --out runs/refused.csv --json",
     "scaling-slope --p 30 --n 1,2,3 --alpha 200 --out runs/refused.csv --json",
+    # refusals of a grid's second alpha, whose tail p^-alpha underflows, and of
+    # scaling-slope's boundary beta_exp = 2*alpha + 1
+    "two-stage-grid --p 300 --alpha 2,200 --n 90 --trials 20",
+    "scaling-slope --alpha 2 --beta-exp 5",
 )
 
 
