@@ -2,17 +2,18 @@
 
 A config is a single flat text file of `key = value` lines (blank lines and
 `#` comments ignored) plus CLI flag overrides; flags win. Each settable field
-declares its parser, flag and help text once, on the ExperimentConfig field
-itself; SETTINGS collects them, and the file reader and the command line both
-parse through them, so a value reads the same from either. PLUMBING names the
-settings that never change a row; the others make up a run's identity.
-Constructing an ExperimentConfig validates it, and errors always name the
-offending field so sweep scripts fail loudly and precisely.
+states everything the config knows about it once, in its `_setting(...)` on
+the ExperimentConfig field; SETTINGS collects them, and the file reader and
+the command line both parse through them, so a value reads the same from
+either. Constructing an ExperimentConfig checks every setting in one loop,
+then the cross-field rules; errors always name the offending field so sweep
+scripts fail loudly and precisely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field, fields
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from ..design import scaling_exponent
@@ -27,6 +28,7 @@ EXPERIMENTS = (
     "scaling-slope",
     "verify",
 )
+TABLES = EXPERIMENTS[:-1]  # every experiment that writes a table: all but verify
 KINDS = ("ground-truth", "optimal", "masked")
 
 # Defaults used where figure captions are silent; they are echoed into output
@@ -34,43 +36,6 @@ KINDS = ("ground-truth", "optimal", "masked")
 DEFAULT_SIGMA_SQ = 0.05
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260822
-# Each value of these fields must pass the library's own rule, whose refusal names the field.
-_VALUE_RULES = {
-    **dict.fromkeys(("p", "trials", "n", "m"), _as_count),
-    "workers": _as_workers,
-    "seed": _as_seed,
-    **dict.fromkeys(("sigma_t_sq", "sigma_s_sq"), _check_noise),
-    **dict.fromkeys(("alpha", "beta_exp"), _check_exponent),
-}
-
-
-# The experiments that read each setting, where not all of them do. Any other
-# experiment refuses a value that differs from the field's default, so an
-# unread field never changes the echo or the build id of identical rows. A new
-# setting defaults to None, which the echo leaves out, and gets an entry here.
-# seed is left out: it is echoed by every experiment and read by few.
-READERS = {
-    **dict.fromkeys(("p", "n", "alpha"), EXPERIMENTS[:-1]),  # all but verify
-    "m": ("two-stage-grid",),
-    "beta_exp": ("gain-profile", "risk-vs-n", "two-stage-grid", "scaling-slope"),
-    "sigma_t_sq": ("risk-vs-n", "two-stage-grid", "scaling-slope"),
-    "sigma_s_sq": ("two-stage-grid",),
-    "trials": ("risk-vs-n", "two-stage-grid"),
-    "kinds": ("risk-vs-n", "scaling-slope"),
-}
-
-# The grids an experiment takes exactly one value of.
-ONE_VALUE = {"gain-profile": ("n", "alpha"), "risk-vs-n": ("alpha",), "scaling-slope": ("alpha",)}
-
-
-# Where an experiment's own rules refuse a shared default, its entry here
-# replaces it; file values and flags still win. A gain profile is taken at one
-# n, and a scaling slope needs p >= 10*max(n) and a predicted exponent for
-# every series it fits.
-EXPERIMENT_DEFAULTS = {
-    "gain-profile": {"n": (100,)},
-    "scaling-slope": {"p": 3000, "kinds": ("ground-truth", "optimal")},
-}
 
 
 class ConfigError(ValueError):
@@ -111,22 +76,47 @@ def _list_of(parse):
     )
 
 
+def _check_kind(kind, name: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}, valid: {', '.join(KINDS)}")
+
+
+def _check_path(path, name: str) -> None:
+    if not (isinstance(path, str) and path):
+        raise ValueError(f"must be a path, got {path!r}")
+
+
+def _check_bool(value, name: str) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+
+
 class Setting(NamedTuple):
-    """How a field is set from outside the program.
+    """Everything the config knows about one field, declared once on the field.
 
     parse(field name, text) returns the typed value or raises ConfigError
-    naming the field. A flag with a const takes no value and stands for that
-    text.
+    naming the field; a flag with a const takes no value and stands for that
+    text. rule(value, field name) raises TypeError or ValueError for a bad
+    value, or grid item (a grid's default is a tuple). Only the experiments in
+    readers take a value but the default, so an unread setting never changes
+    an echo; those in one_value take a one-item grid. defaults replaces the
+    field's default per experiment. A plumbing setting never changes a row.
     """
 
     parse: Callable
     flag: str
     help: str
+    rule: Callable
     const: str | None = None
+    readers: tuple[str, ...] = EXPERIMENTS
+    one_value: tuple[str, ...] = ()
+    defaults: MappingProxyType = MappingProxyType({})
+    plumbing: bool = False
 
 
-def _setting(default, parse, flag, help, const=None):
-    return _field(default=default, metadata={"setting": Setting(parse, flag, help, const)})
+def _setting(default, parse, flag, help, rule, defaults=(), **facts):
+    setting = Setting(parse, flag, help, rule, defaults=MappingProxyType(dict(defaults)), **facts)
+    return _field(default=default, metadata={"setting": setting})
 
 
 @dataclass(frozen=True)
@@ -134,78 +124,90 @@ class ExperimentConfig:
     """A validated run: construction and dataclasses.replace both check every rule."""
 
     experiment: str
-    p: int = _setting(500, _parse_int, "--p", "ambient dimension")
+    p: int = _setting(  # a scaling slope needs p >= 10*max(n)
+        500, _parse_int, "--p", "ambient dimension", _as_count,
+        readers=TABLES, defaults={"scaling-slope": 3000},
+    )
     n: tuple[int, ...] = _setting(
-        (100, 200, 300), _list_of(_parse_int), "--n", "target sample count or comma list"
+        (100, 200, 300), _list_of(_parse_int), "--n", "target sample count or comma list",
+        _as_count, readers=TABLES, one_value=("gain-profile",), defaults={"gain-profile": (100,)},
     )
     m: tuple[int, ...] = _setting(  # empty means m mirrors n (two-stage only)
-        (), _list_of(_parse_int), "--m", "surrogate-stage sample count or comma list"
+        (), _list_of(_parse_int), "--m", "surrogate-stage sample count or comma list",
+        _as_count, readers=("two-stage-grid",),
     )
     alpha: tuple[float, ...] = _setting(
-        (2.0,), _list_of(_parse_float), "--alpha", "spectrum decay exponent or comma list"
+        (2.0,), _list_of(_parse_float), "--alpha", "spectrum decay exponent or comma list",
+        _check_exponent, readers=TABLES, one_value=("gain-profile", "risk-vs-n", "scaling-slope"),
     )
-    beta_exp: float = _setting(1.5, _parse_float, "--beta-exp", "signal-energy decay exponent")
+    beta_exp: float = _setting(
+        1.5, _parse_float, "--beta-exp", "signal-energy decay exponent", _check_exponent,
+        readers=("gain-profile", "risk-vs-n", "two-stage-grid", "scaling-slope"),
+    )
     sigma_t_sq: float = _setting(
-        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-t", "target-stage noise variance"
+        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-t", "target-stage noise variance", _check_noise,
+        readers=("risk-vs-n", "two-stage-grid", "scaling-slope"),
     )
     sigma_s_sq: float = _setting(
-        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-s", "surrogate-stage noise variance"
+        DEFAULT_SIGMA_SQ, _parse_float, "--sigma-s", "surrogate-stage noise variance",
+        _check_noise, readers=("two-stage-grid",),
     )
-    trials: int = _setting(DEFAULT_TRIALS, _parse_int, "--trials", "Monte Carlo trials")
-    seed: int = _setting(DEFAULT_SEED, _parse_int, "--seed", "master seed")
-    kinds: tuple[str, ...] = _setting(
-        KINDS, _list_of(_parse_text), "--kinds", "comma list of surrogate kinds to run"
+    trials: int = _setting(
+        DEFAULT_TRIALS, _parse_int, "--trials", "Monte Carlo trials", _as_count,
+        readers=("risk-vs-n", "two-stage-grid"),
     )
-    workers: int = _setting(1, _parse_int, "--workers", "worker threads")
-    out: str | None = _setting(None, _parse_text, "--out", "output CSV path (default: stdout)")
+    # echoed by every experiment, so left readable by all, though few read it
+    seed: int = _setting(DEFAULT_SEED, _parse_int, "--seed", "master seed", _as_seed)
+    kinds: tuple[str, ...] = _setting(  # scaling-slope predicts no masked exponent
+        KINDS, _list_of(_parse_text), "--kinds", "comma list of surrogate kinds to run",
+        _check_kind, readers=("risk-vs-n", "scaling-slope"),
+        defaults={"scaling-slope": ("ground-truth", "optimal")},
+    )
+    workers: int = _setting(
+        1, _parse_int, "--workers", "worker threads", _as_workers, plumbing=True
+    )
+    out: str | None = _setting(
+        None, _parse_text, "--out", "output CSV path (default: stdout)", _check_path, plumbing=True
+    )
     json_mirror: bool = _setting(
-        False, _parse_bool, "--json", "also write a .json mirror next to the CSV", const="true"
+        False, _parse_bool, "--json", "also write a .json mirror next to the CSV", _check_bool,
+        const="true", plumbing=True,
     )
     force: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
-            )
-        for name, rule in _VALUE_RULES.items():
-            value = getattr(self, name)
-            for item in value if isinstance(value, tuple) else (value,):
+        exp = self.experiment
+        if exp not in EXPERIMENTS:
+            raise ConfigError(f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {exp!r}")
+        for f in fields(self):
+            setting, value, name = f.metadata.get("setting"), getattr(self, f.name), f.name
+            if setting is None or (value is None and f.default is None):
+                continue  # not a setting, or a setting left unset
+            grid = isinstance(f.default, tuple)
+            if isinstance(value, tuple) != grid:
+                shape = "a tuple" if grid else "a single value"
+                raise ConfigError(f"{name}: must be {shape}, got {value!r}")
+            for item in value if grid else (value,):
                 try:
-                    rule(item, name)
+                    setting.rule(item, name)
                 except (TypeError, ValueError) as exc:  # TypeError: None or not a number
                     raise ConfigError(f"{name}: {str(exc).removeprefix(name + ' ')}") from None
-        if not self.alpha:
-            raise ConfigError("alpha: grid must be non-empty")
-        if not self.n:
-            raise ConfigError("n: grid must be non-empty")
-        if not self.kinds:
-            raise ConfigError("kinds: must be non-empty")
-        for kind in self.kinds:
-            if kind not in KINDS:
-                raise ConfigError(f"kinds: unknown kind {kind!r}, valid: {', '.join(KINDS)}")
-        if len(set(self.kinds)) != len(self.kinds):
-            raise ConfigError(f"kinds: duplicate entries in {self.kinds}")
-
-        exp = self.experiment
-        if exp == "verify" and self.json_mirror:
-            raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
-        if self.out == "":
-            raise ConfigError("out: must be a path, got ''")
-        if self.json_mirror and self.out is None:
-            raise ConfigError("json_mirror: the mirror is written next to out, and out is not set")
-        for f in fields(self):
-            readers = READERS.get(f.name, (exp,))
-            value = getattr(self, f.name)
+            if grid and f.default and not value:
+                raise ConfigError(f"{name}: grid must be non-empty")
+            readers = setting.readers
             if exp not in readers and value != f.default:
                 verb = "reads" if len(readers) == 1 else "read"
                 raise ConfigError(
-                    f"{f.name}: only {', '.join(readers)} {verb} {f.name}, got {value} for {exp}"
+                    f"{name}: only {', '.join(readers)} {verb} {name}, got {value} for {exp}"
                 )
-        for name in ONE_VALUE.get(exp, ()):
-            value = getattr(self, name)
-            if len(value) != 1:
+            if exp in setting.one_value and len(value) != 1:
                 raise ConfigError(f"{name}: {exp} takes exactly one {name} value, got {value}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"kinds: duplicate entries in {self.kinds}")
+        if exp == "verify" and self.json_mirror:
+            raise ConfigError("json_mirror: verify's report is JSON and has no mirror")
+        if self.json_mirror and self.out is None:
+            raise ConfigError("json_mirror: the mirror is written next to out, and out is not set")
         for name in ("n", "m"):  # the fixed point, and so every risk formula, needs n, m < p
             for value in getattr(self, name):
                 if value >= self.p:
@@ -242,8 +244,6 @@ class ExperimentConfig:
 
 # Every field a file key and a flag can set, in declaration order.
 SETTINGS = {f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if f.metadata}
-# The settings that never change a row; a run's identity is every other one (output.config_echo).
-PLUMBING = ("workers", "out", "json_mirror")
 
 
 def parse_config_file(path) -> dict:
@@ -281,7 +281,9 @@ def build_config(experiment: str, file_values: dict | None = None, **overrides) 
 
     An `experiment` among the file values must name the experiment being run.
     """
-    merged = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
+    merged = {
+        name: s.defaults[experiment] for name, s in SETTINGS.items() if experiment in s.defaults
+    }
     merged.update(file_values or {})
     named = merged.pop("experiment", experiment)
     if named != experiment:

@@ -5,7 +5,7 @@ hex digits of the SHA-1 of the canonical metadata string), and the config echo,
 as `#` lines in a CSV and as leading keys in render_json, the one JSON writer
 (table mirror and verify report); render_table writes a table and its mirror in
 one pass over the runner's dict rows. The echo is the experiment, then every
-setting outside config.PLUMBING in declaration order, a None value left out:
+setting not declared plumbing in declaration order, a None value left out:
 a setting added later with a None default changes no existing output until it
 is set. The plumbing (output path, worker count, mirror switch) and the
 overwrite flag are excluded so that identical (config, seed) runs produce
@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import PLUMBING, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 SCHEMA_VERSION = 1
 
@@ -42,11 +42,11 @@ def format_value(value) -> str:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    """The experiment, then each setting of cfg outside PLUMBING that is not None."""
+    """The experiment, then each setting of cfg that is not plumbing and not None."""
     echo = {"experiment": cfg.experiment}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.metadata and f.name not in PLUMBING and value is not None:
+        if f.metadata and not f.metadata["setting"].plumbing and value is not None:
             echo[f.name] = format_value(value)
     return echo
 
@@ -97,7 +97,8 @@ def render_json(cfg: ExperimentConfig, body: dict) -> str:
     """The one JSON writer: the schema, build_id and config header, then body's keys.
 
     A value JSON has no form for is written as format_value writes it in a CSV;
-    a NaN or infinity is a numerical fault and raises FloatingPointError.
+    a NaN or infinity is a numerical fault and raises FloatingPointError. The
+    chunks are written into one buffer as they are encoded, not listed first.
     """
     doc = {
         "schema": schema_tag(cfg.experiment),
@@ -105,10 +106,14 @@ def render_json(cfg: ExperimentConfig, body: dict) -> str:
         "config": config_echo(cfg),
         **body,
     }
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=format_value)
+    buf = io.StringIO()
     try:
-        return json.dumps(doc, indent=2, allow_nan=False, default=format_value) + "\n"
+        buf.writelines(encoder.iterencode(doc))
     except ValueError as exc:
         raise FloatingPointError(f"{cfg.experiment} report: {exc}") from exc
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def output_paths(cfg: ExperimentConfig) -> list:

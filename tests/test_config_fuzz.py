@@ -23,7 +23,6 @@ from w2s_lab.harness.config import (  # noqa: E402
     EXPERIMENTS,
     KINDS,
     MAX_WORKERS,
-    READERS,
     SETTINGS,
     ConfigError,
     build_config,
@@ -112,8 +111,8 @@ def _assert_in_bounds(cfg):
     assert 0 <= cfg.seed < 2**64
     assert cfg.kinds and set(cfg.kinds) <= set(KINDS)
     assert cfg.out is not None or not cfg.json_mirror
-    for f in fields(cfg):  # a field the experiment does not read keeps its default
-        if cfg.experiment not in READERS.get(f.name, (cfg.experiment,)):
+    for f in fields(cfg):  # a setting the experiment does not read keeps its default
+        if f.name in SETTINGS and cfg.experiment not in SETTINGS[f.name].readers:
             assert getattr(cfg, f.name) == f.default, f.name
 
 

@@ -23,21 +23,26 @@ from w2s_lab import (
     two_stage_risk,
 )
 from w2s_lab import estimators
-from w2s_lab.estimators import STAGE_SURROGATE, STAGE_TARGET, derive_seed, fit, sample_dataset
+from w2s_lab.estimators import (
+    STAGE_SURROGATE,
+    STAGE_TARGET,
+    _as_seed,
+    _as_workers,
+    derive_seed,
+    fit,
+    sample_dataset,
+)
 from w2s_lab.harness import cli, experiments, verify
 from w2s_lab.harness.cli import main
 from w2s_lab.harness.config import (
     EXPERIMENTS,
     KINDS,
     MAX_WORKERS,
-    PLUMBING,
-    READERS,
     SETTINGS,
     ConfigError,
     ExperimentConfig,
     _parse_int,
     _setting,
-    _VALUE_RULES,
     build_config,
     parse_config_file,
 )
@@ -60,6 +65,7 @@ from w2s_lab.harness.output import (
     render_table,
     write_outputs,
 )
+from w2s_lab.spectrum import _as_count, _check_exponent, _check_noise
 
 
 class TestConfigFile:
@@ -250,6 +256,20 @@ _UNREAD_VALUES = {
 }
 
 
+# The settings whose rule is one of the library's numeric checks.
+_NUMERIC_SETTINGS = sorted(
+    name
+    for name, setting in SETTINGS.items()
+    if setting.rule in (_as_count, _as_workers, _as_seed, _check_noise, _check_exponent)
+)
+
+
+def _wrong_shape(name):
+    """A good value of setting `name` in the other shape: one item of a grid, a scalar wrapped."""
+    value = SETTINGS[name].parse(name, _FIELD_TEXTS[name][0])
+    return value[0] if isinstance(value, tuple) else (value,)
+
+
 def _assert_unread_is_refused(name, experiment) -> str:
     """An experiment that does not read field `name` refuses any value but its default.
 
@@ -331,7 +351,12 @@ class TestValidation:
         _assert_unread_is_refused(name, experiment)
 
     def test_readers_are_the_documented_table(self):
-        assert READERS == _DOCUMENTED_READERS
+        read_by_some = {
+            name: setting.readers
+            for name, setting in SETTINGS.items()
+            if setting.readers != EXPERIMENTS
+        }
+        assert read_by_some == _DOCUMENTED_READERS
 
     def test_seed_is_accepted_everywhere(self):
         for experiment in EXPERIMENTS:
@@ -411,11 +436,27 @@ class TestValidation:
             replace(cfg, workers=10**6)
 
     @pytest.mark.parametrize("value", [None, (None,), [3]], ids=["None", "None-item", "list"])
-    @pytest.mark.parametrize("name", sorted(_VALUE_RULES))
+    @pytest.mark.parametrize("name", _NUMERIC_SETTINGS)
     def test_a_non_number_is_refused_by_name(self, name, value):
         """A library caller's None or list is a ConfigError naming the field, not a TypeError."""
         with pytest.raises(ConfigError, match=f"^{name}: "):
             ExperimentConfig(experiment="two-stage-grid", **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(name, _wrong_shape(name), id=f"{name}-shape") for name in SETTINGS]
+        + [
+            pytest.param("out", 3, id="out-int"),
+            pytest.param("json_mirror", "no", id="json_mirror-str"),
+            pytest.param("json_mirror", 1, id="json_mirror-int"),
+        ],
+    )
+    def test_a_value_of_the_wrong_shape_or_type_is_refused_by_name(self, name, value):
+        """A scalar for a grid, a tuple for a scalar, or an untyped plumbing value."""
+        experiment = _FIELD_EXPERIMENT.get(name, "two-stage-grid")
+        with pytest.raises(ConfigError, match=f"^{name}: must be ") as refused:
+            ExperimentConfig(experiment=experiment, **{name: value})
+        assert str(refused.value).endswith(f", got {value!r}")
 
     def test_seed_must_fit_in_64_bits(self):
         """Seeds are mixed as 64-bit words, so 2**64 + k would alias seed k."""
@@ -1069,6 +1110,20 @@ class TestOutputFormat:
             tracemalloc.stop()
         assert peak <= 3 * len(text)
 
+    def test_render_json_encodes_into_one_buffer(self):
+        """The mirror of a long table is encoded chunk by chunk, not listed before joining."""
+        cfg = build_config("gain-profile", {"p": 20_000, "out": "g.csv", "json_mirror": True})
+        rows = list(run_gain_profile(cfg))
+        body = {"columns": tuple(rows[0]), "rows": [tuple(row.values()) for row in rows]}
+        tracemalloc.start()
+        try:
+            text = render_json(cfg, body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == render_table(cfg, rows)[1]
+        assert peak <= 3 * len(text)
+
     def test_build_id_tracks_scientific_fields_only(self):
         cfg = _tiny_cfg()
         assert build_id(cfg) == build_id(replace(cfg, workers=8))
@@ -1138,7 +1193,9 @@ class TestOutputFormat:
 class _WithLaterSetting(ExperimentConfig):
     """The config as it stands once a setting is added with the None default it must take."""
 
-    dummy: int | None = _setting(None, _parse_int, "--dummy", "a setting added later")
+    dummy: int | None = _setting(
+        None, _parse_int, "--dummy", "a setting added later", _as_count, readers=("mask-count",)
+    )
 
 
 # Small configs of each table experiment.
@@ -1151,8 +1208,23 @@ _SMALL_TABLES = {
 }
 
 
+_PLUMBING = tuple(name for name, setting in SETTINGS.items() if setting.plumbing)
+
+
 class TestRunIdentity:
-    """A run's echo and build id are every setting outside PLUMBING, a None one left out."""
+    """A run's echo and build id are every setting but the plumbing, a None one left out."""
+
+    def test_a_setting_added_later_is_checked_by_its_own_declaration(self):
+        """One _setting(...) gives the new field its rule and its readers; nothing else does."""
+        assert _WithLaterSetting("risk-vs-n", p=50, n=(5,)).dummy is None
+        with pytest.raises(ConfigError) as refused:
+            _WithLaterSetting("risk-vs-n", p=50, n=(5,), dummy=3)
+        assert str(refused.value) == "dummy: only mask-count reads dummy, got 3 for risk-vs-n"
+        with pytest.raises(ConfigError) as refused:
+            _WithLaterSetting("mask-count", p=50, n=(5,), dummy=0)
+        assert str(refused.value) == "dummy: must be >= 1, got 0"
+        with pytest.raises(ConfigError, match=r"^dummy: must be a single value, got \(3,\)$"):
+            _WithLaterSetting("mask-count", p=50, n=(5,), dummy=(3,))
 
     def test_a_setting_added_later_is_echoed_only_once_set(self):
         cfg = build_config("mask-count", {"p": 50, "n": (5,)})
@@ -1171,16 +1243,16 @@ class TestRunIdentity:
     def test_plumbing_leaves_every_table_unchanged(self, experiment):
         cfg = build_config(experiment, _SMALL_TABLES[experiment])
         plumbed = replace(cfg, **{
-            name: SETTINGS[name].parse(name, _FIELD_TEXTS[name][0]) for name in PLUMBING
+            name: SETTINGS[name].parse(name, _FIELD_TEXTS[name][0]) for name in _PLUMBING
         })
-        assert all(getattr(plumbed, name) != getattr(cfg, name) for name in PLUMBING)
+        assert all(getattr(plumbed, name) != getattr(cfg, name) for name in _PLUMBING)
         expected = render_table(cfg, RUNNERS[experiment](cfg))[0]
         assert render_table(plumbed, RUNNERS[experiment](plumbed))[0] == expected
 
-    @pytest.mark.parametrize("name", [name for name in SETTINGS if name not in PLUMBING])
+    @pytest.mark.parametrize("name", [name for name in SETTINGS if name not in _PLUMBING])
     def test_every_other_setting_changes_the_build_id(self, name):
         experiment = _FIELD_EXPERIMENT.get(name, "two-stage-grid")
-        assert experiment in READERS.get(name, EXPERIMENTS)
+        assert experiment in SETTINGS[name].readers
         cfg = build_config(experiment)
         changed = replace(cfg, **{name: SETTINGS[name].parse(name, _FIELD_TEXTS[name][0])})
         assert build_id(changed) != build_id(cfg)

@@ -52,6 +52,20 @@ COMMANDS = (
     # scaling-slope's boundary beta_exp = 2*alpha + 1
     "two-stage-grid --p 300 --alpha 2,200 --n 90 --trials 20",
     "scaling-slope --alpha 2 --beta-exp 5",
+    # single-setting refusals from the declarations' one loop, and the cross-field rules
+    # after it: duplicate and unknown kinds, an unread setting, a one-value grid, an
+    # empty grid, an m grid of the wrong length, the mirror's two rules, a setting
+    # verify does not read, and scaling-slope's kinds
+    "risk-vs-n --kinds optimal,optimal",
+    "risk-vs-n --kinds bogus",
+    "mask-count --trials 7",
+    "gain-profile --p 50 --n 5,6",
+    "risk-vs-n --alpha ,",
+    "two-stage-grid --p 30 --n 5,8 --m 6",
+    "verify --out runs/v.json --json",
+    "risk-vs-n --json",
+    "verify --p 40",
+    "scaling-slope --kinds masked",
 )
 
 
